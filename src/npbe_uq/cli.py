@@ -11,39 +11,22 @@ import argparse
 import sys
 
 import numpy as np
-import yaml
 
 from . import bounds as bounds_mod
 from . import harness, pde, region, smolyak
 from .errors import ConfigError, NpbeUqError
 
 
-def _load_raw(path: str) -> dict:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} is not a mapping")
-    return raw
-
-
 def cmd_solve(args) -> int:
     config = harness.load_config(args.config)
-    domain = config.domain
-    grid = config.grid()
-    charges = harness.ingest_charges(config, grid)
+    y = np.zeros(config.N)
     if args.y:
         y = np.array([float(t) for t in args.y.split(",")])
         if len(y) != config.N:
             raise ConfigError(f"--y needs {config.N} components")
-        charges = harness.shifted_charges(charges, config.alpha,
-                                          harness.SQRT3 * y, domain)
-    coeffs = pde.PBECoefficients(np.array(config.eps), np.array(config.kappa2),
-                                 charges, config.boundary_value)
-    from .geometry import DomainMap
-    dmap = DomainMap([])
-    u, info = pde.newton_solve_npbe(domain, dmap, coeffs, None, grid,
-                                    tol=config.newton_tol, cg_tol=config.cg_tol,
-                                    max_iter=config.max_newton)
+    solver = harness.KnotSolver(config)
+    u, info = solver.solve(y)
+    grid = solver.grid
     print(f"grid {grid.shape[0]}^3, h = {grid.h:.4f}")
     print(f"newton iterations: {info.iterations}")
     print(f"final residual: {info.residual_history[-1]:.3e}")
@@ -73,7 +56,7 @@ def cmd_study(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    raw = _load_raw(args.config)
+    raw = harness.load_raw(args.config)
     blk = raw.get("bounds")
     if not isinstance(blk, dict):
         raise ConfigError("config needs a 'bounds' block")
@@ -93,7 +76,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_region(args) -> int:
-    raw = _load_raw(args.config)
+    raw = harness.load_raw(args.config)
     blk = raw.get("region")
     if not isinstance(blk, dict):
         raise ConfigError("config needs a 'region' block")

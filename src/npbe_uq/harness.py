@@ -3,9 +3,9 @@
 Builds the rigid-shift experiment: Gaussian charges inside the inner sphere
 are translated by sum_k alpha_k e_k Y_k with Y_k uniform on [-sqrt(3),
 sqrt(3)], the NPBE is solved at every sparse-grid knot, and the expected
-quantity of interest is compared against a higher-level reference.  Knots
-are cached across levels by their canonical keys, so the nesting of the
-Clenshaw-Curtis family is exploited exactly.
+quantity of interest is compared against a higher-level reference.  The
+Clenshaw-Curtis family is nested, so the reference plan's knots cover every
+study level and each is solved exactly once.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
 
 from . import geometry, pde, smolyak
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ConvergenceError, ParseError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -58,7 +57,6 @@ class RunConfig:
     newton_tol: float = 1e-9
     cg_tol: float = 1e-12
     max_newton: int = 50
-    workers: int = 1
     # output
     csv_path: str = None
     svg_path: str = None
@@ -109,7 +107,7 @@ _BLOCK_KEYS = {
     "stochastic": {"N", "alpha"},
     "grid": {"grid_n"},
     "sparse_grid": {"rule", "levels", "reference_level"},
-    "solver": {"newton_tol", "cg_tol", "max_newton", "workers"},
+    "solver": {"newton_tol", "cg_tol", "max_newton"},
     "output": {"csv_path", "svg_path", "deterministic_csv"},
 }
 
@@ -137,12 +135,17 @@ def config_from_dict(raw: dict) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def load_config(path: str) -> RunConfig:
+def load_raw(path: str) -> dict:
+    """The YAML config file as a mapping, with every block still raw."""
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} is not a mapping")
-    return config_from_dict(raw)
+    return raw
+
+
+def load_config(path: str) -> RunConfig:
+    return config_from_dict(load_raw(path))
 
 
 # ---------------------------------------------------------------------------
@@ -257,60 +260,68 @@ def _csv_text(records, deterministic: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+class KnotSolver:
+    """NPBE solves of the shift model at parameter points y, for one config.
+
+    The shift moves only the charges (J = I), so the grid, the operator and
+    the reaction profile are built once; each solve assembles its own rhs.
+    """
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.domain = config.domain
+        self.grid = config.grid()
+        self.dmap = geometry.DomainMap([])
+        self.coeffs = pde.PBECoefficients(np.array(config.eps), np.array(config.kappa2),
+                                          ingest_charges(config, self.grid),
+                                          config.boundary_value)
+        self.op = pde.assemble_pulled_back_operator(self.domain, self.dmap, self.coeffs,
+                                                    None, self.grid)
+        self.reaction = pde.reaction_profile(self.domain, self.dmap, self.coeffs, None,
+                                             self.grid)
+
+    def solve(self, y):
+        """(u, NewtonInfo) with the charges shifted by sqrt(3) alpha_k y_k, y in [-1, 1]^N."""
+        c = self.config
+        ch = shifted_charges(self.coeffs.charges, c.alpha, SQRT3 * np.asarray(y, dtype=float),
+                             self.domain)
+        coeffs = replace(self.coeffs, charges=ch)
+        rhs = pde.assemble_rhs(self.domain, self.dmap, coeffs, None, self.grid)
+        return pde.newton_solve_npbe(self.domain, self.dmap, coeffs, None, self.grid,
+                                     tol=c.newton_tol, cg_tol=c.cg_tol,
+                                     max_iter=c.max_newton, op=self.op, rhs=rhs,
+                                     reaction=self.reaction)
+
+
 def run_study(config: RunConfig, progress=None) -> StudyResult:
     """Execute the shift-model convergence study described by the config.
 
-    Every sparse-grid knot is solved at most once; study levels and the
-    reference level share the store.  A knot whose Newton iteration fails is
-    recorded as NaN and poisons only the levels that use it.
+    Only the reference plan is evaluated: under nesting its knots cover
+    every study level, so each knot is solved exactly once.  A knot whose
+    Newton iteration raises ConvergenceError is recorded as NaN and poisons
+    only the levels that use it; any other error propagates.  A level's
+    wall time is the solve time of its knots plus its integration.
     """
-    domain = config.domain
-    grid = config.grid()
-    charges = ingest_charges(config, grid)
-    modes = [(3.0 * a * a, geometry.ConstantShift(k)) for k, a in enumerate(config.alpha)]
-    dmap = geometry.DomainMap(sorted(modes, key=lambda m: -m[0]))
-    geometry.check_assumptions(domain, dmap, config.eps, config.kappa2)
-    coeffs = pde.PBECoefficients(np.array(config.eps), np.array(config.kappa2),
-                                 charges, config.boundary_value)
-    # the shift model has J = I, so the operator is assembled once
-    op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, None, grid)
-    reaction = pde.reaction_profile(domain, dmap, coeffs, None, grid)
-
-    def qoi_at(y):
-        ch = shifted_charges(charges, config.alpha, SQRT3 * np.asarray(y), domain)
-        ck = pde.PBECoefficients(coeffs.eps, coeffs.kappa2, ch, coeffs.boundary)
-        rhs = pde.assemble_rhs(domain, dmap, ck, None, grid)
-        try:
-            u, _ = pde.newton_solve_npbe(
-                domain, dmap, ck, None, grid, tol=config.newton_tol,
-                cg_tol=config.cg_tol, max_iter=config.max_newton,
-                op=op, rhs=rhs, reaction=reaction,
-            )
-        except Exception:
-            return math.nan
-        return pde.qoi_integral(u)
-
+    solver = KnotSolver(config)
     plans = {w: smolyak.build_plan(config.rule, w, config.N)
              for w in list(config.levels) + [config.reference_level]}
-    store = smolyak.SurplusStore()
-    # reference knots are a superset under nesting; evaluate its union once
-    order = sorted(plans)
-    pending = []
-    for w in order:
-        for key, y in zip(plans[w].knots, plans[w].knot_values):
-            if key not in store and all(key != k for k, _ in pending):
-                pending.append((key, y))
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            values = list(pool.map(lambda ky: qoi_at(ky[1]), pending))
-    else:
-        values = []
-        for idx, (key, y) in enumerate(pending):
-            values.append(qoi_at(y))
-            if progress is not None:
-                progress(idx + 1, len(pending))
-    for (key, _), val in zip(pending, values):
-        store.set(key, val)
+    ref_plan = plans[config.reference_level]
+    seconds = []  # per knot, in the order evaluate_plan visits ref_plan.knots
+
+    def qoi_at(y):
+        t0 = time.perf_counter()
+        try:
+            u, _ = solver.solve(y)
+            value = pde.qoi_integral(u)
+        except ConvergenceError:
+            value = math.nan
+        seconds.append(time.perf_counter() - t0)
+        if progress is not None:
+            progress(len(seconds), ref_plan.n_knots)
+        return value
+
+    store = smolyak.evaluate_plan(ref_plan, qoi_at)
+    knot_seconds = dict(zip(ref_plan.knots, seconds))
 
     def level_mean(w):
         vals = [store.get(k) for k in plans[w].knots]
@@ -323,10 +334,10 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
     for w in config.levels:
         t0 = time.perf_counter()
         mean = level_mean(w)
+        wall = time.perf_counter() - t0 + sum(knot_seconds[k] for k in plans[w].knots)
         failed = math.isnan(mean) or math.isnan(ref_qoi)
         err = math.nan if failed else abs(mean - ref_qoi)
-        records.append(ConvergenceRecord(w, plans[w].n_knots, mean, err,
-                                         time.perf_counter() - t0, failed))
+        records.append(ConvergenceRecord(w, plans[w].n_knots, mean, err, wall, failed))
     csv = _csv_text(records, config.deterministic_csv)
     if config.csv_path:
         with open(config.csv_path, "w") as fh:
@@ -334,8 +345,7 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
     if config.svg_path:
         with open(config.svg_path, "w") as fh:
             fh.write(convergence_svg(records))
-    return StudyResult(records, ref_qoi, config.reference_level,
-                       plans[config.reference_level].n_knots, csv)
+    return StudyResult(records, ref_qoi, config.reference_level, ref_plan.n_knots, csv)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError, IncompleteStoreError
@@ -88,25 +87,25 @@ def _nodes_and_bary(m: int):
 
 
 @lru_cache(maxsize=None)
-def _quadrature_weights(m: int, density: str = "uniform") -> tuple[float, ...]:
-    """1D weights integrating the Lagrange basis against the density.
+def _quadrature_weights(m: int) -> np.ndarray:
+    """1D weights integrating the Lagrange basis against the uniform density 1/2.
 
-    Solved once per node count from the Vandermonde moment system in
-    extended precision; the density is a probability weight on [-1, 1]
-    (uniform means 1/2 everywhere).
+    Closed-form Clenshaw-Curtis weights (Waldvogel, BIT 46, 2006) for the
+    m = n + 1 nodes -cos(pi j / n), n even; the cosine angles are reduced
+    exactly as integers mod 2n.  The array is cached, so it is read-only.
     """
-    if density != "uniform":
-        raise DomainError(f"unsupported density {density!r}")
-    x = cc_nodes(m)
-    with mpmath.workdps(60):
-        V = mpmath.matrix(m, m)
-        rhs = mpmath.matrix(m, 1)
-        for k in range(m):
-            for j in range(m):
-                V[k, j] = mpmath.mpf(x[j]) ** k
-            rhs[k] = mpmath.mpf(1) / (k + 1) if k % 2 == 0 else mpmath.mpf(0)
-        w = mpmath.lu_solve(V, rhs)
-    return tuple(float(wi) for wi in w)
+    if m == 1:
+        w = np.ones(1)
+    else:
+        n = m - 1
+        j = np.arange(m)[:, None]
+        k = np.arange(1, n // 2 + 1)
+        c = np.cos(np.pi * ((2 * j * k) % (2 * n)) / n)
+        c[:, -1] *= 0.5  # the k = n/2 term enters with half weight
+        w = (1.0 - 2.0 * (c / (4.0 * k * k - 1.0)).sum(axis=1)) / n
+        w[0] = w[-1] = 0.5 / (n * n - 1)
+    w.flags.writeable = False
+    return w
 
 
 def lagrange_eval_matrix(m: int, pts: np.ndarray) -> np.ndarray:
@@ -278,15 +277,14 @@ def interpolate(plan: SparseGridPlan, store: SurplusStore, y) -> np.ndarray:
     return total[0] if single else total
 
 
-def integrate(plan: SparseGridPlan, store: SurplusStore, density: str = "uniform") -> float:
-    """Integral of the sparse interpolant against a product probability density."""
+def integrate(plan: SparseGridPlan, store: SurplusStore) -> float:
+    """Integral of the sparse interpolant against the uniform probability density."""
     total = 0.0
     for i, coeff in plan.terms:
         vals = _term_values(plan, store, i)
         acc = vals
         for n in range(plan.N):
-            wts = np.array(_quadrature_weights(growth(i[n]), density))
-            acc = np.tensordot(wts, acc, axes=(0, 0))
+            acc = np.tensordot(_quadrature_weights(growth(i[n])), acc, axes=(0, 0))
         total += coeff * float(acc)
     return total
 

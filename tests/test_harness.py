@@ -243,10 +243,44 @@ class TestRunStudy:
         text = out.read_text()
         assert "<svg" in text and "polyline" in text
 
-    def test_workers_match_serial(self):
-        serial = harness.run_study(small_config(levels=(0, 1), reference_level=2))
-        par = harness.run_study(small_config(levels=(0, 1), reference_level=2, workers=2))
-        assert serial.csv_text == par.csv_text
+    def test_each_reference_knot_solved_once(self, monkeypatch):
+        solve = pde.newton_solve_npbe
+        calls, ticks = [], []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "newton_solve_npbe", counting)
+        result = harness.run_study(small_config(levels=(0, 1), reference_level=3),
+                                   progress=lambda done, total: ticks.append((done, total)))
+        eta = result.reference_eta
+        assert len(calls) == eta
+        assert ticks[-1] == (eta, eta)
+        assert all(a[0] < b[0] for a, b in zip(ticks, ticks[1:]))
+
+    def test_non_convergence_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("solver bug")
+
+        monkeypatch.setattr(pde, "newton_solve_npbe", broken)
+        with pytest.raises(ValueError, match="solver bug"):
+            harness.run_study(small_config())
+
+    def test_newton_failure_recorded_as_nan(self, tmp_path):
+        out = tmp_path / "study.csv"
+        result = harness.run_study(small_config(levels=(0, 1), reference_level=2,
+                                                max_newton=0, csv_path=str(out)))
+        assert all(r.failed and math.isnan(r.error) for r in result.records)
+        assert out.read_text() == result.csv_text
+
+    def test_wall_time_covers_knot_solves(self):
+        result = harness.run_study(small_config(levels=(0, 1), reference_level=2,
+                                                grid_n=21, deterministic_csv=False))
+        printed = [float(line.split(",")[-1]) for line in result.csv_text.splitlines()[1:]]
+        assert all(t > 0.0 for t in printed)
+        # the finest level's knots are a superset of the coarsest's
+        assert result.records[-1].wall_time >= result.records[0].wall_time
 
 
 class TestSvg:

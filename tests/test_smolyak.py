@@ -1,12 +1,30 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from npbe_uq import smolyak
 from npbe_uq.errors import DomainError, IncompleteStoreError
+
+
+def moment_solve_weights(m):
+    """Uniform-density weights from the Vandermonde moment system in 60 digits."""
+    x = smolyak.cc_nodes(m)
+    with mpmath.workdps(60):
+        V = mpmath.matrix(m, m)
+        rhs = mpmath.matrix(m, 1)
+        for k in range(m):
+            for j in range(m):
+                V[k, j] = mpmath.mpf(x[j]) ** k
+            rhs[k] = mpmath.mpf(1) / (k + 1) if k % 2 == 0 else mpmath.mpf(0)
+        w = mpmath.lu_solve(V, rhs)
+    return np.array([float(wi) for wi in w])
 
 
 def brute_force_knots(rule, w, N):
@@ -225,9 +243,20 @@ class TestQuadrature:
             dense = float(gw @ vals @ gw)
             assert abs(smolyak.integrate(plan, store) - dense) <= 1e-8
 
-    def test_unsupported_density(self):
-        with pytest.raises(DomainError):
-            smolyak._quadrature_weights(3, density="gauss")
+    def test_closed_form_weights_match_moment_solve(self):
+        for i in range(1, 9):
+            m = smolyak.growth(i)
+            w = smolyak._quadrature_weights(m)
+            ref = moment_solve_weights(m)
+            assert np.max(np.abs(w - ref)) <= 4e-16
+            assert abs(math.fsum(w) - 1.0) <= 4e-16
+
+    def test_package_import_does_not_load_mpmath(self):
+        code = "import sys, npbe_uq; print('mpmath' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(smolyak.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
 
 
 class TestAnalyticDecay:
