@@ -3,8 +3,8 @@ quantification under analytic random domain perturbations."""
 
 from .bounds import (BoundsInput, a_coeff, b_coeff, m_estimate, prop_a_bounds,
                      verify_bounds_by_sampling)
-from .geometry import (ConstantShift, CutoffShift, DomainMap, ReferenceDomain,
-                       check_assumptions, classify_point)
+from .geometry import (CutoffShift, DomainMap, ReferenceDomain, check_assumptions,
+                       classify_point)
 from .harness import (RunConfig, fit_rate, ingest_charges, load_config,
                       run_study, shifted_charges)
 from .pde import (Charge, Grid3D, GridField, PBECoefficients,
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundsInput", "a_coeff", "b_coeff", "m_estimate", "prop_a_bounds",
-    "verify_bounds_by_sampling", "ConstantShift", "CutoffShift", "DomainMap",
+    "verify_bounds_by_sampling", "CutoffShift", "DomainMap",
     "ReferenceDomain", "check_assumptions", "classify_point", "RunConfig",
     "fit_rate", "ingest_charges", "load_config", "run_study", "shifted_charges",
     "Charge", "Grid3D", "GridField", "PBECoefficients",

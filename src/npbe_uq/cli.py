@@ -44,6 +44,10 @@ def cmd_study(args) -> int:
     result = harness.run_study(config, progress=progress)
     print(file=sys.stderr)
     print(result.csv_text, end="")
+    for r in result.records:
+        if r.failed:
+            y = ",".join(repr(v) for v in r.failed_at)
+            print(f"# level {r.w} failed at y={y}: {r.reason}")
     ok = [r for r in result.records if not r.failed]
     if len(ok) >= 2:
         fit = harness.fit_rate(ok)

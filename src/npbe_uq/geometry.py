@@ -57,32 +57,25 @@ class ReferenceDomain:
         return np.all((r >= self.box_min) & (r <= self.box_max), axis=-1)
 
 
-def classify_point(domain: ReferenceDomain, r, band: float = 0.0):
+def classify_point(domain: ReferenceDomain, r):
     """Classify a point (or array of points) into U1/U2/U3.
 
     Returns the label for a single point, or an integer array with values
-    0/1/2 for stacked points.  With ``band > 0`` a second return value flags
-    points within ``band`` of either sphere interface.
+    0/1/2 for stacked points.
     """
     r = np.asarray(r, dtype=float)
-    single = r.ndim == 1
     if not np.all(domain.contains(r)):
         raise DomainError("point outside reference box")
     phi1, phi2 = domain.levels(r)
     tag = np.where(phi1 <= 0.0, 0, np.where(phi2 <= 0.0, 1, 2))
-    adjacent = (np.abs(phi1) <= band) | (np.abs(phi2) <= band)
-    if single:
-        label = (U1, U2, U3)[int(tag)]
-        return (label, bool(adjacent)) if band > 0.0 else label
-    return (tag, adjacent) if band > 0.0 else tag
+    if r.ndim == 1:
+        return (U1, U2, U3)[int(tag)]
+    return tag
 
 
 # ---------------------------------------------------------------------------
 # Displacement fields
 # ---------------------------------------------------------------------------
-
-_AXES = {"x": 0, "y": 1, "z": 2}
-
 
 def _quintic_step(t):
     """C^2 smoothstep on [0, 1] with value, first and second derivative."""
@@ -91,28 +84,6 @@ def _quintic_step(t):
     ds = 30.0 * t * t * (1.0 + t * (-2.0 + t))
     d2s = 60.0 * t * (1.0 + t * (-3.0 + 2.0 * t))
     return s, ds, d2s
-
-
-class ConstantShift:
-    """Unit translation along one axis; B = 0 everywhere."""
-
-    def __init__(self, axis: int):
-        self.axis = axis
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)
-        out[..., self.axis] = 1.0
-        return out
-
-    def jac(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.zeros(r.shape[:-1] + (3, 3))
-
-    def jac_deriv(self, r):
-        """d(B)/dr_i for i=0,1,2, shape (..., 3, 3, 3) indexed [..., i, :, :]."""
-        r = np.asarray(r, dtype=float)
-        return np.zeros(r.shape[:-1] + (3, 3, 3))
 
 
 class CutoffShift:
@@ -184,21 +155,6 @@ class CutoffShift:
         return out
 
 
-def field_from_template(name: str, domain: ReferenceDomain, cutoff_margin: float = None):
-    """Build a displacement field from its config template name."""
-    kind, _, axis = name.rpartition("_")
-    if axis not in _AXES:
-        raise DomainError(f"unknown displacement template {name!r}")
-    ax = _AXES[axis]
-    if kind == "constant_shift":
-        return ConstantShift(ax)
-    if kind == "cutoff_shift":
-        if cutoff_margin is None:
-            cutoff_margin = 0.1 * float(np.min(domain.box_max - domain.box_min))
-        return CutoffShift(ax, domain.box_min, domain.box_max, cutoff_margin)
-    raise DomainError(f"unknown displacement template {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # Domain map
 # ---------------------------------------------------------------------------
@@ -219,14 +175,6 @@ class DomainMap:
     @property
     def n_modes(self) -> int:
         return len(self.modes)
-
-    def check_normalization(self, domain: ReferenceDomain, n: int = 24, tol: float = 1e-6):
-        """Dense-sample check that ||b_k||_Linf(U) = 1 for every mode."""
-        pts = _box_grid(domain, n)
-        for k, (_, fld) in enumerate(self.modes):
-            sup = np.max(np.linalg.norm(fld.value(pts), axis=-1))
-            if abs(sup - 1.0) > tol:
-                raise DomainError(f"mode {k} violates ||b_k||_Linf = 1 (sampled sup {sup:.8f})")
 
 
 def _box_grid(domain: ReferenceDomain, n: int):
@@ -282,11 +230,6 @@ def adjugate3(J):
 
 def det_jacobian(dmap: DomainMap, r, y):
     return det3(jacobian(dmap, r, y))
-
-
-def is_translation(dmap: DomainMap) -> bool:
-    """True when every mode has B_k = 0, so J = I for all y."""
-    return all(isinstance(fld, ConstantShift) for _, fld in dmap.modes)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +298,7 @@ def check_assumptions(domain: ReferenceDomain, dmap: DomainMap, eps, kappa2,
     profile = b_norms(dmap, domain, p=1.0, n=norm_samples)
     pts = _box_grid(domain, n_space)
     N = dmap.n_modes
-    if N == 0 or is_translation(dmap):
+    if not dmap.modes:
         c2 = 1.0
     else:
         levels = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])

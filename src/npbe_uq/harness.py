@@ -210,22 +210,17 @@ def ingest_charges(config: RunConfig, grid: pde.Grid3D = None) -> list:
     return charges
 
 
-def shifted_charges(charges: list, alpha, y, domain: geometry.ReferenceDomain = None,
-                    margin: float = 0.0) -> list:
-    """Rigid shift of every charge by sum_k alpha_k e_k y_k."""
+def shifted_charges(charges: list, alpha, y, domain: geometry.ReferenceDomain = None) -> list:
+    """Rigid shift of every charge by sum_k alpha_k e_k y_k, kept inside the domain's box."""
     y = np.asarray(y, dtype=float)
     shift = np.zeros(3)
     for k, (a, yk) in enumerate(zip(alpha, y)):
         shift[k] = a * yk
     out = [replace(c, position=c.position + shift) for c in charges]
     if domain is not None:
-        lo = domain.box_min + margin
-        hi = domain.box_max - margin
         for c in out:
-            if np.any(c.position < lo) or np.any(c.position > hi):
-                raise ConfigError(
-                    "shifted charge support leaves the box interior margin; reduce alpha"
-                )
+            if not domain.contains(c.position):
+                raise ConfigError("shifted charge leaves the box; reduce alpha")
     return out
 
 
@@ -241,6 +236,8 @@ class ConvergenceRecord:
     error: float
     wall_time: float
     failed: bool = False
+    failed_at: tuple = None  # y of the first failing knot, when failed
+    reason: str = ""         # its ConvergenceError message
 
 
 @dataclass
@@ -299,45 +296,56 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
     Only the reference plan is evaluated: under nesting its knots cover
     every study level, so each knot is solved exactly once.  A knot whose
     Newton iteration raises ConvergenceError is recorded as NaN and poisons
-    only the levels that use it; any other error propagates.  A level's
-    wall time is the solve time of its knots plus its integration.
+    only the levels that use it, whose records keep the y and message of
+    their first failing knot; any other error propagates.  A level's wall
+    time is the solve time of its knots plus its integration.
     """
     solver = KnotSolver(config)
     plans = {w: smolyak.build_plan(config.rule, w, config.N)
              for w in list(config.levels) + [config.reference_level]}
     ref_plan = plans[config.reference_level]
-    seconds = []  # per knot, in the order evaluate_plan visits ref_plan.knots
+    seconds, errors = [], []  # per knot, in the order evaluate_plan visits ref_plan.knots
 
     def qoi_at(y):
         t0 = time.perf_counter()
+        error = None
         try:
             u, _ = solver.solve(y)
             value = pde.qoi_integral(u)
-        except ConvergenceError:
-            value = math.nan
+        except ConvergenceError as exc:
+            value, error = math.nan, str(exc)
         seconds.append(time.perf_counter() - t0)
+        errors.append(error)
         if progress is not None:
             progress(len(seconds), ref_plan.n_knots)
         return value
 
     store = smolyak.evaluate_plan(ref_plan, qoi_at)
     knot_seconds = dict(zip(ref_plan.knots, seconds))
+    knot_errors = dict(zip(ref_plan.knots, errors))
 
-    def level_mean(w):
-        vals = [store.get(k) for k in plans[w].knots]
-        if any(math.isnan(v) for v in vals):
-            return math.nan
-        return smolyak.integrate(plans[w], store)
+    def first_failure(w):
+        """(y, message) of the first knot of level w whose solve failed, or None."""
+        for key, y in zip(plans[w].knots, plans[w].knot_values):
+            if knot_errors[key] is not None:
+                return tuple(float(v) for v in y), knot_errors[key]
+        return None
 
-    ref_qoi = level_mean(config.reference_level)
+    ref_failure = first_failure(config.reference_level)
+    ref_qoi = math.nan if ref_failure else smolyak.integrate(ref_plan, store)
     records = []
     for w in config.levels:
         t0 = time.perf_counter()
-        mean = level_mean(w)
+        failure = first_failure(w)
+        mean = math.nan if failure else smolyak.integrate(plans[w], store)
         wall = time.perf_counter() - t0 + sum(knot_seconds[k] for k in plans[w].knots)
-        failed = math.isnan(mean) or math.isnan(ref_qoi)
-        err = math.nan if failed else abs(mean - ref_qoi)
-        records.append(ConvergenceRecord(w, plans[w].n_knots, mean, err, wall, failed))
+        if failure is None and ref_failure is not None:
+            y, message = ref_failure
+            failure = (y, f"reference level {config.reference_level}: {message}")
+        err = math.nan if failure else abs(mean - ref_qoi)
+        y, reason = failure or (None, "")
+        records.append(ConvergenceRecord(w, plans[w].n_knots, mean, err, wall,
+                                         failure is not None, y, reason))
     csv = _csv_text(records, config.deterministic_csv)
     if config.csv_path:
         with open(config.csv_path, "w") as fh:

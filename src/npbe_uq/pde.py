@@ -4,8 +4,8 @@ The diffusion tensor eps* J^-1 J^-T det J is discretized flux-conservatively:
 axis-aligned fluxes use face coefficients with harmonic averaging of the
 dielectric across interfaces, and the mixed-derivative part is split along
 the two diagonal directions of each coordinate plane, which keeps the
-assembled matrix symmetric.  For a pure translation map the tensor reduces
-to eps*I and the stencil degenerates to the classic 7-point one.
+assembled matrix symmetric.  For a map with no modes J = I, the tensor
+reduces to eps*I and the stencil degenerates to the classic 7-point one.
 
 The sinh nonlinearity is handled by damped Newton iteration with residual
 backtracking; inner linear systems are solved by Jacobi-preconditioned
@@ -85,14 +85,6 @@ class GridField:
             raise DomainError("grid field contains non-finite values")
 
     @property
-    def dims(self):
-        return self.grid.shape
-
-    @property
-    def h(self) -> float:
-        return self.grid.h
-
-    @property
     def flat(self) -> np.ndarray:
         return self.values.ravel()
 
@@ -148,9 +140,9 @@ class AssembledOperator:
         return f_flat[self.grid.interior_idx] - self.boundary_coupling @ g_bnd
 
 
-def _face_tensor(dmap, y, midpoints, translation: bool):
+def _face_tensor(dmap, y, midpoints, identity: bool):
     """eps-free part of the pulled-back tensor J^-1 J^-T det J at face midpoints."""
-    if translation:
+    if identity:
         P = len(midpoints)
         T = np.zeros((P, 3, 3))
         T[:] = np.eye(3)
@@ -172,7 +164,7 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     flux continuity holds weakly across the interfaces where eps jumps.
     """
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
-    translation = geometry.is_translation(dmap) or dmap.n_modes == 0
+    identity = not dmap.modes
     shape = grid.shape
     n = grid.n_nodes
     strides = (shape[1] * shape[2], shape[2], 1)
@@ -195,14 +187,14 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
         p = idx[tuple(sl_lo)].ravel()
         q = p + strides[d]
         mid = 0.5 * (grid.points[p] + grid.points[q])
-        T, det = _face_tensor(dmap, y, mid, translation)
+        T, det = _face_tensor(dmap, y, mid, identity)
         if np.any(det <= 0.0):
             raise AssemblyError("det J <= 0 at an axis face midpoint")
         eps_face = 2.0 * eps_node[p] * eps_node[q] / (eps_node[p] + eps_node[q])
         add_faces(p, q, eps_face * T[:, d, d] / h2)
 
     # mixed-derivative part, split along the plane diagonals
-    if not translation:
+    if not identity:
         for d in range(3):
             for e in range(d + 1, 3):
                 for sign in (+1, -1):  # +1: d+e diagonal, -1: d-e diagonal
@@ -212,7 +204,7 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
                     p = idx[tuple(sl)].ravel()
                     q = p + strides[d] + sign * strides[e]
                     mid = 0.5 * (grid.points[p] + grid.points[q])
-                    T, det = _face_tensor(dmap, y, mid, translation)
+                    T, det = _face_tensor(dmap, y, mid, identity)
                     if np.any(det <= 0.0):
                         raise AssemblyError("det J <= 0 at a diagonal face midpoint")
                     eps_face = 2.0 * eps_node[p] * eps_node[q] / (eps_node[p] + eps_node[q])
@@ -230,10 +222,10 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
 def assemble_rhs(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> GridField:
     """Nodal values of f*(r; y) det J(r; y) for the Gaussian charge model."""
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
-    translation = geometry.is_translation(dmap) or dmap.n_modes == 0
+    identity = not dmap.modes
     vals = np.zeros(grid.n_nodes)
     if coeffs.charges:
-        det = 1.0 if translation else geometry.det3(geometry.jacobian(dmap, grid.points, y))
+        det = 1.0 if identity else geometry.det3(geometry.jacobian(dmap, grid.points, y))
         for c in coeffs.charges:
             # charge centers ride along with the map; taking the displacement
             # difference mode by mode makes translation cancellation exact
@@ -253,7 +245,7 @@ def reaction_profile(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> 
     """Nodal kappa^2(r) det J(r; y), the coefficient of sinh(u) in the residual."""
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
     kap = coeffs.kappa2[grid.subdomain_tag].ravel()
-    if not (geometry.is_translation(dmap) or dmap.n_modes == 0):
+    if dmap.modes:
         kap = kap * geometry.det3(geometry.jacobian(dmap, grid.points, y))
     return GridField(grid, kap)
 
@@ -269,8 +261,8 @@ class CGInfo:
     relative_residual: float
 
 
-def _pcg(A, b, diag_precond, x0=None, tol=1e-10, maxiter=20000):
-    x = np.zeros_like(b) if x0 is None else x0.copy()
+def _pcg(A, b, diag_precond, tol=1e-10, maxiter=20000):
+    x = np.zeros_like(b)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), CGInfo(0, 0.0, 0.0)
@@ -299,26 +291,8 @@ def _pcg(A, b, diag_precond, x0=None, tol=1e-10, maxiter=20000):
     return x, CGInfo(it, float(rnorm), float(rnorm / bnorm))
 
 
-def interface_jump_source(grid: Grid3D, g1=0.0, g2=0.0) -> GridField:
-    """Volume source approximating co-normal jump data on the two interfaces.
-
-    Surface data g_k (scalar or callable on points) is smeared onto the nodes
-    within h/2 of interface k with weight 1/h, a first-order surface delta.
-    Add the result to the rhs of solve_linear_interface; zero data gives the
-    default zero-jump transmission conditions.
-    """
-    vals = np.zeros(grid.n_nodes)
-    phi1, phi2 = grid.domain.levels(grid.points)
-    for g, phi in ((g1, phi1), (g2, phi2)):
-        band = np.abs(phi) <= 0.5 * grid.h
-        if np.any(band):
-            gv = g(grid.points[band]) if callable(g) else float(g)
-            vals[band] += np.asarray(gv) / grid.h
-    return GridField(grid, vals)
-
-
 def solve_linear_interface(op: AssembledOperator, reaction, rhs: GridField, g=0.0,
-                           tol=1e-10, maxiter=20000, x0=None):
+                           tol=1e-10, maxiter=20000):
     """Solve (diffusion + reaction) u = rhs with Dirichlet data g.
 
     reaction is a GridField of nonnegative nodal coefficients (or None);
@@ -332,7 +306,7 @@ def solve_linear_interface(op: AssembledOperator, reaction, rhs: GridField, g=0.
     b = op.rhs_interior(rhs.flat, g_b)
     A = op.matrix + sp.diags(react[grid.interior_idx])
     diag = A.diagonal()
-    u_int, info = _pcg(A, b, diag, x0=x0, tol=tol, maxiter=maxiter)
+    u_int, info = _pcg(A, b, diag, tol=tol, maxiter=maxiter)
     full = np.empty(grid.n_nodes)
     full[grid.interior_idx] = u_int
     full[grid.boundary_idx] = g_b
@@ -353,7 +327,7 @@ class NewtonInfo:
 
 def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
                       u0: GridField = None, tol=1e-9, max_iter=50,
-                      cg_tol=1e-12, cg_maxiter=20000, op: AssembledOperator = None,
+                      cg_tol=1e-12, op: AssembledOperator = None,
                       rhs: GridField = None, reaction: GridField = None):
     """Damped Newton iteration for the pulled-back NPBE.
 
@@ -392,7 +366,7 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
     while rnorm > target and it < max_iter:
         jac_diag = kd * np.cosh(u)
         Ait = A + sp.diags(jac_diag)
-        delta, _ = _pcg(Ait, -r, Ait.diagonal(), tol=cg_tol, maxiter=cg_maxiter)
+        delta, _ = _pcg(Ait, -r, Ait.diagonal(), tol=cg_tol)
         step = 1.0
         while True:
             trial = u + step * delta

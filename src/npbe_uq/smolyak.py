@@ -184,7 +184,7 @@ class SparseGridPlan:
     w: int
     N: int
     terms: tuple            # ((level multi-index, combination coefficient), ...)
-    knots: tuple            # canonical knot keys: tuples of (level-count, Fraction)
+    knots: tuple            # canonical knot keys: tuples of N Fractions, one per dimension
     knot_values: np.ndarray  # (eta, N) float abscissas, same order as knots
 
     @property
@@ -223,12 +223,6 @@ class SurplusStore:
     def __init__(self):
         self._data = {}
 
-    def __contains__(self, key):
-        return key in self._data
-
-    def __len__(self):
-        return len(self._data)
-
     def set(self, key, value):
         self._data[key] = value
 
@@ -238,12 +232,11 @@ class SurplusStore:
         return self._data[key]
 
 
-def evaluate_plan(plan: SparseGridPlan, func, store: SurplusStore = None) -> SurplusStore:
-    """Fill a store by calling func(y) at every knot not already present."""
-    store = store if store is not None else SurplusStore()
+def evaluate_plan(plan: SparseGridPlan, func) -> SurplusStore:
+    """A store holding func(y) at every knot of the plan."""
+    store = SurplusStore()
     for key, y in zip(plan.knots, plan.knot_values):
-        if key not in store:
-            store.set(key, func(y))
+        store.set(key, func(y))
     return store
 
 
@@ -288,30 +281,3 @@ def integrate(plan: SparseGridPlan, store: SurplusStore) -> float:
         total += coeff * float(acc)
     return total
 
-
-# ---------------------------------------------------------------------------
-# Manifest export/import
-# ---------------------------------------------------------------------------
-
-def export_manifest(plan: SparseGridPlan) -> str:
-    """Text manifest (rule, w, N, knot list) so solves can be farmed out."""
-    lines = [f"rule {plan.rule}", f"w {plan.w}", f"N {plan.N}", f"knots {plan.n_knots}"]
-    for key, val in zip(plan.knots, plan.knot_values):
-        frac = " ".join(f"{k.numerator}/{k.denominator}" for k in key)
-        coords = " ".join(f"{v:.17g}" for v in val)
-        lines.append(f"{frac} : {coords}")
-    return "\n".join(lines) + "\n"
-
-
-def import_manifest(text: str) -> SparseGridPlan:
-    """Rebuild a plan from its manifest and verify the knot list matches."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = dict(ln.split() for ln in lines[:4])
-    plan = build_plan(header["rule"], int(header["w"]), int(header["N"]))
-    if plan.n_knots != int(header["knots"]):
-        raise DomainError("manifest knot count does not match rebuilt plan")
-    for ln, key in zip(lines[4:], plan.knots):
-        fracs = tuple(Fraction(tok) for tok in ln.split(":")[0].split())
-        if fracs != key:
-            raise DomainError(f"manifest knot {fracs} does not match plan knot {key}")
-    return plan

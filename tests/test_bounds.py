@@ -152,7 +152,7 @@ class TestMEstimate:
 class TestSamplingVerification:
     def test_translation_map_trivial(self):
         domain = big_domain()
-        dmap = geometry.DomainMap([(1.0, geometry.ConstantShift(0))])
+        dmap = geometry.DomainMap([])
         inp = bounds.BoundsInput(b1=0.0, binf=0.0, y0_inf=1.0, y_inf=0.5)
         rep = bounds.verify_bounds_by_sampling(dmap, domain, inp, trials=50)
         assert rep.ok
@@ -206,16 +206,6 @@ class TestMonteCarloTermOracles:
                                      N_f=1, xi_l2=xi_l2, xi_grad_l2=xi_grad,
                                      mu_max=mu_max)
             assert diff <= bounds.forcing_term_bound(inp) + 1e-14
-
-    def test_forcing_invariant_under_constant_shift(self):
-        domain = big_domain()
-        dmap = geometry.DomainMap([(4.0, geometry.ConstantShift(0))])
-        grid = pde.Grid3D(domain, 9)
-        coeffs = pde.PBECoefficients([1, 1, 1], [0, 0, 0],
-                                     [pde.Charge([35, 35, 35], 1.0, 3.0)], 0.0)
-        r0 = pde.assemble_rhs(domain, dmap, coeffs, np.array([0.0]), grid)
-        r1 = pde.assemble_rhs(domain, dmap, coeffs, np.array([0.8]), grid)
-        assert np.array_equal(r0.values, r1.values)
 
     def test_nonlinear_difference_below_bound(self):
         # unit-volume domain so the L2-versus-sup constants stay honest

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from npbe_uq import cli, harness, pde
-from npbe_uq.errors import ConfigError, ParseError
+from npbe_uq import cli, geometry, harness, pde
+from npbe_uq.errors import ConfigError, ConvergenceError, ParseError
 
 PQR_OK = """\
 REMARK  minimal pqr subset
@@ -103,8 +103,7 @@ class TestShiftedCharges:
     def test_margin_violation(self):
         domain = small_config().domain
         with pytest.raises(ConfigError):
-            harness.shifted_charges(self.base(), (40.0,), np.array([1.0]),
-                                    domain=domain, margin=5.0)
+            harness.shifted_charges(self.base(), (40.0,), np.array([1.0]), domain=domain)
 
     def test_shift_changes_solution_field(self):
         # the shifted problem is not a pure translation of the grid values
@@ -216,9 +215,7 @@ class TestRunStudy:
         charges = harness.ingest_charges(config, grid)
         coeffs = pde.PBECoefficients(np.array(config.eps), np.array(config.kappa2),
                                      charges, 0.0)
-        from npbe_uq.geometry import ConstantShift, DomainMap
-        dmap = DomainMap([(3.0 * config.alpha[0] ** 2, ConstantShift(0))])
-        u, _ = pde.newton_solve_npbe(domain, dmap, coeffs, None, grid,
+        u, _ = pde.newton_solve_npbe(domain, geometry.DomainMap([]), coeffs, None, grid,
                                      tol=config.newton_tol)
         assert abs(result.records[0].qoi_mean - pde.qoi_integral(u)) <= 1e-10
 
@@ -272,7 +269,23 @@ class TestRunStudy:
         result = harness.run_study(small_config(levels=(0, 1), reference_level=2,
                                                 max_newton=0, csv_path=str(out)))
         assert all(r.failed and math.isnan(r.error) for r in result.records)
+        assert all("Newton failed to converge" in r.reason for r in result.records)
+        assert all(len(r.failed_at) == 1 for r in result.records)
         assert out.read_text() == result.csv_text
+
+    def test_reference_failure_fails_every_level(self, monkeypatch):
+        solve = harness.KnotSolver.solve
+
+        def fail_off_centre(self, y):
+            if np.any(y != 0.0):
+                raise ConvergenceError("stalled off centre")
+            return solve(self, y)
+
+        monkeypatch.setattr(harness.KnotSolver, "solve", fail_off_centre)
+        rec, = harness.run_study(small_config()).records  # level 0 solves only y = 0
+        assert rec.failed and math.isnan(rec.error) and math.isfinite(rec.qoi_mean)
+        assert rec.failed_at == (-1.0,)
+        assert rec.reason == "reference level 1: stalled off centre"
 
     def test_wall_time_covers_knot_solves(self):
         result = harness.run_study(small_config(levels=(0, 1), reference_level=2,
@@ -331,6 +344,16 @@ class TestCli:
         assert rc == 0
         assert out.startswith("w,eta,qoi_mean")
         assert "# slope" in out
+
+    def test_study_reports_failed_levels(self, tmp_path, capsys):
+        extra = "solver:\n  max_newton: 0\n"
+        rc = cli.main(["study", "--config", self.write_config(tmp_path, extra)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        failed = [ln for ln in lines if ln.startswith("# level ")]
+        assert [ln.split()[2] for ln in failed] == ["0", "1"]
+        assert all(" failed at y=" in ln and "Newton failed" in ln for ln in failed)
+        assert lines.index(failed[0]) == 3  # after the header and both CSV rows
 
     def test_bounds(self, tmp_path, capsys):
         extra = ("bounds:\n  b1: 0.1\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n")

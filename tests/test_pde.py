@@ -88,9 +88,8 @@ class TestAssembly:
         # translation map, eps constant: matrix equals the scaled 7-point Laplacian
         domain = unit_domain()
         grid = pde.Grid3D(domain, 7)
-        dmap = geometry.DomainMap([(1.0, geometry.ConstantShift(0))])
-        op = pde.assemble_pulled_back_operator(domain, dmap, no_charge_coeffs(),
-                                               np.array([0.7]), grid)
+        op = pde.assemble_pulled_back_operator(domain, identity_map(), no_charge_coeffs(),
+                                               None, grid)
         n = 7
         one = sp.identity(n)
         lap1 = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
@@ -100,6 +99,27 @@ class TestAssembly:
         full = lap.tocsr()
         diff = op.matrix - full[ii][:, ii]
         assert abs(diff).max() <= 1e-12
+
+    def test_general_path_matches_fast_path_at_identity(self):
+        # at y = 0 the cutoff map has J = I exactly, so the 19-point path
+        # must reproduce the 7-point fast path of the map with no modes
+        domain = unit_domain()
+        grid = pde.Grid3D(domain, 9)
+        coeffs = pde.PBECoefficients([3.0, 2.0, 1.0], [1.0, 0.5, 2.0],
+                                     [pde.Charge([0.45, 0.5, 0.55], 1.0, 0.1)], 0.0)
+        general, fast = cutoff_map(domain), identity_map()
+        y = np.zeros(2)
+        op_g = pde.assemble_pulled_back_operator(domain, general, coeffs, y, grid)
+        op_f = pde.assemble_pulled_back_operator(domain, fast, coeffs, None, grid)
+        assert op_g.matrix.nnz > op_f.matrix.nnz  # the general path really ran
+        for a, b in ((op_g.matrix, op_f.matrix),
+                     (op_g.boundary_coupling, op_f.boundary_coupling)):
+            a, b = a.toarray(), b.toarray()
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        for build in (pde.assemble_rhs, pde.reaction_profile):
+            g = build(domain, general, coeffs, y, grid).values
+            f = build(domain, fast, coeffs, None, grid).values
+            assert np.max(np.abs(g - f)) <= 1e-12 * np.max(np.abs(f))
 
     def test_harmonic_mean_across_interface(self):
         # face along x crossing the outer sphere: coefficient 2*70*1/71 / h^2
@@ -419,27 +439,6 @@ class TestOperatorResidual:
         b = op.rhs_interior(rhs.flat, np.zeros(len(grid.boundary_idx)))
         r = np.linalg.norm(b - op.matrix @ u.flat[ii])
         assert abs(r - info.residual) <= 1e-12 * (1.0 + r)
-
-
-class TestInterfaceJumpSource:
-    def test_zero_data_zero_field(self):
-        grid = pde.Grid3D(big_domain(), 9)
-        src = pde.interface_jump_source(grid)
-        assert np.all(src.values == 0.0)
-
-    def test_linear_in_data(self):
-        grid = pde.Grid3D(big_domain(), 17)
-        s1 = pde.interface_jump_source(grid, g1=1.0)
-        s2 = pde.interface_jump_source(grid, g1=2.0)
-        assert np.allclose(s2.values, 2.0 * s1.values, atol=0)
-        assert np.any(s1.values != 0.0)
-
-    def test_band_location(self):
-        grid = pde.Grid3D(big_domain(), 17)
-        src = pde.interface_jump_source(grid, g2=1.0)
-        r = np.linalg.norm(grid.points - 35.0, axis=-1)
-        hit = src.flat != 0.0
-        assert np.all(np.abs(r[hit] - 25.0) <= 0.5 * grid.h + 1e-12)
 
 
 class TestHNormHelpers:

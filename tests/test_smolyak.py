@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -276,35 +275,3 @@ class TestAnalyticDecay:
             errs.append(float(np.max(np.abs(smolyak.interpolate(plan, store, pts) - exact))))
         assert all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
 
-
-class TestManifest:
-    def test_round_trip(self):
-        plan = smolyak.build_plan("SM", 2, 2)
-        text = smolyak.export_manifest(plan)
-        back = smolyak.import_manifest(text)
-        assert back.knots == plan.knots
-        assert back.terms == plan.terms
-
-    def test_tampered_manifest_rejected(self):
-        plan = smolyak.build_plan("SM", 1, 2)
-        text = smolyak.export_manifest(plan)
-        lines = text.splitlines()
-        lines[4] = lines[4].replace("1/2", "1/3", 1)
-        with pytest.raises(DomainError):
-            smolyak.import_manifest("\n".join(lines))
-
-    def test_store_reuse_across_plans(self):
-        # nested knots keep their canonical keys, so values carry over
-        small = smolyak.build_plan("SM", 1, 2)
-        big = smolyak.build_plan("SM", 3, 2)
-        calls = []
-
-        def fn(y):
-            calls.append(tuple(y))
-            return float(np.sum(y))
-
-        store = smolyak.evaluate_plan(small, fn)
-        n_small = len(calls)
-        smolyak.evaluate_plan(big, fn, store)
-        assert n_small == small.n_knots
-        assert len(calls) == big.n_knots
