@@ -29,6 +29,7 @@ def cmd_solve(args) -> int:
     grid = solver.grid
     print(f"grid {grid.shape[0]}^3, h = {grid.h:.4f}")
     print(f"newton iterations: {info.iterations}")
+    print(f"cg iterations per newton step: {info.cg_iterations}")
     print(f"final residual: {info.residual_history[-1]:.3e}")
     print(f"qoi integral: {pde.qoi_integral(u):.12g}")
     print(f"potential range: [{u.values.min():.6g}, {u.values.max():.6g}]")
@@ -56,7 +57,7 @@ def cmd_study(args) -> int:
         print(f"# csv written to {config.csv_path}")
     if config.svg_path:
         print(f"# svg written to {config.svg_path}")
-    return 0
+    return 1 if any(r.failed for r in result.records) else 0
 
 
 def cmd_bounds(args) -> int:

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 import yaml
 
 from . import geometry, pde, smolyak
@@ -260,8 +261,9 @@ def _csv_text(records, deterministic: bool) -> str:
 class KnotSolver:
     """NPBE solves of the shift model at parameter points y, for one config.
 
-    The shift moves only the charges (J = I), so the grid, the operator and
-    the reaction profile are built once; each solve assembles its own rhs.
+    The shift moves only the charges (J = I), so the grid, the operator,
+    the reaction profile and the multigrid hierarchy that preconditions
+    every CG solve are built once; each solve assembles its own rhs.
     """
 
     def __init__(self, config: RunConfig):
@@ -276,6 +278,9 @@ class KnotSolver:
                                                     None, self.grid)
         self.reaction = pde.reaction_profile(self.domain, self.dmap, self.coeffs, None,
                                              self.grid)
+        # Newton starts from u = 0, where its Jacobian is exactly this matrix
+        jacobian = self.op.matrix + sp.diags(self.reaction.flat[self.grid.interior_idx])
+        self.vcycle = pde.VCycle(jacobian, self.grid)
 
     def solve(self, y):
         """(u, NewtonInfo) with the charges shifted by sqrt(3) alpha_k y_k, y in [-1, 1]^N."""
@@ -287,7 +292,7 @@ class KnotSolver:
         return pde.newton_solve_npbe(self.domain, self.dmap, coeffs, None, self.grid,
                                      tol=c.newton_tol, cg_tol=c.cg_tol,
                                      max_iter=c.max_newton, op=self.op, rhs=rhs,
-                                     reaction=self.reaction)
+                                     reaction=self.reaction, vcycle=self.vcycle)
 
 
 def run_study(config: RunConfig, progress=None) -> StudyResult:

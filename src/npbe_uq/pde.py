@@ -8,8 +8,9 @@ assembled matrix symmetric.  For a map with no modes J = I, the tensor
 reduces to eps*I and the stencil degenerates to the classic 7-point one.
 
 The sinh nonlinearity is handled by damped Newton iteration with residual
-backtracking; inner linear systems are solved by Jacobi-preconditioned
-conjugate gradients.
+backtracking; inner linear systems are solved by conjugate gradients
+preconditioned with a symmetric Galerkin multigrid V-cycle, whose hierarchy
+is built once per operator and reused across Newton steps and knots.
 """
 
 from __future__ import annotations
@@ -174,6 +175,11 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     rows, cols, vals = [], [], []
 
     def add_faces(p_idx, q_idx, coeff):
+        # mixed-term coefficients vanish exactly wherever the modes' fields
+        # are flat (the cutoff plateau, and everywhere at y = 0); storing
+        # them would only slow every matvec
+        keep = coeff != 0.0
+        p_idx, q_idx, coeff = p_idx[keep], q_idx[keep], coeff[keep]
         rows.extend((p_idx, q_idx, p_idx, q_idx))
         cols.extend((p_idx, q_idx, q_idx, p_idx))
         vals.extend((coeff, coeff, -coeff, -coeff))
@@ -261,24 +267,96 @@ class CGInfo:
     relative_residual: float
 
 
-def _pcg(A, b, diag_precond, tol=1e-10, maxiter=20000):
-    x = np.zeros_like(b)
+_OMEGA = 0.8           # damped-Jacobi weight of the V-cycle smoother
+_DENSE_NODES = 512     # a level this small is not coarsened but inverted
+
+
+def _interpolation_1d(m: int) -> sp.csr_matrix:
+    """Linear interpolation from m coarse to 2m+1 fine interior nodes: [1/2, 1, 1/2]."""
+    j = np.arange(m)
+    rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
+    vals = np.concatenate([np.ones(m), np.full(2 * m, 0.5)])
+    return sp.csr_matrix((vals, (rows, np.tile(j, 3))), shape=(2 * m + 1, m))
+
+
+def _invert_spd(a: np.ndarray) -> np.ndarray:
+    """Invert a small SPD matrix in place by Gauss-Jordan elimination without pivoting.
+
+    Plain ufunc arithmetic rather than np.linalg.inv: LAPACK would allocate
+    OpenBLAS's level-3 buffers, several MB of resident memory, for a matrix
+    that is inverted once per hierarchy.
+    """
+    for k in range(len(a)):
+        piv = 1.0 / a[k, k]
+        row = a[k] * piv
+        col = a[:, k].copy()
+        a -= np.outer(col, row)
+        a[k] = row
+        a[:, k] = -piv * col
+        a[k, k] = piv
+    return a
+
+
+class VCycle:
+    """Symmetric Galerkin V-cycle: the preconditioner of every CG solve.
+
+    Built once from an SPD interior matrix on a grid.  A level is coarsened
+    while every interior axis has an odd node count (at least 3) and the
+    level has more than 512 nodes: trilinear interpolation P (the Kronecker
+    product of per-axis [1/2, 1, 1/2] stencils) and coarse operator P^T A P.
+    Each level smooths with one damped-Jacobi sweep (omega = 0.8) before and
+    one after its coarse correction.  The coarsest level is inverted densely
+    when it has at most 512 nodes; a larger one (an axis with an even count)
+    is only smoothed, so no large dense matrix is ever formed.
+    """
+
+    def __init__(self, matrix, grid: Grid3D):
+        shape = [n - 2 for n in grid.shape]
+        A = sp.csr_matrix(matrix)
+        self.levels = []  # (A, omega / diag A, P from the next coarser level or None)
+        while A.shape[0] > _DENSE_NODES and all(m >= 3 and m % 2 for m in shape):
+            shape = [(m - 1) // 2 for m in shape]
+            P = _interpolation_1d(shape[0])
+            for m in shape[1:]:
+                P = sp.kron(P, _interpolation_1d(m), format="csr")
+            self.levels.append((A, _OMEGA / A.diagonal(), P))
+            A = (P.T @ (A @ P)).tocsr()
+        self.levels.append((A, _OMEGA / A.diagonal(), None))
+        self.coarse_inverse = (_invert_spd(A.toarray()) if A.shape[0] <= _DENSE_NODES
+                               else None)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return self._cycle(0, r)
+
+    def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
+        A, wdinv, P = self.levels[level]
+        if P is None and self.coarse_inverse is not None:
+            return self.coarse_inverse @ b
+        x = wdinv * b
+        if P is not None:
+            x += P @ self._cycle(level + 1, P.T @ (b - A @ x))
+        x += wdinv * (b - A @ x)
+        return x
+
+
+def _pcg(A, b, precond, tol=1e-10, maxiter=20000):
+    """Preconditioned CG from x = 0; precond maps a residual to M r, M SPD."""
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), CGInfo(0, 0.0, 0.0)
-    minv = 1.0 / diag_precond
-    r = b - A @ x
-    z = minv * r
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     it = 0
-    rnorm = np.linalg.norm(r)
+    rnorm = bnorm
     while rnorm > tol * bnorm and it < maxiter:
         Ap = A @ p
         alpha = rz / float(p @ Ap)
         x += alpha * p
         r -= alpha * Ap
-        z = minv * r
+        z = precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -305,8 +383,7 @@ def solve_linear_interface(op: AssembledOperator, reaction, rhs: GridField, g=0.
     g_b = boundary_values(grid, g)
     b = op.rhs_interior(rhs.flat, g_b)
     A = op.matrix + sp.diags(react[grid.interior_idx])
-    diag = A.diagonal()
-    u_int, info = _pcg(A, b, diag, tol=tol, maxiter=maxiter)
+    u_int, info = _pcg(A, b, VCycle(A, grid), tol=tol, maxiter=maxiter)
     full = np.empty(grid.n_nodes)
     full[grid.interior_idx] = u_int
     full[grid.boundary_idx] = g_b
@@ -322,18 +399,22 @@ class NewtonInfo:
     iterations: int
     residual_history: list
     step_sizes: list
+    cg_iterations: list  # CG iterations of each Newton step
     converged: bool
 
 
 def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
                       u0: GridField = None, tol=1e-9, max_iter=50,
                       cg_tol=1e-12, op: AssembledOperator = None,
-                      rhs: GridField = None, reaction: GridField = None):
+                      rhs: GridField = None, reaction: GridField = None,
+                      vcycle: VCycle = None):
     """Damped Newton iteration for the pulled-back NPBE.
 
     Each step solves the linearization with reaction kappa^2 cosh(u) det J and
     backtracks on the l2 residual (halving, floor 1e-3).  Terminates when the
-    residual drops below tol * (1 + ||rhs||).
+    residual drops below tol * (1 + ||rhs||).  Every step's CG is
+    preconditioned by vcycle, built from the first step's Jacobian when not
+    given.
     """
     if op is None:
         op = assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
@@ -361,12 +442,15 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
     r = residual(u)
     rnorm = float(np.linalg.norm(r))
     history = [rnorm]
-    steps = []
+    steps, cg_iterations = [], []
     it = 0
     while rnorm > target and it < max_iter:
         jac_diag = kd * np.cosh(u)
         Ait = A + sp.diags(jac_diag)
-        delta, _ = _pcg(Ait, -r, Ait.diagonal(), tol=cg_tol)
+        if vcycle is None:
+            vcycle = VCycle(Ait, grid)
+        delta, cg = _pcg(Ait, -r, vcycle, tol=cg_tol)
+        cg_iterations.append(cg.iterations)
         step = 1.0
         while True:
             trial = u + step * delta
@@ -391,7 +475,7 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
     full = np.empty(grid.n_nodes)
     full[ii] = u
     full[grid.boundary_idx] = g_b
-    return GridField(grid, full), NewtonInfo(it, history, steps, True)
+    return GridField(grid, full), NewtonInfo(it, history, steps, cg_iterations, True)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,18 @@ class TestRunStudy:
         assert ticks[-1] == (eta, eta)
         assert all(a[0] < b[0] for a, b in zip(ticks, ticks[1:]))
 
+    def test_one_multigrid_hierarchy_per_study(self, monkeypatch):
+        built = []
+
+        class Counting(pde.VCycle):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(pde, "VCycle", Counting)
+        result = harness.run_study(small_config(levels=(0, 1), reference_level=3))
+        assert result.reference_eta > 1 and len(built) == 1
+
     def test_non_convergence_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("solver bug")
@@ -326,6 +338,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "qoi integral" in out
+        fields = dict(ln.split(": ", 1) for ln in out.splitlines() if ": " in ln)
+        cg = [int(v) for v in fields["cg iterations per newton step"].strip("[]").split(",")]
+        assert len(cg) == int(fields["newton iterations"]) >= 1
+        assert all(1 <= c <= 25 for c in cg)
 
     def test_solve_with_y(self, tmp_path, capsys):
         rc = cli.main(["solve", "--config", self.write_config(tmp_path), "--y", "0.5"])
@@ -349,7 +365,7 @@ class TestCli:
         extra = "solver:\n  max_newton: 0\n"
         rc = cli.main(["study", "--config", self.write_config(tmp_path, extra)])
         lines = capsys.readouterr().out.splitlines()
-        assert rc == 0
+        assert rc == 1
         failed = [ln for ln in lines if ln.startswith("# level ")]
         assert [ln.split()[2] for ln in failed] == ["0", "1"]
         assert all(" failed at y=" in ln and "Newton failed" in ln for ln in failed)

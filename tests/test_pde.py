@@ -100,20 +100,27 @@ class TestAssembly:
         diff = op.matrix - full[ii][:, ii]
         assert abs(diff).max() <= 1e-12
 
-    def test_general_path_matches_fast_path_at_identity(self):
+    def test_general_path_matches_fast_path_at_identity(self, monkeypatch):
         # at y = 0 the cutoff map has J = I exactly, so the 19-point path
-        # must reproduce the 7-point fast path of the map with no modes
+        # must reproduce the 7-point fast path of the map with no modes,
+        # down to the sparsity pattern once its zero mixed terms are dropped
         domain = unit_domain()
         grid = pde.Grid3D(domain, 9)
         coeffs = pde.PBECoefficients([3.0, 2.0, 1.0], [1.0, 0.5, 2.0],
                                      [pde.Charge([0.45, 0.5, 0.55], 1.0, 0.1)], 0.0)
         general, fast = cutoff_map(domain), identity_map()
         y = np.zeros(2)
+        calls = []
+        jacobian = geometry.jacobian
+        monkeypatch.setattr(geometry, "jacobian",
+                            lambda *args: calls.append(args) or jacobian(*args))
         op_g = pde.assemble_pulled_back_operator(domain, general, coeffs, y, grid)
+        assert calls  # the general path really ran
         op_f = pde.assemble_pulled_back_operator(domain, fast, coeffs, None, grid)
-        assert op_g.matrix.nnz > op_f.matrix.nnz  # the general path really ran
         for a, b in ((op_g.matrix, op_f.matrix),
                      (op_g.boundary_coupling, op_f.boundary_coupling)):
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
             a, b = a.toarray(), b.toarray()
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
         for build in (pde.assemble_rhs, pde.reaction_profile):
@@ -275,8 +282,9 @@ class TestLinearSolve:
             pde.solve_linear_interface(op, react, zero)
 
     def test_iteration_cap_raises(self):
+        # at n = 9 the V-cycle is the exact inverse; n = 17 has two levels
         domain = unit_domain()
-        grid = pde.Grid3D(domain, 9)
+        grid = pde.Grid3D(domain, 17)
         op = pde.assemble_pulled_back_operator(domain, identity_map(),
                                                no_charge_coeffs(), None, grid)
         rhs = pde.GridField(grid, np.ones(grid.shape))
@@ -329,6 +337,81 @@ class TestLinearSolve:
         assert rel <= 0.02
 
 
+class TestVCycle:
+    def interface_problem(self, n):
+        # dielectric jumps 5 : 2 : 1, screening outside, an off-centre charge
+        domain = unit_domain()
+        grid = pde.Grid3D(domain, n)
+        coeffs = pde.PBECoefficients([5.0, 2.0, 1.0], [0.0, 0.0, 4.0],
+                                     [pde.Charge([0.45, 0.5, 0.55], 1.0, 0.1)], 0.0)
+        op = pde.assemble_pulled_back_operator(domain, identity_map(), coeffs, None, grid)
+        rhs = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid)
+        react = pde.reaction_profile(domain, identity_map(), coeffs, None, grid)
+        return op, rhs, react
+
+    @pytest.mark.parametrize("n", [17, 33, 65])
+    def test_iterations_independent_of_grid(self, n):
+        op, rhs, react = self.interface_problem(n)
+        _, info = pde.solve_linear_interface(op, react, rhs, tol=1e-12)
+        assert info.iterations <= 25
+
+    @pytest.mark.parametrize("n, depth, dense", [(12, 1, False), (13, 2, True),
+                                                 (21, 3, True)])
+    def test_non_dyadic_grids_converge(self, n, depth, dense):
+        # 12: an even axis with 1000 > 512 nodes, smoothed only; 13 and 21
+        # coarsen to 125 and 64 nodes
+        op, rhs, react = self.interface_problem(n)
+        grid = op.grid
+        A = op.matrix + sp.diags(react.flat[grid.interior_idx])
+        vcycle = pde.VCycle(A, grid)
+        assert len(vcycle.levels) == depth
+        assert (vcycle.coarse_inverse is not None) == dense
+        u, info = pde.solve_linear_interface(op, react, rhs, tol=1e-10)
+        b = op.rhs_interior(rhs.flat, np.zeros(len(grid.boundary_idx)))
+        assert np.linalg.norm(b - A @ u.flat[grid.interior_idx]) <= 1e-10 * np.linalg.norm(b)
+        assert info.iterations <= 60
+
+    @pytest.mark.parametrize("n", [12, 17, 21])
+    def test_symmetric_positive_definite(self, n):
+        domain = unit_domain()
+        grid = pde.Grid3D(domain, n)
+        coeffs = no_charge_coeffs(eps=(3.0, 2.0, 1.0), kappa2=(1.0, 0.5, 2.0))
+        dmap, y = cutoff_map(domain, scales=(0.15, 0.1)), np.array([0.8, -0.9])
+        op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
+        react = pde.reaction_profile(domain, dmap, coeffs, y, grid)
+        vcycle = pde.VCycle(op.matrix + sp.diags(react.flat[grid.interior_idx]), grid)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            u, v = rng.standard_normal((2, op.matrix.shape[0]))
+            uMv, vMu = float(u @ vcycle(v)), float(v @ vcycle(u))
+            uMu, vMv = float(u @ vcycle(u)), float(v @ vcycle(v))
+            assert uMu > 0.0 and vMv > 0.0
+            assert abs(uMv - vMu) <= 1e-12 * math.sqrt(uMu * vMv)
+
+    @pytest.mark.parametrize("n", [9, 13])
+    def test_cutoff_newton_matches_dense_solve(self, n):
+        # J != I (19-point operator); at n = 9 the V-cycle is the exact
+        # inverse, at n = 13 it has a Galerkin coarse level
+        domain = unit_domain()
+        grid = pde.Grid3D(domain, n)
+        dmap, y = cutoff_map(domain), np.array([0.6, -0.4])
+        coeffs = pde.PBECoefficients([3.0, 2.0, 1.0], [1.0, 0.5, 2.0],
+                                     [pde.Charge([0.45, 0.5, 0.55], 40.0, 0.1)], 0.0)
+        u, info = pde.newton_solve_npbe(domain, dmap, coeffs, y, grid, tol=1e-13)
+        assert info.iterations >= 2
+        ii = grid.interior_idx
+        op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
+        A = op.matrix.toarray()
+        kd = pde.reaction_profile(domain, dmap, coeffs, y, grid).flat[ii]
+        rhs = pde.assemble_rhs(domain, dmap, coeffs, y, grid)
+        b = op.rhs_interior(rhs.flat, np.zeros(len(grid.boundary_idx)))
+        v = np.zeros(len(ii))
+        for _ in range(30):
+            v -= np.linalg.solve(A + np.diag(kd * np.cosh(v)), A @ v + kd * np.sinh(v) - b)
+        assert np.linalg.norm(A @ v + kd * np.sinh(v) - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.max(np.abs(u.flat[ii] - v)) <= 1e-10 * np.max(np.abs(v))
+
+
 class TestNewton:
     def strong_coeffs(self, q=5000.0):
         return pde.PBECoefficients([2, 2, 2], [0.5, 0.5, 0.5],
@@ -341,6 +424,7 @@ class TestNewton:
                                      [pde.Charge([35, 35, 35], 100.0, 4.0)], 0.0)
         u, info = pde.newton_solve_npbe(domain, identity_map(), coeffs, None, grid)
         assert info.iterations == 1
+        assert len(info.cg_iterations) == 1 and info.cg_iterations[0] >= 1
         op = pde.assemble_pulled_back_operator(domain, identity_map(), coeffs, None, grid)
         rhs = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid)
         ulin, _ = pde.solve_linear_interface(op, None, rhs, tol=1e-12)
