@@ -4,8 +4,11 @@ The diffusion tensor eps* J^-1 J^-T det J is discretized flux-conservatively:
 axis-aligned fluxes use face coefficients with harmonic averaging of the
 dielectric across interfaces, and the mixed-derivative part is split along
 the two diagonal directions of each coordinate plane, which keeps the
-assembled matrix symmetric.  For a map with no modes J = I, the tensor
-reduces to eps*I and the stencil degenerates to the classic 7-point one.
+assembled matrix symmetric.  The tensor is evaluated once per midpoint set
+(three sets of axis faces, three of plane edges, whose two diagonals share
+their midpoints), and only the entry each face uses is formed.  For a map
+with no modes J = I, the tensor reduces to eps*I and the stencil degenerates
+to the classic 7-point one.
 
 The sinh nonlinearity is handled by damped Newton iteration with residual
 backtracking; inner linear systems are solved by conjugate gradients
@@ -141,20 +144,19 @@ class AssembledOperator:
         return f_flat[self.grid.interior_idx] - self.boundary_coupling @ g_bnd
 
 
-def _face_tensor(dmap, y, midpoints, identity: bool):
-    """eps-free part of the pulled-back tensor J^-1 J^-T det J at face midpoints."""
-    if identity:
-        P = len(midpoints)
-        T = np.zeros((P, 3, 3))
-        T[:] = np.eye(3)
-        det = np.ones(P)
-        return T, det
-    J = geometry.jacobian(dmap, midpoints, y)
+def _tensor_entry(dmap, y, mid, d: int, e: int, place: str) -> np.ndarray:
+    """Entry [d, e] of the eps-free pulled-back tensor J^-1 J^-T det J at midpoints.
+
+    The tensor is adj(J) adj(J)^T / det J, so one entry needs only rows d
+    and e of the adjugate.  Raises AssemblyError naming ``place`` where
+    det J <= 0.
+    """
+    J = geometry.jacobian(dmap, mid, y)
     det = geometry.det3(J)
+    if np.any(det <= 0.0):
+        raise AssemblyError(f"det J <= 0 at the {place} midpoints (min det {np.min(det):.6g})")
     adj = geometry.adjugate3(J)
-    # J^-1 J^-T det J = adj adj^T / det
-    T = np.einsum("pij,pkj->pik", adj, adj) / det[:, None, None]
-    return T, det
+    return np.einsum("pj,pj->p", adj[:, d], adj[:, e]) / det
 
 
 def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
@@ -184,6 +186,12 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
         cols.extend((p_idx, q_idx, q_idx, p_idx))
         vals.extend((coeff, coeff, -coeff, -coeff))
 
+    def midpoints(p_idx, q_idx):
+        return 0.5 * (grid.points[p_idx] + grid.points[q_idx])
+
+    def harmonic_eps(p_idx, q_idx):
+        return 2.0 * eps_node[p_idx] * eps_node[q_idx] / (eps_node[p_idx] + eps_node[q_idx])
+
     idx = np.arange(n).reshape(shape)
 
     # axis-aligned fluxes
@@ -192,29 +200,25 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
         sl_lo[d] = slice(0, shape[d] - 1)
         p = idx[tuple(sl_lo)].ravel()
         q = p + strides[d]
-        mid = 0.5 * (grid.points[p] + grid.points[q])
-        T, det = _face_tensor(dmap, y, mid, identity)
-        if np.any(det <= 0.0):
-            raise AssemblyError("det J <= 0 at an axis face midpoint")
-        eps_face = 2.0 * eps_node[p] * eps_node[q] / (eps_node[p] + eps_node[q])
-        add_faces(p, q, eps_face * T[:, d, d] / h2)
+        T_dd = 1.0 if identity else _tensor_entry(dmap, y, midpoints(p, q), d, d,
+                                                  f"axis {d} face")
+        add_faces(p, q, harmonic_eps(p, q) * T_dd / h2)
 
     # mixed-derivative part, split along the plane diagonals
     if not identity:
-        for d in range(3):
-            for e in range(d + 1, 3):
-                for sign in (+1, -1):  # +1: d+e diagonal, -1: d-e diagonal
-                    sl = [slice(None)] * 3
-                    sl[d] = slice(0, shape[d] - 1)
-                    sl[e] = slice(0, shape[e] - 1) if sign > 0 else slice(1, shape[e])
-                    p = idx[tuple(sl)].ravel()
-                    q = p + strides[d] + sign * strides[e]
-                    mid = 0.5 * (grid.points[p] + grid.points[q])
-                    T, det = _face_tensor(dmap, y, mid, identity)
-                    if np.any(det <= 0.0):
-                        raise AssemblyError("det J <= 0 at a diagonal face midpoint")
-                    eps_face = 2.0 * eps_node[p] * eps_node[q] / (eps_node[p] + eps_node[q])
-                    add_faces(p, q, sign * eps_face * T[:, d, e] / (2.0 * h2))
+        for d, e in ((0, 1), (0, 2), (1, 2)):
+            sl = [slice(None)] * 3
+            sl[d] = slice(0, shape[d] - 1)
+            sl[e] = slice(0, shape[e] - 1)
+            lo = idx[tuple(sl)].ravel()
+            # the d+e diagonal runs lo -> lo + s_d + s_e and the d-e diagonal
+            # lo + s_e -> lo + s_d: the same edge centres, in the same order
+            T_de = _tensor_entry(dmap, y, midpoints(lo, lo + strides[d] + strides[e]), d, e,
+                                 f"plane ({d}, {e}) edge")
+            for sign in (+1, -1):
+                p = lo if sign > 0 else lo + strides[e]
+                q = p + strides[d] + sign * strides[e]
+                add_faces(p, q, sign * harmonic_eps(p, q) * T_de / (2.0 * h2))
 
     rows = np.concatenate([np.atleast_1d(r) for r in rows])
     cols = np.concatenate([np.atleast_1d(c) for c in cols])
@@ -232,13 +236,15 @@ def assemble_rhs(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> Grid
     vals = np.zeros(grid.n_nodes)
     if coeffs.charges:
         det = 1.0 if identity else geometry.det3(geometry.jacobian(dmap, grid.points, y))
+        # the modes' displacements at the nodes do not depend on the charge
+        shifts = [(math.sqrt(mu) * y[k], fld, fld.value(grid.points))
+                  for k, (mu, fld) in enumerate(dmap.modes)]
         for c in coeffs.charges:
             # charge centers ride along with the map; taking the displacement
             # difference mode by mode makes translation cancellation exact
             delta = grid.points - c.position
-            for k, (mu, fld) in enumerate(dmap.modes):
-                delta = delta + math.sqrt(mu) * y[k] * (
-                    fld.value(grid.points) - fld.value(c.position))
+            for scale, fld, at_nodes in shifts:
+                delta = delta + scale * (at_nodes - fld.value(c.position))
             d2 = np.sum(delta**2, axis=-1)
             s2 = c.width**2
             amp = c.magnitude / (2.0 * math.pi * s2) ** 1.5

@@ -243,6 +243,14 @@ class TestAssumptions:
         assert not rep.b_small
         assert rep.b_norm_1 > 0.25
 
+    def test_cutoff_margin_sampled(self):
+        # det J of the cutoff map departs from 1 only inside the 7 A margin;
+        # the default sample grid must reach into it (about 0.868 there)
+        domain = make_domain()
+        rep = geometry.check_assumptions(domain, cutoff_map(domain, scales=(0.1, 0.1)),
+                                         [1, 1, 1], [0, 0, 0])
+        assert 0.0 < rep.c2 < 0.9
+
     def test_orientation_violation_rejected(self):
         class Collapse:
             def value(self, r):

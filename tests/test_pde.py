@@ -147,56 +147,77 @@ class TestAssembly:
         assert abs(op.matrix[pi, qi] - expect) <= 1e-12
 
     def test_dense_oracle_on_cutoff_map(self):
-        # independently coded dense assembly of the same flux scheme
+        # independently coded dense assembly of the same flux scheme, at an
+        # interior y and at a corner of Gamma
         domain = unit_domain()
         dmap = cutoff_map(domain, scales=(0.1, 0.05))
-        y = np.array([0.6, -0.4])
         grid = pde.Grid3D(domain, 9)
         coeffs = no_charge_coeffs(eps=(3.0, 2.0, 1.0))
-        op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
         n = grid.shape[0]
         h = grid.h
         eps_node = coeffs.eps[grid.subdomain_tag]
         pts = grid.points.reshape(grid.shape + (3,))
         idx = np.arange(n**3).reshape(grid.shape)
-        A = np.zeros((n**3, n**3))
-
-        def tensor(mid):
-            J = geometry.jacobian(dmap, mid, y)
-            return (geometry.adjugate3(J) @ geometry.adjugate3(J).T) / geometry.det3(J)
+        ii, bb = grid.interior_idx, grid.boundary_idx
 
         def harm(a, b):
             return 2.0 * a * b / (a + b)
 
-        def add(P, Q, c):
-            A[idx[P], idx[P]] += c
-            A[idx[Q], idx[Q]] += c
-            A[idx[P], idx[Q]] -= c
-            A[idx[Q], idx[P]] -= c
+        for y in (np.array([0.6, -0.4]), np.array([1.0, -1.0])):
+            op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
+            A = np.zeros((n**3, n**3))
 
-        for P in itertools.product(range(n), repeat=3):
-            for d in range(3):
-                Q = list(P)
-                Q[d] += 1
-                Q = tuple(Q)
-                if Q[d] < n:
-                    mid = 0.5 * (pts[P] + pts[Q])
-                    add(P, Q, harm(eps_node[P], eps_node[Q]) * tensor(mid)[d, d] / h**2)
-            for d, e in ((0, 1), (0, 2), (1, 2)):
-                for sgn in (1, -1):
+            def tensor(mid):
+                J = geometry.jacobian(dmap, mid, y)
+                return (geometry.adjugate3(J) @ geometry.adjugate3(J).T) / geometry.det3(J)
+
+            def add(P, Q, c):
+                A[idx[P], idx[P]] += c
+                A[idx[Q], idx[Q]] += c
+                A[idx[P], idx[Q]] -= c
+                A[idx[Q], idx[P]] -= c
+
+            for P in itertools.product(range(n), repeat=3):
+                for d in range(3):
                     Q = list(P)
                     Q[d] += 1
-                    Q[e] += sgn
                     Q = tuple(Q)
-                    if Q[d] < n and 0 <= Q[e] < n:
+                    if Q[d] < n:
                         mid = 0.5 * (pts[P] + pts[Q])
-                        add(P, Q, sgn * harm(eps_node[P], eps_node[Q])
-                            * tensor(mid)[d, e] / (2.0 * h**2))
-        ii = grid.interior_idx
-        u = grid.points @ np.array([0.3, -0.2, 0.5])
-        r1 = op.matrix @ u[ii] + op.boundary_coupling @ u[grid.boundary_idx]
-        r2 = A[np.ix_(ii, np.arange(n**3))] @ u
-        assert np.max(np.abs(r1 - r2)) <= 1e-8
+                        add(P, Q, harm(eps_node[P], eps_node[Q]) * tensor(mid)[d, d] / h**2)
+                for d, e in ((0, 1), (0, 2), (1, 2)):
+                    for sgn in (1, -1):
+                        Q = list(P)
+                        Q[d] += 1
+                        Q[e] += sgn
+                        Q = tuple(Q)
+                        if Q[d] < n and 0 <= Q[e] < n:
+                            mid = 0.5 * (pts[P] + pts[Q])
+                            add(P, Q, sgn * harm(eps_node[P], eps_node[Q])
+                                * tensor(mid)[d, e] / (2.0 * h**2))
+            u = grid.points @ np.array([0.3, -0.2, 0.5])
+            r1 = op.matrix @ u[ii] + op.boundary_coupling @ u[bb]
+            r2 = A[np.ix_(ii, np.arange(n**3))] @ u
+            assert np.max(np.abs(r1 - r2)) <= 1e-8
+            # entry by entry: interior x interior and interior x boundary blocks
+            for got, block in ((op.matrix, A[np.ix_(ii, ii)]),
+                               (op.boundary_coupling, A[np.ix_(ii, bb)])):
+                assert np.max(np.abs(got.toarray() - block)) <= 1e-12 * np.max(np.abs(block))
+
+    def test_jacobian_once_per_midpoint_set(self, monkeypatch):
+        # three axis-face sets and three plane-edge sets, whose two diagonals
+        # share their midpoints; the map with no modes needs no Jacobian
+        domain = unit_domain()
+        grid = pde.Grid3D(domain, 9)
+        calls = []
+        jacobian = geometry.jacobian
+        monkeypatch.setattr(geometry, "jacobian",
+                            lambda *args: calls.append(args) or jacobian(*args))
+        for dmap, y, expect in ((cutoff_map(domain), np.array([0.5, -0.5]), 6),
+                                (identity_map(), None, 0)):
+            calls.clear()
+            pde.assemble_pulled_back_operator(domain, dmap, no_charge_coeffs(), y, grid)
+            assert len(calls) == expect
 
     def test_symmetry_and_psd(self):
         domain = unit_domain()
@@ -210,24 +231,38 @@ class TestAssembly:
             assert float(v @ (op.matrix @ v)) >= -1e-10 * float(v @ v)
 
     def test_orientation_violation_raises(self):
+        domain = unit_domain()
+        grid = pde.Grid3D(domain, 5)
+
         class Collapse:
+            # B = scale * I wherever at least `off` of x, y, z sit between
+            # nodes: -2 folds every axis-face midpoint (det J = -1), and with
+            # off = 2, -3 folds only the plane-edge midpoints (det J = -8)
+            def __init__(self, scale, off):
+                self.scale, self.off = scale, off
+
             def value(self, r):
                 return np.asarray(r, dtype=float)
 
             def jac(self, r):
-                out = np.zeros(np.asarray(r).shape[:-1] + (3, 3))
-                out[...] = -2.0 * np.eye(3)
+                r = np.asarray(r, dtype=float)
+                frac = r / grid.h - np.round(r / grid.h)
+                folded = np.sum(np.abs(frac) > 0.25, axis=-1) >= self.off
+                out = np.zeros(r.shape[:-1] + (3, 3))
+                out[folded] = self.scale * np.eye(3)
                 return out
 
             def jac_deriv(self, r):
                 return np.zeros(np.asarray(r).shape[:-1] + (3, 3, 3))
 
-        domain = unit_domain()
-        dmap = geometry.DomainMap([(1.0, Collapse())])
-        grid = pde.Grid3D(domain, 5)
-        with pytest.raises(AssemblyError):
-            pde.assemble_pulled_back_operator(domain, dmap, no_charge_coeffs(),
-                                              np.array([1.0]), grid)
+        for fld, place, min_det in ((Collapse(-2.0, 1), "axis 0 face", "min det -1)"),
+                                    (Collapse(-3.0, 2), "plane (0, 1) edge", "min det -8)")):
+            dmap = geometry.DomainMap([(1.0, fld)])
+            with pytest.raises(AssemblyError) as exc:
+                pde.assemble_pulled_back_operator(domain, dmap, no_charge_coeffs(),
+                                                  np.array([1.0]), grid)
+            assert place in str(exc.value)
+            assert min_det in str(exc.value)
 
 
 class TestRhs:
@@ -245,6 +280,22 @@ class TestRhs:
         rhs = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid)
         total = float(grid.node_weights() @ rhs.flat)
         assert abs(total - 1.0) <= 1e-3
+
+    def test_mode_fields_evaluated_once_per_call(self, monkeypatch):
+        # the displacement at the nodes does not depend on the charge
+        domain = unit_domain()
+        grid = pde.Grid3D(domain, 9)
+        dmap = cutoff_map(domain)
+        charges = [pde.Charge(c, 1.0, 0.1)
+                   for c in ([0.45, 0.5, 0.55], [0.5, 0.4, 0.5], [0.6, 0.5, 0.45])]
+        coeffs = pde.PBECoefficients([3.0, 2.0, 1.0], [1.0, 0.5, 2.0], charges, 0.0)
+        at_nodes = []
+        for k, (_, fld) in enumerate(dmap.modes):
+            value = fld.value
+            monkeypatch.setattr(fld, "value", lambda r, k=k, value=value: (
+                at_nodes.append(k) if np.ndim(r) == 2 else None) or value(r))
+        pde.assemble_rhs(domain, dmap, coeffs, np.array([0.5, -0.5]), grid)
+        assert sorted(at_nodes) == [0, 1]
 
     def test_charge_width_positive(self):
         with pytest.raises(DomainError):
