@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import harness, pde, region, smolyak
+from . import harness, region, smolyak
 from .errors import ConfigError, NpbeUqError
 
 
@@ -31,7 +31,8 @@ def cmd_solve(args) -> int:
     print(f"newton iterations: {info.iterations}")
     print(f"cg iterations per newton step: {info.cg_iterations}")
     print(f"final residual: {info.residual_history[-1]:.3e}")
-    print(f"qoi integral: {pde.qoi_integral(u):.12g}")
+    print(f"qoi integral: {info.qoi:.12g}")
+    print(f"qoi error estimate: {info.qoi_error:.3e}")
     print(f"potential range: [{u.values.min():.6g}, {u.values.max():.6g}]")
     return 0
 

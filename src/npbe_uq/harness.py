@@ -55,8 +55,7 @@ class RunConfig:
     levels: tuple = (1, 2, 3, 4)
     reference_level: int = 6
     # solver
-    newton_tol: float = 1e-9
-    cg_tol: float = 1e-12
+    qoi_tol: float = 1e-12  # relative error of each knot's QoI
     max_newton: int = 50
     # output
     csv_path: str = None
@@ -108,7 +107,7 @@ _BLOCK_KEYS = {
     "stochastic": {"N", "alpha"},
     "grid": {"grid_n"},
     "sparse_grid": {"rule", "levels", "reference_level"},
-    "solver": {"newton_tol", "cg_tol", "max_newton"},
+    "solver": {"qoi_tol", "max_newton"},
     "output": {"csv_path", "svg_path", "deterministic_csv"},
 }
 
@@ -127,6 +126,9 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigError(f"config block {block!r} must be a mapping")
         for key, val in entries.items():
             key = _ALIASES.get(key, key)
+            if block == "solver" and key in ("newton_tol", "cg_tol"):
+                raise ConfigError(f"solver key {key!r} was removed: knot solves now stop "
+                                  f"on a QoI error estimate; set 'qoi_tol' instead")
             if key not in _BLOCK_KEYS[block]:
                 raise ConfigError(f"unknown key {key!r} in block {block!r}")
             kwargs[key] = val
@@ -259,17 +261,27 @@ def _csv_text(records, deterministic: bool) -> str:
 
 
 class KnotSolver:
-    """NPBE solves of the shift model at parameter points y, for one config.
+    """Goal-oriented NPBE solves of the shift model at parameter points y, for one config.
 
     The shift moves only the charges (J = I), so the grid, the operator,
-    the reaction profile and the multigrid hierarchy that preconditions
-    every CG solve are built once; each solve assembles its own rhs.
+    the reaction profile, the multigrid hierarchy that preconditions every
+    CG solve, and the adjoint of the QoI (solved to config.qoi_tol) are built
+    once; each solve assembles its own rhs.  Its NewtonInfo carries the
+    adjoint-corrected QoI, within config.qoi_tol relative by Newton's error
+    estimate.  A charge width below the grid spacing h is warned about,
+    since the grid then aliases the charges.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.domain = config.domain
         self.grid = config.grid()
+        s, h = config.width(self.grid), self.grid.h
+        if s < h:
+            amplitude = math.exp(-2.0 * (math.pi * s / h) ** 2)
+            warnings.warn(f"charge width {s:.4g} is below the grid spacing h = {h:.4g}: the "
+                          f"grid aliases the charges with amplitude exp(-2 pi^2 s^2 / h^2) "
+                          f"= {amplitude:.2g}")
         self.dmap = geometry.DomainMap([])
         self.coeffs = pde.PBECoefficients(np.array(config.eps), np.array(config.kappa2),
                                           ingest_charges(config, self.grid),
@@ -281,6 +293,7 @@ class KnotSolver:
         # Newton starts from u = 0, where its Jacobian is exactly this matrix
         jacobian = self.op.matrix + sp.diags(self.reaction.flat[self.grid.interior_idx])
         self.vcycle = pde.VCycle(jacobian, self.grid)
+        self.adjoint = pde.solve_adjoint(jacobian, self.grid, self.vcycle, config.qoi_tol)
 
     def solve(self, y):
         """(u, NewtonInfo) with the charges shifted by sqrt(3) alpha_k y_k, y in [-1, 1]^N."""
@@ -290,16 +303,17 @@ class KnotSolver:
         coeffs = replace(self.coeffs, charges=ch)
         rhs = pde.assemble_rhs(self.domain, self.dmap, coeffs, None, self.grid)
         return pde.newton_solve_npbe(self.domain, self.dmap, coeffs, None, self.grid,
-                                     tol=c.newton_tol, cg_tol=c.cg_tol,
                                      max_iter=c.max_newton, op=self.op, rhs=rhs,
-                                     reaction=self.reaction, vcycle=self.vcycle)
+                                     reaction=self.reaction, vcycle=self.vcycle,
+                                     adjoint=self.adjoint)
 
 
 def run_study(config: RunConfig, progress=None) -> StudyResult:
     """Execute the shift-model convergence study described by the config.
 
     Only the reference plan is evaluated: under nesting its knots cover
-    every study level, so each knot is solved exactly once.  A knot whose
+    every study level, so each knot is solved exactly once, by one
+    KnotSolver; its value is the adjoint-corrected QoI.  A knot whose
     Newton iteration raises ConvergenceError is recorded as NaN and poisons
     only the levels that use it, whose records keep the y and message of
     their first failing knot; any other error propagates.  A level's wall
@@ -315,8 +329,7 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
         t0 = time.perf_counter()
         error = None
         try:
-            u, _ = solver.solve(y)
-            value = pde.qoi_integral(u)
+            value = solver.solve(y)[1].qoi
         except ConvergenceError as exc:
             value, error = math.nan, str(exc)
         seconds.append(time.perf_counter() - t0)

@@ -14,6 +14,19 @@ The sinh nonlinearity is handled by damped Newton iteration with residual
 backtracking; inner linear systems are solved by conjugate gradients
 preconditioned with a symmetric Galerkin multigrid V-cycle, whose hierarchy
 is built once per operator and reused across Newton steps and knots.
+
+Newton has two stopping rules.  Without an adjoint it stops on the l2
+residual.  With one (goal-oriented, for the QoI Q(u) = w.u) it reports the
+adjoint-corrected QoI Q(u~) + z.R(u~), where (A + diag K) z = w is solved
+once per operator and R(u) = b - Au - K sinh u, and it stops once the error
+estimate
+
+    |r_z.e| + sum |z K| (cosh(|u~| + |e|) - 1) |e|,   e = V-cycle(R(u~)),
+
+falls to tol |Q|.  Here r_z = w - (A + diag K) z.  The corrected QoI misses
+the exact value by r_z.e* - z.K(sinh u* - sinh u~ - e*) with e* = u* - u~,
+and the estimate bounds both terms with e in place of e*, so each step's CG
+needs only a loose relative tolerance: it sets the cost, not the accuracy.
 """
 
 from __future__ import annotations
@@ -275,6 +288,7 @@ class CGInfo:
 
 _OMEGA = 0.8           # damped-Jacobi weight of the V-cycle smoother
 _DENSE_NODES = 512     # a level this small is not coarsened but inverted
+_GOAL_CG_TOL = 1e-3    # relative CG tolerance of a goal-oriented Newton step
 
 
 def _interpolation_1d(m: int) -> sp.csr_matrix:
@@ -401,26 +415,60 @@ def solve_linear_interface(op: AssembledOperator, reaction, rhs: GridField, g=0.
 # ---------------------------------------------------------------------------
 
 @dataclass
+class Adjoint:
+    """Adjoint solution z of (A + diag K) z = w for the QoI weights w.
+
+    K is the reaction profile, so A + diag K is Newton's Jacobian at u = 0.
+    Built once per operator by solve_adjoint and passed to newton_solve_npbe.
+    """
+
+    weights: np.ndarray   # QoI weights w on the full grid
+    z: np.ndarray         # interior
+    residual: np.ndarray  # r_z = w - (A + diag K) z, interior
+    tol: float            # Newton stops when its QoI error estimate is <= tol |Q|
+
+
+def solve_adjoint(matrix, grid: Grid3D, vcycle: VCycle, tol: float) -> Adjoint:
+    """Solve (A + diag K) z = w for the node weights w of qoi_integral to CG tolerance tol.
+
+    matrix is the interior A + diag K; tol is also the relative QoI
+    tolerance the returned Adjoint asks of Newton.
+    """
+    w = grid.node_weights()
+    w_int = w[grid.interior_idx]
+    z, _ = _pcg(matrix, w_int, vcycle, tol=tol)
+    return Adjoint(w, z, w_int - matrix @ z, tol)
+
+
+@dataclass
 class NewtonInfo:
     iterations: int
     residual_history: list
     step_sizes: list
     cg_iterations: list  # CG iterations of each Newton step
     converged: bool
+    qoi: float = None        # adjoint-corrected QoI; None without an adjoint
+    qoi_error: float = None  # its error estimate; None without an adjoint
 
 
 def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
                       u0: GridField = None, tol=1e-9, max_iter=50,
                       cg_tol=1e-12, op: AssembledOperator = None,
                       rhs: GridField = None, reaction: GridField = None,
-                      vcycle: VCycle = None):
+                      vcycle: VCycle = None, adjoint: Adjoint = None):
     """Damped Newton iteration for the pulled-back NPBE.
 
     Each step solves the linearization with reaction kappa^2 cosh(u) det J and
-    backtracks on the l2 residual (halving, floor 1e-3).  Terminates when the
-    residual drops below tol * (1 + ||rhs||).  Every step's CG is
+    backtracks on the l2 residual (halving, floor 1e-3).  Every step's CG is
     preconditioned by vcycle, built from the first step's Jacobian when not
     given.
+
+    Without an adjoint, CG runs to cg_tol and Newton terminates when the
+    residual drops below tol * (1 + ||rhs||).  With one (see the module
+    docstring), tol and cg_tol are unused: CG runs to a relative 1e-3, Newton
+    takes at least one step and terminates when the QoI error estimate falls
+    to adjoint.tol * |Q|, and NewtonInfo carries the corrected QoI and the
+    estimate.
     """
     if op is None:
         op = assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
@@ -444,13 +492,26 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
             r = A @ v + kd * np.sinh(v) - b
         return r
 
-    target = tol * (1.0 + np.linalg.norm(b))
+    if adjoint is None:
+        target = tol * (1.0 + np.linalg.norm(b))
+    else:
+        cg_tol = _GOAL_CG_TOL
+        qoi_bnd = float(adjoint.weights[grid.boundary_idx] @ g_b)
+        zk = np.abs(adjoint.z * kd)
+
+    qoi = qoi_error = None
+
+    def converged():
+        if adjoint is None:
+            return rnorm <= target
+        return qoi_error is not None and qoi_error <= adjoint.tol * abs(qoi)
+
     r = residual(u)
     rnorm = float(np.linalg.norm(r))
     history = [rnorm]
     steps, cg_iterations = [], []
     it = 0
-    while rnorm > target and it < max_iter:
+    while not converged() and it < max_iter:
         jac_diag = kd * np.cosh(u)
         Ait = A + sp.diags(jac_diag)
         if vcycle is None:
@@ -473,7 +534,14 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
         history.append(rnorm)
         steps.append(step)
         it += 1
-    if rnorm > target:
+        if adjoint is not None:
+            # r = -R(u), so one V-cycle on it gives -e, e ~ u* - u
+            e = vcycle(r)
+            qoi = float(adjoint.weights[ii] @ u) + qoi_bnd - float(adjoint.z @ r)
+            with np.errstate(over="ignore"):
+                remainder = float(zk @ ((np.cosh(np.abs(u) + np.abs(e)) - 1.0) * np.abs(e)))
+            qoi_error = abs(float(adjoint.residual @ e)) + remainder
+    if not converged():
         raise ConvergenceError(
             f"Newton failed to converge in {max_iter} iterations",
             residual=rnorm, history=history,
@@ -481,7 +549,8 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
     full = np.empty(grid.n_nodes)
     full[ii] = u
     full[grid.boundary_idx] = g_b
-    return GridField(grid, full), NewtonInfo(it, history, steps, cg_iterations, True)
+    return GridField(grid, full), NewtonInfo(it, history, steps, cg_iterations, True,
+                                             qoi, qoi_error)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,6 +170,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.config_from_dict({"grid": {"spacing": 1.0}})
 
+    @pytest.mark.parametrize("key", ["newton_tol", "cg_tol"])
+    def test_removed_solver_key_names_replacement(self, key):
+        with pytest.raises(ConfigError, match=f"{key}.*removed.*'qoi_tol'"):
+            harness.config_from_dict({"solver": {key: 1e-9}})
+
     def test_bounds_region_blocks_ignored(self):
         config = harness.config_from_dict({"bounds": {"b1": 0.1}, "region": {"M": 1}})
         assert config.grid_n == 33
@@ -216,8 +223,9 @@ class TestRunStudy:
         coeffs = pde.PBECoefficients(np.array(config.eps), np.array(config.kappa2),
                                      charges, 0.0)
         u, _ = pde.newton_solve_npbe(domain, geometry.DomainMap([]), coeffs, None, grid,
-                                     tol=config.newton_tol)
-        assert abs(result.records[0].qoi_mean - pde.qoi_integral(u)) <= 1e-10
+                                     tol=1e-13, cg_tol=1e-13)
+        ref = pde.qoi_integral(u)
+        assert abs(result.records[0].qoi_mean - ref) <= 1e-12 * abs(ref)
 
     def test_csv_deterministic(self):
         config = small_config(levels=(0, 1), reference_level=2)
@@ -268,6 +276,18 @@ class TestRunStudy:
         result = harness.run_study(small_config(levels=(0, 1), reference_level=3))
         assert result.reference_eta > 1 and len(built) == 1
 
+    def test_one_adjoint_per_study(self, monkeypatch):
+        solved = []
+        solve_adjoint = pde.solve_adjoint
+
+        def counting(*args):
+            solved.append(1)
+            return solve_adjoint(*args)
+
+        monkeypatch.setattr(pde, "solve_adjoint", counting)
+        result = harness.run_study(small_config(levels=(0, 1), reference_level=3))
+        assert result.reference_eta > 1 and len(solved) == 1
+
     def test_non_convergence_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("solver bug")
@@ -308,6 +328,36 @@ class TestRunStudy:
         assert result.records[-1].wall_time >= result.records[0].wall_time
 
 
+class TestKnotSolver:
+    def tight_qoi(self, solver, y):
+        """QoI of a direct Newton solve with a tight l2 stop."""
+        charges = harness.shifted_charges(solver.coeffs.charges, solver.config.alpha,
+                                          harness.SQRT3 * np.asarray(y), solver.domain)
+        u, _ = pde.newton_solve_npbe(solver.domain, solver.dmap,
+                                     replace(solver.coeffs, charges=charges), None,
+                                     solver.grid, tol=1e-13, cg_tol=1e-13)
+        return pde.qoi_integral(u)
+
+    @pytest.mark.parametrize("q, min_steps", [(20.0, 1), (2000.0, 2)])
+    def test_nonlinear_knot_matches_tight_solve(self, q, min_steps):
+        config = small_config(kappa2=(0.0, 0.0, 0.5), charges_inline=[[35.0, 35.0, 35.0, q]])
+        solver = harness.KnotSolver(config)
+        _, info = solver.solve([0.5])
+        ref = self.tight_qoi(solver, [0.5])
+        assert abs(info.qoi - ref) <= 1e-12 * abs(ref)
+        assert 0.0 <= info.qoi_error <= config.qoi_tol * abs(info.qoi)
+        assert info.iterations >= min_steps
+
+    def test_width_below_spacing_warns(self):
+        with pytest.warns(UserWarning, match=r"below the grid spacing h = 5\.833.* = 0\.098"):
+            harness.KnotSolver(small_config(charge_width=2.0, grid_n=13))
+
+    def test_default_width_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            harness.KnotSolver(small_config(grid_n=13))
+
+
 class TestSvg:
     def test_empty_records_still_valid(self):
         text = harness.convergence_svg([])
@@ -342,6 +392,8 @@ class TestCli:
         cg = [int(v) for v in fields["cg iterations per newton step"].strip("[]").split(",")]
         assert len(cg) == int(fields["newton iterations"]) >= 1
         assert all(1 <= c <= 25 for c in cg)
+        qoi, estimate = float(fields["qoi integral"]), float(fields["qoi error estimate"])
+        assert 0.0 <= estimate <= 1e-12 * abs(qoi)
 
     def test_solve_with_y(self, tmp_path, capsys):
         rc = cli.main(["solve", "--config", self.write_config(tmp_path), "--y", "0.5"])

@@ -461,6 +461,13 @@ class TestVCycle:
             v -= np.linalg.solve(A + np.diag(kd * np.cosh(v)), A @ v + kd * np.sinh(v) - b)
         assert np.linalg.norm(A @ v + kd * np.sinh(v) - b) <= 1e-12 * np.linalg.norm(b)
         assert np.max(np.abs(u.flat[ii] - v)) <= 1e-10 * np.max(np.abs(v))
+        # the goal-oriented stop on the same J != I operator
+        M = op.matrix + sp.diags(kd)
+        adjoint = pde.solve_adjoint(M, grid, pde.VCycle(M, grid), 1e-12)
+        _, goal = pde.newton_solve_npbe(domain, dmap, coeffs, y, grid, op=op, adjoint=adjoint)
+        ref = grid.node_weights()[ii] @ v
+        assert abs(goal.qoi - ref) <= 1e-12 * abs(ref)
+        assert 0.0 <= goal.qoi_error <= 1e-12 * abs(goal.qoi)
 
 
 class TestNewton:
