@@ -172,7 +172,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["newton_tol", "cg_tol"])
     def test_removed_solver_key_names_replacement(self, key):
-        with pytest.raises(ConfigError, match=f"{key}.*removed.*'qoi_tol'"):
+        with pytest.raises(ConfigError, match=f"{key}.*removed.*fixed relative 1e-12"):
             harness.config_from_dict({"solver": {key: 1e-9}})
 
     def test_bounds_region_blocks_ignored(self):
@@ -345,8 +345,32 @@ class TestKnotSolver:
         _, info = solver.solve([0.5])
         ref = self.tight_qoi(solver, [0.5])
         assert abs(info.qoi - ref) <= 1e-12 * abs(ref)
-        assert 0.0 <= info.qoi_error <= config.qoi_tol * abs(info.qoi)
+        assert 0.0 <= info.qoi_error <= 1e-12 * abs(info.qoi)
         assert info.iterations >= min_steps
+
+    def test_zero_charge_knot_is_exact_without_a_step(self):
+        config = small_config(kappa2=(0.0, 0.0, 0.5), charges_inline=[[35.0, 35.0, 35.0, 0.0]],
+                              levels=(0, 1), reference_level=2)
+        u, info = harness.KnotSolver(config).solve([0.0])
+        assert info.iterations == 0 and not np.any(u.values)
+        assert info.qoi == 0.0 and info.qoi_error == 0.0
+        result = harness.run_study(config)
+        assert [r.qoi_mean for r in result.records] == [0.0, 0.0]
+
+    def test_centred_dipole_knot_converges(self):
+        # u is odd about the centre, so Q cancels to rounding and only the
+        # scale w.|u| makes the stopping test reachable
+        config = small_config(kappa2=(0.0, 0.0, 0.5), levels=(0, 1), reference_level=2,
+                              charges_inline=[[30.0, 35.0, 35.0, 1.0], [40.0, 35.0, 35.0, -1.0]])
+        solver = harness.KnotSolver(config)
+        u, info = solver.solve([0.0])
+        scale = solver.grid.node_weights() @ np.abs(u.flat)
+        assert abs(info.qoi) <= 1e-12 * scale
+        assert abs(info.qoi - self.tight_qoi(solver, [0.0])) <= 1e-12 * scale
+        assert 0.0 <= info.qoi_error <= 1e-12 * scale
+        result = harness.run_study(config)
+        assert not any(r.failed for r in result.records)
+        assert all(math.isfinite(r.qoi_mean) for r in result.records)
 
     def test_width_below_spacing_warns(self):
         with pytest.warns(UserWarning, match=r"below the grid spacing h = 5\.833.* = 0\.098"):

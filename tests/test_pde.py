@@ -463,11 +463,15 @@ class TestVCycle:
         assert np.max(np.abs(u.flat[ii] - v)) <= 1e-10 * np.max(np.abs(v))
         # the goal-oriented stop on the same J != I operator
         M = op.matrix + sp.diags(kd)
-        adjoint = pde.solve_adjoint(M, grid, pde.VCycle(M, grid), 1e-12)
+        adjoint = pde.solve_adjoint(M, grid, pde.VCycle(M, grid))
         _, goal = pde.newton_solve_npbe(domain, dmap, coeffs, y, grid, op=op, adjoint=adjoint)
         ref = grid.node_weights()[ii] @ v
         assert abs(goal.qoi - ref) <= 1e-12 * abs(ref)
         assert 0.0 <= goal.qoi_error <= 1e-12 * abs(goal.qoi)
+        # tol and cg_tol belong to the l2 stop
+        for kw in ({"tol": 1e-9}, {"cg_tol": 1e-12}):
+            with pytest.raises(TypeError, match="QoI error estimate"):
+                pde.newton_solve_npbe(domain, dmap, coeffs, y, grid, op=op, adjoint=adjoint, **kw)
 
 
 class TestNewton:
