@@ -426,10 +426,12 @@ def solve_linear_interface(op: AssembledOperator, reaction, rhs: GridField, g=0.
 class Adjoint:
     """Adjoint solution z of (A + diag K) z = w for the QoI weights w.
 
-    K is the reaction profile, so A + diag K is Newton's Jacobian at u = 0.
-    Built once per operator by solve_adjoint and passed to newton_solve_npbe.
+    K is the reaction profile, so A + diag K is Newton's Jacobian at u = 0,
+    which Newton reuses instead of rebuilding it.  Built once per operator by
+    solve_adjoint and passed to newton_solve_npbe.
     """
 
+    matrix: object        # interior A + diag K
     weights: np.ndarray   # QoI weights w on the full grid
     z: np.ndarray         # interior
     residual: np.ndarray  # r_z = w - (A + diag K) z, interior
@@ -444,7 +446,7 @@ def solve_adjoint(matrix, grid: Grid3D, vcycle: VCycle) -> Adjoint:
     w = grid.node_weights()
     w_int = w[grid.interior_idx]
     z, _ = _pcg(matrix, w_int, vcycle, tol=_GOAL_QOI_TOL)
-    return Adjoint(w, z, w_int - matrix @ z)
+    return Adjoint(matrix, w, z, w_int - matrix @ z)
 
 
 @dataclass
@@ -543,8 +545,10 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
                 f"Newton failed to converge in {max_iter} iterations",
                 residual=rnorm, history=history,
             )
-        jac_diag = kd * np.cosh(u)
-        Ait = A + sp.diags(jac_diag)
+        if adjoint is not None and not u.any():
+            Ait = adjoint.matrix  # the Jacobian at u = 0
+        else:
+            Ait = A + sp.diags(kd * np.cosh(u))
         if vcycle is None:
             vcycle = VCycle(Ait, grid)
         delta, cg = _pcg(Ait, -r, vcycle, tol=cg_tol)

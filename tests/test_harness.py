@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from npbe_uq import cli, geometry, harness, pde
 from npbe_uq.errors import ConfigError, ConvergenceError, ParseError
@@ -287,6 +288,27 @@ class TestRunStudy:
         monkeypatch.setattr(pde, "solve_adjoint", counting)
         result = harness.run_study(small_config(levels=(0, 1), reference_level=3))
         assert result.reference_eta > 1 and len(solved) == 1
+
+    def test_first_newton_step_reuses_the_adjoint_jacobian(self, monkeypatch):
+        # Newton starts from u = 0, where its Jacobian is the matrix the
+        # adjoint was solved with, so only its later steps build one
+        built, later_steps = [], []
+        diags, solve = sp.diags, harness.KnotSolver.solve
+
+        def counting_diags(*args, **kwargs):
+            built.append(1)
+            return diags(*args, **kwargs)
+
+        def counting_solve(self, y):
+            u, info = solve(self, y)
+            later_steps.append(max(info.iterations - 1, 0))
+            return u, info
+
+        monkeypatch.setattr(sp, "diags", counting_diags)
+        monkeypatch.setattr(harness.KnotSolver, "solve", counting_solve)
+        result = harness.run_study(small_config(levels=(0, 1), reference_level=3))
+        assert result.reference_eta > 1
+        assert len(built) == 1 + sum(later_steps)
 
     def test_non_convergence_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
