@@ -6,6 +6,15 @@ U2 (shell), and U3 (solvent out to the box boundary).  Domain maps are
 finite expansions ``F(r; y) = r + sum_k sqrt(mu_k) b_k(r) y_k`` with
 closed-form displacement fields, so Jacobians and their derivatives are
 available analytically.
+
+A field's ``value``, ``jac`` and ``jac_deriv`` take points r of shape
+(..., 3), or a ``Lattice``: the tensor product of three coordinate axes,
+which the solver's grids and the sampled checks here pass.  A field may read
+a lattice's coordinate d as ``r[..., d]``, axis d shaped to broadcast over
+the lattice, so a separable field such as ``CutoffShift`` evaluates its
+factors once per axis coordinate; ``np.asarray(r)`` gives the lattice's
+(n0, n1, n2, 3) points, so any other field works on it unchanged.  The
+result is shaped like the points: (n0, n1, n2, ...) for a lattice.
 """
 
 from __future__ import annotations
@@ -74,8 +83,35 @@ def classify_point(domain: ReferenceDomain, r):
 
 
 # ---------------------------------------------------------------------------
-# Displacement fields
+# Lattices and displacement fields
 # ---------------------------------------------------------------------------
+
+class Lattice:
+    """The points axes[0] x axes[1] x axes[2] of a tensor grid, held as the axes.
+
+    ``r[..., d]`` is axis d shaped to broadcast over the lattice, and
+    ``np.asarray(r)`` gives the (n0, n1, n2, 3) points in C order.
+    """
+
+    def __init__(self, axes):
+        self.axes = [np.asarray(a, dtype=float) for a in axes]
+        self.shape = tuple(len(a) for a in self.axes) + (3,)
+
+    def __getitem__(self, key):
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] is Ellipsis):
+            raise TypeError("a Lattice supports only r[..., d]; np.asarray(r) gives its points")
+        d = key[1]
+        return self.axes[d].reshape([-1 if a == d else 1 for a in range(3)])
+
+    def __array__(self, dtype=None, copy=None):
+        pts = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)
+        return pts if dtype is None else pts.astype(dtype, copy=False)
+
+
+def _points(r):
+    """r unchanged if it is a Lattice, else as a float array of points."""
+    return r if isinstance(r, Lattice) else np.asarray(r, dtype=float)
+
 
 def _quintic_step(t, order: int):
     """C^2 smoothstep on [0, 1] and its derivatives up to ``order`` (at most 2)."""
@@ -93,7 +129,8 @@ class CutoffShift:
 
     The cutoff is 1 on the inner plateau of the box and decays to 0 over a
     margin of width ``margin`` at each box face, so the box boundary stays
-    fixed while interior interfaces move.
+    fixed while interior interfaces move.  It is the product of one factor
+    per axis, each evaluated on that axis's coordinates alone.
     """
 
     def __init__(self, axis: int, box_min, box_max, margin: float):
@@ -105,47 +142,51 @@ class CutoffShift:
         self.margin = float(margin)
 
     def _axis_factors(self, r, order: int):
-        """Per-axis cutoff q and its derivatives up to ``order``; shapes (..., 3).
+        """Cutoff factor q and its derivatives up to ``order``, each a list over the axes.
 
-        value needs q, jac q and q', and only jac_deriv q''.
+        Entry d is evaluated on ``r[..., d]`` alone, so on a Lattice only the
+        axis coordinates are evaluated.  value needs q, jac q and q', and
+        only jac_deriv q''.
         """
-        r = np.asarray(r, dtype=float)
-        lo = _quintic_step((r - self.box_min) / self.margin, order)
-        hi = _quintic_step((self.box_max - r) / self.margin, order)
-        out = [lo[0] * hi[0]]
-        if order >= 1:
-            out.append((lo[1] * hi[0] - lo[0] * hi[1]) / self.margin)
-        if order >= 2:
-            out.append((lo[2] * hi[0] - 2.0 * lo[1] * hi[1] + lo[0] * hi[2]) / self.margin**2)
+        out = [[] for _ in range(order + 1)]
+        for d in range(3):
+            lo = _quintic_step((r[..., d] - self.box_min[d]) / self.margin, order)
+            hi = _quintic_step((self.box_max[d] - r[..., d]) / self.margin, order)
+            out[0].append(lo[0] * hi[0])
+            if order >= 1:
+                out[1].append((lo[1] * hi[0] - lo[0] * hi[1]) / self.margin)
+            if order >= 2:
+                out[2].append((lo[2] * hi[0] - 2.0 * lo[1] * hi[1] + lo[0] * hi[2])
+                              / self.margin**2)
         return out
 
     def value(self, r):
-        r = np.asarray(r, dtype=float)
+        r = _points(r)
         (q,) = self._axis_factors(r, 0)
         out = np.zeros(r.shape)
-        out[..., self.axis] = np.prod(q, axis=-1)
+        out[..., self.axis] = q[0] * q[1] * q[2]
         return out
 
     def jac(self, r):
-        r = np.asarray(r, dtype=float)
+        r = _points(r)
         q, dq = self._axis_factors(r, 1)
         out = np.zeros(r.shape[:-1] + (3, 3))
         for i in range(3):
             j, k = (d for d in range(3) if d != i)
-            out[..., self.axis, i] = dq[..., i] * q[..., j] * q[..., k]
+            out[..., self.axis, i] = dq[i] * q[j] * q[k]
         return out
 
     def jac_deriv(self, r):
-        r = np.asarray(r, dtype=float)
+        r = _points(r)
         q, dq, d2q = self._axis_factors(r, 2)
         out = np.zeros(r.shape[:-1] + (3, 3, 3))
         for i in range(3):
             for j in range(3):
                 if i == j:
                     k1, k2 = (d for d in range(3) if d != i)
-                    hess = d2q[..., i] * q[..., k1] * q[..., k2]
+                    hess = d2q[i] * q[k1] * q[k2]
                 else:
-                    hess = dq[..., i] * dq[..., j] * q[..., 3 - i - j]
+                    hess = dq[i] * dq[j] * q[3 - i - j]
                 out[..., i, self.axis, j] = hess
         return out
 
@@ -172,10 +213,8 @@ class DomainMap:
         return len(self.modes)
 
 
-def _box_grid(domain: ReferenceDomain, n: int):
-    axes = [np.linspace(domain.box_min[d], domain.box_max[d], n) for d in range(3)]
-    g = np.meshgrid(*axes, indexing="ij")
-    return np.stack([a.ravel() for a in g], axis=-1)
+def _box_grid(domain: ReferenceDomain, n: int) -> Lattice:
+    return Lattice([np.linspace(domain.box_min[d], domain.box_max[d], n) for d in range(3)])
 
 
 def map_forward(dmap: DomainMap, r, y):
@@ -189,8 +228,8 @@ def map_forward(dmap: DomainMap, r, y):
 
 
 def jacobian(dmap: DomainMap, r, y):
-    """J(r; y) = I + sum_k sqrt(mu_k) B_k(r) y_k, shape (..., 3, 3)."""
-    r = np.asarray(r, dtype=float)
+    """J(r; y) = I + sum_k sqrt(mu_k) B_k(r) y_k, shape (..., 3, 3); r may be a Lattice."""
+    r = _points(r)
     y = np.asarray(y)
     dtype = complex if np.iscomplexobj(y) else float
     J = np.zeros(r.shape[:-1] + (3, 3), dtype=dtype)
@@ -208,19 +247,15 @@ def det3(J):
     return a - b + c
 
 
-def adjugate3(J):
-    """Adjugate of stacked 3x3 matrices (J^-1 = adj(J) / det(J))."""
-    adj = np.empty_like(J)
-    adj[..., 0, 0] = J[..., 1, 1] * J[..., 2, 2] - J[..., 1, 2] * J[..., 2, 1]
-    adj[..., 0, 1] = J[..., 0, 2] * J[..., 2, 1] - J[..., 0, 1] * J[..., 2, 2]
-    adj[..., 0, 2] = J[..., 0, 1] * J[..., 1, 2] - J[..., 0, 2] * J[..., 1, 1]
-    adj[..., 1, 0] = J[..., 1, 2] * J[..., 2, 0] - J[..., 1, 0] * J[..., 2, 2]
-    adj[..., 1, 1] = J[..., 0, 0] * J[..., 2, 2] - J[..., 0, 2] * J[..., 2, 0]
-    adj[..., 1, 2] = J[..., 0, 2] * J[..., 1, 0] - J[..., 0, 0] * J[..., 1, 2]
-    adj[..., 2, 0] = J[..., 1, 0] * J[..., 2, 1] - J[..., 1, 1] * J[..., 2, 0]
-    adj[..., 2, 1] = J[..., 0, 1] * J[..., 2, 0] - J[..., 0, 0] * J[..., 2, 1]
-    adj[..., 2, 2] = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    return adj
+def _adjugate_row(J, d: int):
+    """Row d, shape (..., 3), of the adjugate of stacked 3x3 matrices: J^-1 = adj(J) / det(J).
+
+    adj(J)[d, j] is the cofactor of J[j, d], written with cyclic indices.
+    """
+    a, b = (d + 1) % 3, (d + 2) % 3
+    return np.stack([J[..., (j + 1) % 3, a] * J[..., (j + 2) % 3, b]
+                     - J[..., (j + 1) % 3, b] * J[..., (j + 2) % 3, a] for j in range(3)],
+                    axis=-1)
 
 
 def det_jacobian(dmap: DomainMap, r, y):
@@ -252,7 +287,7 @@ def mode_c1_norm(fld, domain: ReferenceDomain, n: int = 64) -> float:
     sup = float(np.max(_spectral_norms(fld.jac(pts))))
     dB = fld.jac_deriv(pts)
     for i in range(3):
-        sup = max(sup, float(np.max(_spectral_norms(dB[:, i]))))
+        sup = max(sup, float(np.max(_spectral_norms(dB[..., i, :, :]))))
     return sup
 
 

@@ -6,9 +6,12 @@ dielectric across interfaces, and the mixed-derivative part is split along
 the two diagonal directions of each coordinate plane, which keeps the
 assembled matrix symmetric.  The tensor is evaluated once per midpoint set
 (three sets of axis faces, three of plane edges, whose two diagonals share
-their midpoints), and only the entry each face uses is formed.  For a map
-with no modes J = I, the tensor reduces to eps*I and the stencil degenerates
-to the classic 7-point one.
+their midpoints), and only the entry each face uses is formed, from the two
+adjugate rows it reads.  Each midpoint set, like the nodes where the forcing
+and reaction take det J, is a tensor lattice and is passed to the map's
+fields as a ``geometry.Lattice``, so a separable field evaluates per axis.
+For a map with no modes J = I, the tensor reduces to eps*I and the stencil
+degenerates to the classic 7-point one.
 
 The sinh nonlinearity is handled by damped Newton iteration with residual
 backtracking; inner linear systems are solved by conjugate gradients
@@ -70,8 +73,8 @@ class Grid3D:
             np.linspace(domain.box_min[d], domain.box_max[d], self.shape[d])
             for d in range(3)
         ]
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        self.points = np.stack([m.ravel() for m in mesh], axis=-1)
+        self.lattice = geometry.Lattice(self.axes)
+        self.points = np.asarray(self.lattice).reshape(-1, 3)
         self.subdomain_tag = geometry.classify_point(domain, self.points).reshape(self.shape)
         interior = np.zeros(self.shape, dtype=bool)
         interior[1:-1, 1:-1, 1:-1] = True
@@ -167,16 +170,17 @@ class AssembledOperator:
 def _tensor_entry(dmap, y, mid, d: int, e: int, place: str) -> np.ndarray:
     """Entry [d, e] of the eps-free pulled-back tensor J^-1 J^-T det J at midpoints.
 
-    The tensor is adj(J) adj(J)^T / det J, so one entry needs only rows d
-    and e of the adjugate.  Raises AssemblyError naming ``place`` where
-    det J <= 0.
+    mid is a Lattice; the entry comes flat, in its C order.  The tensor is
+    adj(J) adj(J)^T / det J, so one entry needs only rows d and e of the
+    adjugate.  Raises AssemblyError naming ``place`` where det J <= 0.
     """
-    J = geometry.jacobian(dmap, mid, y)
+    J = geometry.jacobian(dmap, mid, y).reshape(-1, 3, 3)
     det = geometry.det3(J)
     if np.any(det <= 0.0):
         raise AssemblyError(f"det J <= 0 at the {place} midpoints (min det {np.min(det):.6g})")
-    adj = geometry.adjugate3(J)
-    return np.einsum("pj,pj->p", adj[:, d], adj[:, e]) / det
+    row_d = geometry._adjugate_row(J, d)
+    row_e = row_d if e == d else geometry._adjugate_row(J, e)
+    return np.einsum("pj,pj->p", row_d, row_e) / det
 
 
 def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
@@ -206,8 +210,11 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
         cols.extend((p_idx, q_idx, q_idx, p_idx))
         vals.extend((coeff, coeff, -coeff, -coeff))
 
-    def midpoints(p_idx, q_idx):
-        return 0.5 * (grid.points[p_idx] + grid.points[q_idx])
+    half = [0.5 * (a[:-1] + a[1:]) for a in grid.axes]
+
+    def midpoints(*dims):
+        # the lattice of face or edge centres, halfway along the axes in dims
+        return geometry.Lattice([half[a] if a in dims else grid.axes[a] for a in range(3)])
 
     def harmonic_eps(p_idx, q_idx):
         return 2.0 * eps_node[p_idx] * eps_node[q_idx] / (eps_node[p_idx] + eps_node[q_idx])
@@ -220,7 +227,7 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
         sl_lo[d] = slice(0, shape[d] - 1)
         p = idx[tuple(sl_lo)].ravel()
         q = p + strides[d]
-        T_dd = 1.0 if identity else _tensor_entry(dmap, y, midpoints(p, q), d, d,
+        T_dd = 1.0 if identity else _tensor_entry(dmap, y, midpoints(d), d, d,
                                                   f"axis {d} face")
         add_faces(p, q, harmonic_eps(p, q) * T_dd / h2)
 
@@ -233,8 +240,7 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
             lo = idx[tuple(sl)].ravel()
             # the d+e diagonal runs lo -> lo + s_d + s_e and the d-e diagonal
             # lo + s_e -> lo + s_d: the same edge centres, in the same order
-            T_de = _tensor_entry(dmap, y, midpoints(lo, lo + strides[d] + strides[e]), d, e,
-                                 f"plane ({d}, {e}) edge")
+            T_de = _tensor_entry(dmap, y, midpoints(d, e), d, e, f"plane ({d}, {e}) edge")
             for sign in (+1, -1):
                 p = lo if sign > 0 else lo + strides[e]
                 q = p + strides[d] + sign * strides[e]
@@ -255,9 +261,10 @@ def assemble_rhs(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> Grid
     identity = not dmap.modes
     vals = np.zeros(grid.n_nodes)
     if coeffs.charges:
-        det = 1.0 if identity else geometry.det3(geometry.jacobian(dmap, grid.points, y))
+        det = 1.0 if identity else geometry.det3(
+            geometry.jacobian(dmap, grid.lattice, y)).ravel()
         # the modes' displacements at the nodes do not depend on the charge
-        shifts = [(math.sqrt(mu) * y[k], fld, fld.value(grid.points))
+        shifts = [(math.sqrt(mu) * y[k], fld, np.reshape(fld.value(grid.lattice), (-1, 3)))
                   for k, (mu, fld) in enumerate(dmap.modes)]
         for c in coeffs.charges:
             # charge centers ride along with the map; taking the displacement
@@ -278,7 +285,7 @@ def reaction_profile(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> 
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
     kap = coeffs.kappa2[grid.subdomain_tag].ravel()
     if dmap.modes:
-        kap = kap * geometry.det3(geometry.jacobian(dmap, grid.points, y))
+        kap = kap * geometry.det3(geometry.jacobian(dmap, grid.lattice, y)).ravel()
     return GridField(grid, kap)
 
 
@@ -331,7 +338,8 @@ class VCycle:
     Built once from an SPD interior matrix on a grid.  A level is coarsened
     while every interior axis has an odd node count (at least 3) and the
     level has more than 512 nodes: trilinear interpolation P (the Kronecker
-    product of per-axis [1/2, 1, 1/2] stencils) and coarse operator P^T A P.
+    product of per-axis [1/2, 1, 1/2] stencils), its restriction R = P^T, kept
+    as CSR so that no cycle transposes P, and coarse operator P^T A P.
     Each level smooths with one damped-Jacobi sweep (omega = 0.8) before and
     one after its coarse correction.  The coarsest level is inverted densely
     when it has at most 512 nodes; a larger one (an axis with an even count)
@@ -341,15 +349,17 @@ class VCycle:
     def __init__(self, matrix, grid: Grid3D):
         shape = [n - 2 for n in grid.shape]
         A = sp.csr_matrix(matrix)
-        self.levels = []  # (A, omega / diag A, P from the next coarser level or None)
+        # (A, omega / diag A, P from the next coarser level and R = P^T, or None)
+        self.levels = []
         while A.shape[0] > _DENSE_NODES and all(m >= 3 and m % 2 for m in shape):
             shape = [(m - 1) // 2 for m in shape]
             P = _interpolation_1d(shape[0])
             for m in shape[1:]:
                 P = sp.kron(P, _interpolation_1d(m), format="csr")
-            self.levels.append((A, _OMEGA / A.diagonal(), P))
+            self.levels.append((A, _OMEGA / A.diagonal(), P, P.T.tocsr()))
+            # R @ (A @ P) sums in another order and would change the coarse bits
             A = (P.T @ (A @ P)).tocsr()
-        self.levels.append((A, _OMEGA / A.diagonal(), None))
+        self.levels.append((A, _OMEGA / A.diagonal(), None, None))
         self.coarse_inverse = (_invert_spd(A.toarray()) if A.shape[0] <= _DENSE_NODES
                                else None)
 
@@ -357,12 +367,12 @@ class VCycle:
         return self._cycle(0, r)
 
     def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
-        A, wdinv, P = self.levels[level]
+        A, wdinv, P, R = self.levels[level]
         if P is None and self.coarse_inverse is not None:
             return self.coarse_inverse @ b
         x = wdinv * b
         if P is not None:
-            x += P @ self._cycle(level + 1, P.T @ (b - A @ x))
+            x += P @ self._cycle(level + 1, R @ (b - A @ x))
         x += wdinv * (b - A @ x)
         return x
 

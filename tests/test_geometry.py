@@ -116,6 +116,36 @@ class TestMapForward:
         assert np.iscomplexobj(J)
 
 
+class TestLattice:
+    def lattice(self):
+        # unequal axis lengths catch a swapped axis; the axes reach into the
+        # 7 A margin on both sides and cross the plateau
+        return geometry.Lattice([np.linspace(0.0, 70.0, 5), np.linspace(2.0, 69.0, 7),
+                                 np.array([0.5, 6.0, 30.0, 64.5, 69.9, 70.0])])
+
+    def test_points_and_axis_access(self):
+        lat = self.lattice()
+        pts = np.asarray(lat)
+        assert pts.shape == lat.shape == (5, 7, 6, 3)
+        for d in range(3):
+            assert np.array_equal(np.broadcast_to(lat[..., d], lat.shape[:-1]), pts[..., d])
+        with pytest.raises(TypeError):
+            lat[0]
+
+    def test_cutoff_on_lattice_matches_points(self):
+        domain = make_domain()
+        lat = self.lattice()
+        pts = np.asarray(lat)
+        for axis in range(3):
+            fld = geometry.CutoffShift(axis, domain.box_min, domain.box_max, 7.0)
+            for name in ("value", "jac", "jac_deriv"):
+                assert np.array_equal(getattr(fld, name)(lat), getattr(fld, name)(pts)), name
+        dmap = cutoff_map(domain)
+        for y in (np.array([0.8, -0.6]), np.array([-1.0, 1.0])):
+            assert np.array_equal(geometry.jacobian(dmap, lat, y),
+                                  geometry.jacobian(dmap, pts, y))
+
+
 class TestJacobian:
     def test_matches_finite_differences(self):
         domain = make_domain()
@@ -145,8 +175,9 @@ class TestJacobian:
         for r, y in zip(pts, ys):
             J = geometry.jacobian(dmap, r, y)
             assert abs(geometry.det3(J) - np.linalg.det(J)) <= 1e-12
-            assert np.allclose(geometry.adjugate3(J),
-                               np.linalg.det(J) * np.linalg.inv(J), atol=1e-12)
+            adj = np.linalg.det(J) * np.linalg.inv(J)
+            for d in range(3):
+                assert np.allclose(geometry._adjugate_row(J, d), adj[d], atol=1e-12)
 
     def test_singular_value_lower_bound(self):
         # sigma_min(J) >= 1 - ||B||_1 |y|_inf for small maps

@@ -169,7 +169,8 @@ class TestAssembly:
 
             def tensor(mid):
                 J = geometry.jacobian(dmap, mid, y)
-                return (geometry.adjugate3(J) @ geometry.adjugate3(J).T) / geometry.det3(J)
+                Jinv = np.linalg.inv(J)
+                return (Jinv @ Jinv.T) * np.linalg.det(J)
 
             def add(P, Q, c):
                 A[idx[P], idx[P]] += c
@@ -218,6 +219,54 @@ class TestAssembly:
             calls.clear()
             pde.assemble_pulled_back_operator(domain, dmap, no_charge_coeffs(), y, grid)
             assert len(calls) == expect
+
+    def test_cutoff_evaluated_per_axis(self, monkeypatch):
+        # every cutoff factor is taken on one lattice axis, n nodes or n - 1
+        # midpoints, never on the points of a midpoint set
+        domain = unit_domain()
+        grid = pde.Grid3D(domain, 9)
+        dmap = cutoff_map(domain)
+        sizes = []
+        step = geometry._quintic_step
+        monkeypatch.setattr(geometry, "_quintic_step",
+                            lambda t, order: sizes.append(np.size(t)) or step(t, order))
+        pde.assemble_pulled_back_operator(domain, dmap, no_charge_coeffs(),
+                                          np.array([0.8, -0.6]), grid)
+        assert sizes and max(sizes) <= 9
+
+    def test_lattice_path_matches_materialized_points(self):
+        # a field that only forwards np.asarray(r) sees plain points; the
+        # CutoffShift it wraps must give bit-identical operators and nodal fields
+        class Materialized:
+            def __init__(self, fld):
+                self.fld = fld
+
+            def value(self, r):
+                return self.fld.value(np.asarray(r))
+
+            def jac(self, r):
+                return self.fld.jac(np.asarray(r))
+
+            def jac_deriv(self, r):
+                return self.fld.jac_deriv(np.asarray(r))
+
+        domain = unit_domain()
+        grid = pde.Grid3D(domain, 9)
+        dmap = cutoff_map(domain, scales=(0.15, 0.1))
+        wrapped = geometry.DomainMap([(mu, Materialized(fld)) for mu, fld in dmap.modes])
+        charges = [pde.Charge([0.45, 0.5, 0.55], 1.0, 0.1),
+                   pde.Charge([0.6, 0.5, 0.45], -0.5, 0.1)]
+        coeffs = pde.PBECoefficients([3.0, 2.0, 1.0], [1.0, 0.5, 2.0], charges, 0.0)
+        for y in (np.array([0.8, -0.6]), np.array([-1.0, 1.0])):
+            op, ref = (pde.assemble_pulled_back_operator(domain, m, coeffs, y, grid)
+                       for m in (dmap, wrapped))
+            for got, expect in ((op.matrix, ref.matrix),
+                                (op.boundary_coupling, ref.boundary_coupling)):
+                for attr in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, attr), getattr(expect, attr)), attr
+            for fn in (pde.assemble_rhs, pde.reaction_profile):
+                assert np.array_equal(fn(domain, dmap, coeffs, y, grid).values,
+                                      fn(domain, wrapped, coeffs, y, grid).values)
 
     def test_symmetry_and_psd(self):
         domain = unit_domain()
@@ -290,10 +339,17 @@ class TestRhs:
                    for c in ([0.45, 0.5, 0.55], [0.5, 0.4, 0.5], [0.6, 0.5, 0.45])]
         coeffs = pde.PBECoefficients([3.0, 2.0, 1.0], [1.0, 0.5, 2.0], charges, 0.0)
         at_nodes = []
+
+        def is_nodes(r):
+            # the nodes come as the grid's lattice, or as its (P, 3) points
+            if isinstance(r, geometry.Lattice):
+                return r.shape[:-1] == grid.shape
+            return np.shape(r) == grid.points.shape
+
         for k, (_, fld) in enumerate(dmap.modes):
             value = fld.value
             monkeypatch.setattr(fld, "value", lambda r, k=k, value=value: (
-                at_nodes.append(k) if np.ndim(r) == 2 else None) or value(r))
+                at_nodes.append(k) if is_nodes(r) else None) or value(r))
         pde.assemble_rhs(domain, dmap, coeffs, np.array([0.5, -0.5]), grid)
         assert sorted(at_nodes) == [0, 1]
 
