@@ -20,6 +20,8 @@ from .errors import HypothesisViolationError
 
 @dataclass(frozen=True)
 class BoundsInput:
+    """Norms and radii of the bounds; building one checks their two hypotheses."""
+
     b1: float            # ||B||_1
     binf: float          # ||B||_inf
     y0_inf: float        # |y0|_inf
@@ -34,7 +36,7 @@ class BoundsInput:
     xi_grad_l2: float = 0.0
     mu_max: float = 0.0  # largest sqrt(mu_k)
 
-    def validate(self):
+    def __post_init__(self):
         if not self.b1 < 0.25:
             raise HypothesisViolationError(
                 f"||B||_1 = {self.b1} violates ||B||_1 < 1/4", violated="small-b"
@@ -73,7 +75,6 @@ class PropABounds:
 
 def prop_a_bounds(inp: BoundsInput) -> PropABounds:
     """The eight closed-form operator/determinant bounds."""
-    inp.validate()
     b1, y0, y = inp.b1, inp.y0_inf, inp.y_inf
     q0 = 4.0 * b1 * y0
     q = 4.0 * b1 * (y0 + y)
@@ -94,14 +95,12 @@ def prop_a_bounds(inp: BoundsInput) -> PropABounds:
 
 def a_coeff(inp: BoundsInput) -> float:
     """Factor multiplying ||u||_H2 in the linear-part difference estimate."""
-    inp.validate()
     b = prop_a_bounds(inp)
     return b.jinv_y0_y ** 2 * b.det_op_y0_y
 
 
 def b_coeff(inp: BoundsInput) -> float:
     """Factor multiplying ||u0||_H2 in the linear-part difference estimate."""
-    inp.validate()
     b = prop_a_bounds(inp)
     P = b.neumann_tail
     D = b.det_ratio
@@ -111,7 +110,6 @@ def b_coeff(inp: BoundsInput) -> float:
 
 def nonlinear_term_bound(inp: BoundsInput) -> float:
     """Difference bound for the sinh reaction term in L2."""
-    inp.validate()
     b1, y0, y = inp.b1, inp.y0_inf, inp.y_inf
     t0 = b1 * y0
     t = b1 * (y0 + y)
@@ -126,7 +124,6 @@ def nonlinear_term_bound(inp: BoundsInput) -> float:
 
 def forcing_term_bound(inp: BoundsInput) -> float:
     """Difference bound for the shifted-charge forcing term in L2."""
-    inp.validate()
     if inp.N_f == 0 or inp.y_inf == 0.0:
         return 0.0
     grad_part = 6.0 * inp.mu_max * inp.xi_grad_l2
@@ -140,7 +137,6 @@ def m_estimate(inp: BoundsInput) -> float:
     The trace / co-normal components are not covered by a closed form and
     are excluded; callers should treat this as the L2 contribution to M.
     """
-    inp.validate()
     linear = math.sqrt(3.0) * inp.eps_max * (
         a_coeff(inp) * inp.u_norm + b_coeff(inp) * inp.u0_norm
     )
@@ -240,7 +236,6 @@ def verify_bounds_by_sampling(dmap, domain, inp: BoundsInput, trials: int = 1000
     bounds; a violation indicates an implementation bug since the bounds are
     estimates.  ``bound_scale`` is a self-test hook that shrinks every bound.
     """
-    inp.validate()
     report = VerificationReport(trials=trials)
     N = dmap.n_modes
     rng = np.random.default_rng(seed)

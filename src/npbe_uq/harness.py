@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 import yaml
 
 from . import geometry, pde, smolyak
@@ -264,15 +263,15 @@ class KnotSolver:
     """Goal-oriented NPBE solves of the shift model at parameter points y, for one config.
 
     The shift moves only the charges (J = I), so the grid, the operator,
-    the reaction profile, the multigrid hierarchy that preconditions every
-    CG solve, and the adjoint z of the QoI are built once; each solve
-    assembles its own rhs.  Its NewtonInfo carries the adjoint-corrected QoI
-    and Newton's estimate of its error, with e ~ u* - u~ from one V-cycle
-    (see the pde module docstring); Newton stops once the estimate is within
-    1e-12 relative.  The estimate is not a bound; it was checked against
-    tight direct solves on the acceptance study's knots and in the tests.
-    A charge width below the grid spacing h is warned about, since the grid
-    then aliases the charges.
+    the reaction profile and the adjoint z of the QoI are built once; the
+    adjoint carries the multigrid hierarchy that preconditions every CG
+    solve, and each solve assembles only its rhs.  Its NewtonInfo carries
+    the adjoint-corrected QoI and Newton's estimate of its error, with
+    e ~ u* - u~ from one V-cycle (see the pde module docstring); Newton stops
+    once the estimate is within 1e-12 relative.  The estimate is not a
+    bound; it was checked against tight direct solves on the acceptance
+    study's knots and in the tests.  A charge width below the grid spacing h
+    is warned about, since the grid then aliases the charges.
     """
 
     def __init__(self, config: RunConfig):
@@ -293,10 +292,7 @@ class KnotSolver:
                                                     None, self.grid)
         self.reaction = pde.reaction_profile(self.domain, self.dmap, self.coeffs, None,
                                              self.grid)
-        # Newton starts from u = 0, where its Jacobian is exactly this matrix
-        jacobian = self.op.matrix + sp.diags(self.reaction.flat[self.grid.interior_idx])
-        self.vcycle = pde.VCycle(jacobian, self.grid)
-        self.adjoint = pde.solve_adjoint(jacobian, self.grid, self.vcycle)
+        self.adjoint = pde.solve_adjoint(self.op, self.reaction)
 
     def solve(self, y):
         """(u, NewtonInfo) with the charges shifted by sqrt(3) alpha_k y_k, y in [-1, 1]^N."""
@@ -304,11 +300,9 @@ class KnotSolver:
         ch = shifted_charges(self.coeffs.charges, c.alpha, SQRT3 * np.asarray(y, dtype=float),
                              self.domain)
         coeffs = replace(self.coeffs, charges=ch)
-        rhs = pde.assemble_rhs(self.domain, self.dmap, coeffs, None, self.grid)
         return pde.newton_solve_npbe(self.domain, self.dmap, coeffs, None, self.grid,
-                                     max_iter=c.max_newton, op=self.op, rhs=rhs,
-                                     reaction=self.reaction, vcycle=self.vcycle,
-                                     adjoint=self.adjoint)
+                                     max_iter=c.max_newton, op=self.op,
+                                     reaction=self.reaction, adjoint=self.adjoint)
 
 
 def run_study(config: RunConfig, progress=None) -> StudyResult:

@@ -15,8 +15,10 @@ degenerates to the classic 7-point one.
 
 The sinh nonlinearity is handled by damped Newton iteration with residual
 backtracking; inner linear systems are solved by conjugate gradients
-preconditioned with a symmetric Galerkin multigrid V-cycle, whose hierarchy
-is built once per operator and reused across Newton steps and knots.
+preconditioned with a symmetric Galerkin multigrid V-cycle.  Without an
+adjoint, Newton builds the hierarchy from its first Jacobian.  An adjoint
+(solve_adjoint) carries the u = 0 Jacobian A + diag K and the V-cycle built
+from it, which then serve every Newton step of every knot.
 
 Newton has two stopping rules.  Without an adjoint it stops on the l2
 residual.  With one (goal-oriented, for the QoI Q(u) = w.u) it reports the
@@ -31,12 +33,12 @@ Here r_z = w - (A + diag K) z.  The scale w.|u~| is |Q| unless the QoI
 cancels, as for a net-neutral charge set, where |Q| alone is out of reach.
 The corrected QoI misses the exact value by
 r_z.e* - z.K(sinh u* - sinh u~ - e*) with e* = u* - u~, and the estimate
-approximates both terms with e in place of e*.  It is an estimate, not a bound: one V-cycle of the u = 0
-Jacobian gives e, and the estimate was checked against tight direct solves
-on the 321 knots of the acceptance study (n = 33) and on single charges of
-q = 20 and 2000, a dipole, and the J != I cutoff map in the tests.  Each
-step's CG needs only a loose relative tolerance: it sets the cost, while
-the estimate decides when to stop.
+approximates both terms with e in place of e*.  It is an estimate, not a
+bound: one V-cycle of the u = 0 Jacobian gives e, and the estimate was
+checked against tight direct solves on the 321 knots of the acceptance
+study (n = 33) and on single charges of q = 20 and 2000, a dipole, and the
+J != I cutoff map in the tests.  Each step's CG needs only a loose relative
+tolerance: it sets the cost, while the estimate decides when to stop.
 """
 
 from __future__ import annotations
@@ -297,7 +299,6 @@ def reaction_profile(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> 
 class CGInfo:
     iterations: int
     residual: float       # final absolute residual norm
-    relative_residual: float
 
 
 _OMEGA = 0.8           # damped-Jacobi weight of the V-cycle smoother
@@ -381,7 +382,7 @@ def _pcg(A, b, precond, tol=1e-10, maxiter=20000):
     """Preconditioned CG from x = 0; precond maps a residual to M r, M SPD."""
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros_like(b), CGInfo(0, 0.0, 0.0)
+        return np.zeros_like(b), CGInfo(0, 0.0)
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
@@ -404,7 +405,7 @@ def _pcg(A, b, precond, tol=1e-10, maxiter=20000):
         raise ConvergenceError(
             f"CG failed to reach tol {tol} in {maxiter} iterations", residual=float(rnorm)
         )
-    return x, CGInfo(it, float(rnorm), float(rnorm / bnorm))
+    return x, CGInfo(it, float(rnorm))
 
 
 def solve_linear_interface(op: AssembledOperator, reaction, rhs: GridField, g=0.0,
@@ -436,27 +437,33 @@ def solve_linear_interface(op: AssembledOperator, reaction, rhs: GridField, g=0.
 class Adjoint:
     """Adjoint solution z of (A + diag K) z = w for the QoI weights w.
 
-    K is the reaction profile, so A + diag K is Newton's Jacobian at u = 0,
-    which Newton reuses instead of rebuilding it.  Built once per operator by
-    solve_adjoint and passed to newton_solve_npbe.
+    K is the reaction profile, so A + diag K is Newton's Jacobian at u = 0.
+    Newton reuses it for any step from u = 0 and preconditions every step
+    with its V-cycle.  Built once per operator by solve_adjoint and passed
+    to newton_solve_npbe.
     """
 
     matrix: object        # interior A + diag K
+    vcycle: VCycle        # built from matrix
     weights: np.ndarray   # QoI weights w on the full grid
     z: np.ndarray         # interior
     residual: np.ndarray  # r_z = w - (A + diag K) z, interior
 
 
-def solve_adjoint(matrix, grid: Grid3D, vcycle: VCycle) -> Adjoint:
+def solve_adjoint(op: AssembledOperator, reaction: GridField) -> Adjoint:
     """Solve (A + diag K) z = w for the node weights w of qoi_integral.
 
-    matrix is the interior A + diag K.  CG runs to the QoI tolerance 1e-12,
-    since the adjoint's own error enters every corrected QoI.
+    K is the reaction profile.  The u = 0 Jacobian A + diag K and its V-cycle
+    are built here and carried by the Adjoint.  CG runs to the QoI tolerance
+    1e-12, since the adjoint's own error enters every corrected QoI.
     """
+    grid = op.grid
+    matrix = op.matrix + sp.diags(reaction.flat[grid.interior_idx])
+    vcycle = VCycle(matrix, grid)
     w = grid.node_weights()
     w_int = w[grid.interior_idx]
     z, _ = _pcg(matrix, w_int, vcycle, tol=_GOAL_QOI_TOL)
-    return Adjoint(matrix, w, z, w_int - matrix @ z)
+    return Adjoint(matrix, vcycle, w, z, w_int - matrix @ z)
 
 
 @dataclass
@@ -465,7 +472,6 @@ class NewtonInfo:
     residual_history: list
     step_sizes: list
     cg_iterations: list  # CG iterations of each Newton step
-    converged: bool
     qoi: float = None        # adjoint-corrected QoI; None without an adjoint
     qoi_error: float = None  # its error estimate; None without an adjoint
 
@@ -474,13 +480,14 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
                       u0: GridField = None, tol=None, max_iter=50,
                       cg_tol=None, op: AssembledOperator = None,
                       rhs: GridField = None, reaction: GridField = None,
-                      vcycle: VCycle = None, adjoint: Adjoint = None):
+                      adjoint: Adjoint = None):
     """Damped Newton iteration for the pulled-back NPBE.
 
     Each step solves the linearization with reaction kappa^2 cosh(u) det J and
     backtracks on the l2 residual (halving, floor 1e-3).  Every step's CG is
-    preconditioned by vcycle, built from the first step's Jacobian when not
-    given.
+    preconditioned by the adjoint's V-cycle, or, without an adjoint, by one
+    built from the first step's Jacobian.  With an adjoint, a step from u = 0
+    takes the adjoint's matrix as its Jacobian.
 
     Without an adjoint, CG runs to cg_tol (default 1e-12) and Newton
     terminates when the residual drops below tol * (1 + ||rhs||), tol
@@ -518,11 +525,12 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
             r = A @ v + kd * np.sinh(v) - b
         return r
 
-    qoi = qoi_error = None
+    qoi = qoi_error = vcycle = None
     if adjoint is None:
         target = tol * (1.0 + np.linalg.norm(b))
     else:
         cg_tol = _GOAL_CG_TOL
+        vcycle = adjoint.vcycle
         w = adjoint.weights[ii]
         qoi_bnd = float(adjoint.weights[grid.boundary_idx] @ g_b)
         zk = np.abs(adjoint.z * kd)
@@ -582,8 +590,7 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
     full = np.empty(grid.n_nodes)
     full[ii] = u
     full[grid.boundary_idx] = g_b
-    return GridField(grid, full), NewtonInfo(it, history, steps, cg_iterations, True,
-                                             qoi, qoi_error)
+    return GridField(grid, full), NewtonInfo(it, history, steps, cg_iterations, qoi, qoi_error)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The sparse operator is expanded with the combination technique: an
 integer-weighted sum of full tensor Lagrange interpolants over an
 admissible (downward-closed) set of level multi-indices.  Nodes are keyed
-by exact dyadic fractions of the Chebyshev angle, so nesting and knot
-deduplication are exact rather than tolerance-based.
+by the fraction of the Chebyshev angle, j / 2^k, a dyadic rational that a
+float holds exactly, so nesting and knot deduplication are exact rather
+than tolerance-based.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -46,26 +46,27 @@ def f_degree(p: int) -> int:
     return math.ceil(math.log2(p))
 
 
-def node_keys(m: int) -> tuple[Fraction, ...]:
+def node_keys(m: int) -> tuple[float, ...]:
     """Exact angle-fraction keys of the m closed CC nodes, sorted ascending.
 
     A key t stands for the abscissa -cos(pi * t).  The midpoint key 1/2 is
     the single node of the m=1 rule, which keeps nesting exact across levels.
+    Every other count is 2^k + 1, so each key j / 2^k is exact as a float.
     """
     if m == 1:
-        return (Fraction(1, 2),)
-    if m < 3 or m % 2 == 0:
-        raise DomainError(f"node count must be 1 or odd >= 3, got {m}")
-    return tuple(Fraction(j, m - 1) for j in range(m))
+        return (0.5,)
+    if m < 3 or (m - 1) & (m - 2):
+        raise DomainError(f"node count must be 1 or 2^k + 1, got {m}")
+    return tuple(j / (m - 1) for j in range(m))
 
 
-def node_value(key: Fraction) -> float:
+def node_value(key: float) -> float:
     # exact zero at the midpoint and exact antisymmetry about it
     if 2 * key == 1:
         return 0.0
     if 2 * key > 1:
         return -node_value(1 - key)
-    return -math.cos(math.pi * float(key))
+    return -math.cos(math.pi * key)
 
 
 def cc_nodes(m: int) -> np.ndarray:
@@ -184,7 +185,7 @@ class SparseGridPlan:
     w: int
     N: int
     terms: tuple            # ((level multi-index, combination coefficient), ...)
-    knots: tuple            # canonical knot keys: tuples of N Fractions, one per dimension
+    knots: tuple            # canonical knot keys: tuples of N dyadic float keys, one per axis
     knot_values: np.ndarray  # (eta, N) float abscissas, same order as knots
 
     @property

@@ -32,18 +32,19 @@ def scaled_cutoff_map(domain, scales, margin=7.0):
 
 
 class TestHypotheses:
+    # the hypotheses are checked once, when the input is built
     def test_small_b_violation_named(self):
         with pytest.raises(HypothesisViolationError) as exc:
-            base_input(b1=0.3).validate()
+            base_input(b1=0.3)
         assert exc.value.violated == "small-b"
 
     def test_y_radius_violation_named(self):
         with pytest.raises(HypothesisViolationError) as exc:
-            base_input(b1=0.2, y0_inf=1.0, y_inf=0.3).validate()
+            base_input(b1=0.2, y0_inf=1.0, y_inf=0.3)
         assert exc.value.violated == "y-radius"
 
     def test_admissible_passes(self):
-        base_input().validate()
+        assert base_input().b1 == 0.1
 
 
 class TestGaussianNorms:

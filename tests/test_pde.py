@@ -518,8 +518,7 @@ class TestVCycle:
         assert np.linalg.norm(A @ v + kd * np.sinh(v) - b) <= 1e-12 * np.linalg.norm(b)
         assert np.max(np.abs(u.flat[ii] - v)) <= 1e-10 * np.max(np.abs(v))
         # the goal-oriented stop on the same J != I operator
-        M = op.matrix + sp.diags(kd)
-        adjoint = pde.solve_adjoint(M, grid, pde.VCycle(M, grid))
+        adjoint = pde.solve_adjoint(op, pde.reaction_profile(domain, dmap, coeffs, y, grid))
         _, goal = pde.newton_solve_npbe(domain, dmap, coeffs, y, grid, op=op, adjoint=adjoint)
         ref = grid.node_weights()[ii] @ v
         assert abs(goal.qoi - ref) <= 1e-12 * abs(ref)
@@ -568,6 +567,30 @@ class TestNewton:
         _, info = pde.newton_solve_npbe(domain, identity_map(), self.strong_coeffs(),
                                         None, grid)
         assert min(info.step_sizes) < 1.0
+
+    def test_adjoint_carries_the_only_vcycle(self, monkeypatch):
+        # with an adjoint every step is preconditioned by its V-cycle;
+        # without one, Newton builds a hierarchy from its first Jacobian
+        domain = big_domain()
+        grid = pde.Grid3D(domain, 17)
+        coeffs = self.strong_coeffs()
+        op = pde.assemble_pulled_back_operator(domain, identity_map(), coeffs, None, grid)
+        react = pde.reaction_profile(domain, identity_map(), coeffs, None, grid)
+        adjoint = pde.solve_adjoint(op, react)
+        built = []
+
+        class Counting(pde.VCycle):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(pde, "VCycle", Counting)
+        _, goal = pde.newton_solve_npbe(domain, identity_map(), coeffs, None, grid, op=op,
+                                        reaction=react, adjoint=adjoint)
+        assert goal.iterations >= 2 and built == []
+        pde.newton_solve_npbe(domain, identity_map(), coeffs, None, grid, op=op,
+                              reaction=react)
+        assert len(built) == 1
 
     def test_uniqueness_from_random_start(self):
         domain = big_domain()

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -62,6 +63,20 @@ class TestNodes:
     def test_even_m_rejected(self):
         with pytest.raises(DomainError):
             smolyak.cc_nodes(4)
+
+    def test_non_dyadic_count_rejected(self):
+        # the keys j / 6 of 7 nodes are not exact as floats
+        with pytest.raises(DomainError):
+            smolyak.node_keys(7)
+
+    def test_keys_are_exact_dyadic_floats(self):
+        for i in range(1, 13):
+            m = smolyak.growth(i)
+            exact = [Fraction(1, 2)] if m == 1 else [Fraction(j, m - 1) for j in range(m)]
+            keys = smolyak.node_keys(m)
+            assert all(type(k) is float for k in keys)
+            assert list(keys) == exact
+            assert [hash(k) for k in keys] == [hash(f) for f in exact]
 
     def test_keys_are_exactly_nested(self):
         for m_small, m_big in ((1, 3), (3, 5), (5, 9), (9, 17)):
