@@ -378,34 +378,44 @@ class VCycle:
         return x
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of 1-D arrays on the calling thread: einsum, unlike OpenBLAS, never
+    splits a long dot over busy-waiting threads or ties its bits to their count."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
+
+
 def _pcg(A, b, precond, tol=1e-10, maxiter=20000):
     """Preconditioned CG from x = 0; precond maps a residual to M r, M SPD."""
-    bnorm = np.linalg.norm(b)
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), CGInfo(0, 0.0)
     x = np.zeros_like(b)
     r = b.copy()
     z = precond(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     it = 0
     rnorm = bnorm
     while rnorm > tol * bnorm and it < maxiter:
         Ap = A @ p
-        alpha = rz / float(p @ Ap)
+        alpha = rz / _dot(p, Ap)
         x += alpha * p
         r -= alpha * Ap
         z = precond(r)
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-        rnorm = np.linalg.norm(r)
+        rnorm = _norm(r)
         it += 1
     if rnorm > tol * bnorm:
         raise ConvergenceError(
             f"CG failed to reach tol {tol} in {maxiter} iterations", residual=float(rnorm)
         )
-    return x, CGInfo(it, float(rnorm))
+    return x, CGInfo(it, rnorm)
 
 
 def solve_linear_interface(op: AssembledOperator, reaction, rhs: GridField, g=0.0,
@@ -527,12 +537,12 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
 
     qoi = qoi_error = vcycle = None
     if adjoint is None:
-        target = tol * (1.0 + np.linalg.norm(b))
+        target = tol * (1.0 + _norm(b))
     else:
         cg_tol = _GOAL_CG_TOL
         vcycle = adjoint.vcycle
         w = adjoint.weights[ii]
-        qoi_bnd = float(adjoint.weights[grid.boundary_idx] @ g_b)
+        qoi_bnd = _dot(adjoint.weights[grid.boundary_idx], g_b)
         zk = np.abs(adjoint.z * kd)
 
     def converged():
@@ -540,20 +550,20 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
         if adjoint is None:
             return rnorm <= target
         if rnorm == 0.0:  # u solves the discrete problem exactly
-            qoi, qoi_error = float(w @ u) + qoi_bnd, 0.0
+            qoi, qoi_error = _dot(w, u) + qoi_bnd, 0.0
             return True
         if it == 0:       # the estimate is only trusted near a Newton iterate
             return False
         # r = -R(u), so one V-cycle on it gives -e, e ~ u* - u
         e = vcycle(r)
-        qoi = float(w @ u) + qoi_bnd - float(adjoint.z @ r)
+        qoi = _dot(w, u) + qoi_bnd - _dot(adjoint.z, r)
         with np.errstate(over="ignore"):
-            remainder = float(zk @ ((np.cosh(np.abs(u) + np.abs(e)) - 1.0) * np.abs(e)))
-        qoi_error = abs(float(adjoint.residual @ e)) + remainder
-        return qoi_error <= _GOAL_QOI_TOL * max(abs(qoi), float(w @ np.abs(u)))
+            remainder = _dot(zk, (np.cosh(np.abs(u) + np.abs(e)) - 1.0) * np.abs(e))
+        qoi_error = abs(_dot(adjoint.residual, e)) + remainder
+        return qoi_error <= _GOAL_QOI_TOL * max(abs(qoi), _dot(w, np.abs(u)))
 
     r = residual(u)
-    rnorm = float(np.linalg.norm(r))
+    rnorm = _norm(r)
     history = [rnorm]
     steps, cg_iterations = [], []
     it = 0
@@ -575,7 +585,7 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
         while True:
             trial = u + step * delta
             rt = residual(trial)
-            tnorm = float(np.linalg.norm(rt)) if np.all(np.isfinite(rt)) else math.inf
+            tnorm = _norm(rt) if np.all(np.isfinite(rt)) else math.inf
             if tnorm < rnorm:
                 break
             if step <= 1e-3:
@@ -599,7 +609,7 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
 
 def qoi_integral(u: GridField) -> float:
     """Integral of u over the box: node values times node-centered cell volumes."""
-    return float(u.grid.node_weights() @ u.flat)
+    return _dot(u.grid.node_weights(), u.flat)
 
 
 def operator_residual(domain, dmap, coeffs: PBECoefficients, y, u: GridField,

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -393,6 +396,23 @@ class TestKnotSolver:
         result = harness.run_study(config)
         assert not any(r.failed for r in result.records)
         assert all(math.isfinite(r.qoi_mean) for r in result.records)
+
+    def test_knot_bits_do_not_depend_on_blas_threads(self):
+        # 23^3 interior nodes: OpenBLAS would split each dot product over
+        # two threads and change the last bits of the QoI
+        script = ("from npbe_uq import harness\n"
+                  "config = harness.RunConfig(charges_inline=[[35.0, 35.0, 35.0, 20.0]],\n"
+                  "    grid_n=25, levels=(0,), reference_level=1, N=1, alpha=(2.0,),\n"
+                  "    kappa2=(0.0, 0.0, 0.5))\n"
+                  "_, info = harness.KnotSolver(config).solve([0.5])\n"
+                  "print(repr((info.qoi, info.qoi_error, info.residual_history)))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               check=True, env=dict(os.environ, PYTHONPATH=path,
+                                                    OPENBLAS_NUM_THREADS=threads)).stdout
+                for threads in ("1", "2")}
+        assert len(outs) == 1
 
     def test_width_below_spacing_warns(self):
         with pytest.warns(UserWarning, match=r"below the grid spacing h = 5\.833.* = 0\.098"):
