@@ -11,14 +11,17 @@ adjugate rows it reads.  Each midpoint set, like the nodes where the forcing
 and reaction take det J, is a tensor lattice and is passed to the map's
 fields as a ``geometry.Lattice``, so a separable field evaluates per axis.
 For a map with no modes J = I, the tensor reduces to eps*I and the stencil
-degenerates to the classic 7-point one.
+degenerates to the classic 7-point one, and each charge's Gaussian forcing
+on the node lattice is the outer product of three per-axis factors.
 
 The sinh nonlinearity is handled by damped Newton iteration with residual
-backtracking; inner linear systems are solved by conjugate gradients
-preconditioned with a symmetric Galerkin multigrid V-cycle.  Without an
-adjoint, Newton builds the hierarchy from its first Jacobian.  An adjoint
-(solve_adjoint) carries the u = 0 Jacobian A + diag K and the V-cycle built
-from it, which then serve every Newton step of every knot.
+backtracking; from u = 0 its first residual is -b, formed without a matvec.
+Inner linear systems are solved by conjugate gradients preconditioned with a
+symmetric Galerkin multigrid V-cycle; CG tests each updated residual before
+preconditioning it, so it never preconditions the residual it stops on.
+Without an adjoint, Newton builds the hierarchy from its first Jacobian.
+An adjoint (solve_adjoint) carries the u = 0 Jacobian A + diag K and the
+V-cycle built from it, which then serve every Newton step of every knot.
 
 Newton has two stopping rules.  Without an adjoint it stops on the l2
 residual.  With one (goal-oriented, for the QoI Q(u) = w.u) it reports the
@@ -258,7 +261,13 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
 
 
 def assemble_rhs(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> GridField:
-    """Nodal values of f*(r; y) det J(r; y) for the Gaussian charge model."""
+    """Nodal values of f*(r; y) det J(r; y) for the Gaussian charge model.
+
+    For a map with no modes (J = I) each charge's Gaussian on the node
+    lattice is the product of one factor per axis, amp gx (x) gy (x) gz with
+    g_d = exp(-(a_d - c_d)^2 / (2 s^2)) on grid.axes[d], so no per-node
+    displacement is formed.
+    """
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
     identity = not dmap.modes
     vals = np.zeros(grid.n_nodes)
@@ -269,14 +278,19 @@ def assemble_rhs(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> Grid
         shifts = [(math.sqrt(mu) * y[k], fld, np.reshape(fld.value(grid.lattice), (-1, 3)))
                   for k, (mu, fld) in enumerate(dmap.modes)]
         for c in coeffs.charges:
+            s2 = c.width**2
+            amp = c.magnitude / (2.0 * math.pi * s2) ** 1.5
+            if identity:
+                gx, gy, gz = (np.exp(-0.5 * (a - p) ** 2 / s2)
+                              for a, p in zip(grid.axes, c.position))
+                vals += ((amp * gx)[:, None, None] * np.multiply.outer(gy, gz)).ravel()
+                continue
             # charge centers ride along with the map; taking the displacement
             # difference mode by mode makes translation cancellation exact
             delta = grid.points - c.position
             for scale, fld, at_nodes in shifts:
                 delta = delta + scale * (at_nodes - fld.value(c.position))
             d2 = np.sum(delta**2, axis=-1)
-            s2 = c.width**2
-            amp = c.magnitude / (2.0 * math.pi * s2) ** 1.5
             vals += amp * np.exp(-0.5 * d2 / s2)
         vals = vals * det
     return GridField(grid, vals)
@@ -389,26 +403,29 @@ def _norm(a: np.ndarray) -> float:
 
 
 def _pcg(A, b, precond, tol=1e-10, maxiter=20000):
-    """Preconditioned CG from x = 0; precond maps a residual to M r, M SPD."""
+    """Preconditioned CG from x = 0; precond maps a residual to M r, M SPD.
+
+    Each iteration preconditions the residual the previous one left and
+    tests the norm of the residual it updates, so a converged solve applies
+    precond once per iteration and never to its final residual.
+    """
     bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), CGInfo(0, 0.0)
     x = np.zeros_like(b)
     r = b.copy()
-    z = precond(r)
-    p = z.copy()
-    rz = _dot(r, z)
+    p = None
     it = 0
     rnorm = bnorm
     while rnorm > tol * bnorm and it < maxiter:
+        z = precond(r)
+        rz_new = _dot(r, z)
+        p = z.copy() if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         Ap = A @ p
         alpha = rz / _dot(p, Ap)
         x += alpha * p
         r -= alpha * Ap
-        z = precond(r)
-        rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
         rnorm = _norm(r)
         it += 1
     if rnorm > tol * bnorm:
@@ -562,7 +579,7 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
         qoi_error = abs(_dot(adjoint.residual, e)) + remainder
         return qoi_error <= _GOAL_QOI_TOL * max(abs(qoi), _dot(w, np.abs(u)))
 
-    r = residual(u)
+    r = -b if u0 is None else residual(u)  # at u = 0, A u + K sinh u = 0
     rnorm = _norm(r)
     history = [rnorm]
     steps, cg_iterations = [], []

@@ -182,6 +182,85 @@ class TestSamplingVerification:
         assert len(rep.violations) > 0
 
 
+def per_trial_report(dmap, domain, inp, trials, seed, bound_scale):
+    """verify_bounds_by_sampling one trial at a time: the oracle of its batched form."""
+    report = bounds.VerificationReport(trials=trials)
+    N = dmap.n_modes
+    rng = np.random.default_rng(seed)
+    y_cap = 1.0 / (4.0 * inp.b1) - inp.y0_inf if inp.b1 > 0 else 1.0
+    y_cap = min(y_cap * 0.999, inp.y_inf) if inp.y_inf > 0 else 0.0
+
+    def record(trial, name, actual, bound):
+        bound = bound * bound_scale
+        ratio = actual / bound if bound > 0 else (0.0 if actual == 0.0 else math.inf)
+        report.max_slack[name] = max(report.max_slack.get(name, 0.0), ratio)
+        if actual > bound * (1.0 + 1e-12):
+            report.violations.append((trial, name, actual, bound))
+
+    for trial in range(trials):
+        r = rng.uniform(domain.box_min, domain.box_max)
+        y0 = rng.uniform(-inp.y0_inf, inp.y0_inf, size=N)
+        y = rng.uniform(-y_cap, y_cap, size=N) if y_cap > 0 else np.zeros(N)
+        b = bounds.prop_a_bounds(bounds.BoundsInput(
+            b1=inp.b1, binf=inp.binf,
+            y0_inf=float(np.max(np.abs(y0))) if N else 0.0,
+            y_inf=float(np.max(np.abs(y))) if N else 0.0))
+        J0 = geometry.jacobian(dmap, r, y0)
+        J1 = geometry.jacobian(dmap, r, y0 + y)
+        By = geometry.jacobian(dmap, r, y) - np.eye(3)
+        inv0 = np.linalg.inv(J0)
+        record(trial, "jinv_y0", float(np.linalg.norm(inv0, 2)), b.jinv_y0)
+        record(trial, "jinv_y0_y", float(np.linalg.norm(np.linalg.inv(J1), 2)), b.jinv_y0_y)
+        tail = np.linalg.inv(np.eye(3) + inv0 @ By) - np.eye(3)
+        record(trial, "neumann_tail", float(np.linalg.norm(tail, 2)), b.neumann_tail)
+        d0 = abs(geometry.det3(J0))
+        d1 = abs(geometry.det3(J1))
+        record(trial, "absdet_y0", float(d0), b.absdet_y0)
+        record(trial, "absdet_y0_y", float(d1), b.absdet_y0_y)
+        record(trial, "det_op_y0", float(d0), b.det_op_y0)
+        record(trial, "det_op_y0_y", float(d1), b.det_op_y0_y)
+        dr = abs(geometry.det3(np.eye(3) + inv0 @ By) - 1.0)
+        record(trial, "det_ratio", float(dr), b.det_ratio)
+    return report
+
+
+class TestBatchedSampling:
+    def cutoff_case(self):
+        domain = big_domain()
+        dmap = scaled_cutoff_map(domain, (0.1, 0.1))
+        prof = geometry.b_norms(dmap, domain, p=1.0, n=32)
+        return domain, dmap, bounds.BoundsInput(b1=prof.b_norm_1 * 1.02,
+                                                binf=prof.b_norm_inf * 1.02,
+                                                y0_inf=0.5, y_inf=0.5)
+
+    @pytest.mark.parametrize("seed, bound_scale", [(0, 1.0), (1, 1.0), (1, 0.1)])
+    def test_report_equals_per_trial_loop(self, seed, bound_scale):
+        domain, dmap, inp = self.cutoff_case()
+        rep = bounds.verify_bounds_by_sampling(dmap, domain, inp, trials=300, seed=seed,
+                                               bound_scale=bound_scale)
+        ref = per_trial_report(dmap, domain, inp, 300, seed, bound_scale)
+        assert rep.trials == ref.trials
+        assert rep.violations == ref.violations
+        assert rep.max_slack == ref.max_slack
+        assert (len(rep.violations) > 0) == (bound_scale < 1.0)
+
+    def test_identity_map_equals_per_trial_loop(self):
+        domain = big_domain()
+        inp = bounds.BoundsInput(b1=0.0, binf=0.0, y0_inf=1.0, y_inf=0.5)
+        rep = bounds.verify_bounds_by_sampling(geometry.DomainMap([]), domain, inp, trials=50)
+        ref = per_trial_report(geometry.DomainMap([]), domain, inp, 50, 0, 1.0)
+        assert (rep.violations, rep.max_slack) == (ref.violations, ref.max_slack)
+
+    def test_each_mode_field_evaluated_on_the_batch(self, monkeypatch):
+        domain, dmap, inp = self.cutoff_case()
+        calls = []
+        for k, (_, fld) in enumerate(dmap.modes):
+            monkeypatch.setattr(fld, "jac", lambda r, k=k, jac=fld.jac: calls.append(k) or jac(r))
+        rep = bounds.verify_bounds_by_sampling(dmap, domain, inp, trials=1000)
+        assert rep.trials == 1000
+        assert all(calls.count(k) <= 3 for k in range(dmap.n_modes)), calls[:10]
+
+
 class TestMonteCarloTermOracles:
     def test_forcing_difference_below_bound(self):
         # charge sits in the cutoff rolloff so the map actually moves it

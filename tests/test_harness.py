@@ -373,6 +373,24 @@ class TestKnotSolver:
         assert 0.0 <= info.qoi_error <= 1e-12 * abs(info.qoi)
         assert info.iterations >= min_steps
 
+    def test_knot_vcycles_are_cg_iterations_plus_estimates(self, monkeypatch):
+        # one V-cycle per CG iteration and one per step's error estimate: CG
+        # does not precondition the residual it stops on
+        config = small_config(kappa2=(0.0, 0.0, 0.5), grid_n=17,
+                              charges_inline=[[35.0, 35.0, 35.0, 2000.0]])
+        solver = harness.KnotSolver(config)
+        vcycle = solver.adjoint.vcycle
+        applied = []
+
+        def counting(r):
+            applied.append(1)
+            return vcycle(r)
+
+        monkeypatch.setattr(solver.adjoint, "vcycle", counting)
+        _, info = solver.solve([0.5])
+        assert info.iterations >= 2
+        assert len(applied) == sum(info.cg_iterations) + info.iterations
+
     def test_zero_charge_knot_is_exact_without_a_step(self):
         config = small_config(kappa2=(0.0, 0.0, 0.5), charges_inline=[[35.0, 35.0, 35.0, 0.0]],
                               levels=(0, 1), reference_level=2)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -357,6 +358,61 @@ class TestRhs:
         with pytest.raises(DomainError):
             pde.Charge([0, 0, 0], 1.0, 0.0)
 
+    @pytest.mark.parametrize("n", [9, 17, 33])
+    def test_identity_matches_direct_gaussian_sum(self, n):
+        # the per-axis factors against exp of the squared distance at every
+        # node; the third charge sits 0.5 A from one box face, 0.8 A from another
+        domain = big_domain()
+        grid = pde.Grid3D(domain, n)
+        charges = [pde.Charge([35.0, 35.0, 35.0], 2.0, 2.0),
+                   pde.Charge([31.3, 38.1, 42.7], -1.5, 3.5),
+                   pde.Charge([0.5, 20.0, 69.2], 0.75, 4.0)]
+        coeffs = pde.PBECoefficients([1, 1, 1], [0, 0, 0], charges, 0.0)
+        rhs = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid)
+        direct = sum(c.magnitude / (2.0 * math.pi * c.width**2) ** 1.5
+                     * np.exp(-0.5 * np.sum((grid.points - c.position) ** 2, axis=-1)
+                              / c.width**2)
+                     for c in charges)
+        assert np.max(np.abs(rhs.flat - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+    def test_identity_reads_no_grid_points(self, monkeypatch):
+        domain = big_domain()
+        grid = pde.Grid3D(domain, 17)
+        coeffs = pde.PBECoefficients([1, 1, 1], [0, 0, 0],
+                                     [pde.Charge([35.0, 35.0, 35.0], 1.0, 4.0),
+                                      pde.Charge([30.0, 38.0, 41.0], -1.0, 4.0)], 0.0)
+
+        def forbidden(self):
+            raise AssertionError("the J = I rhs read grid.points")
+
+        # a property on the class takes precedence over the instance's array
+        monkeypatch.setattr(pde.Grid3D, "points", property(forbidden), raising=False)
+        rhs = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid)
+        assert np.any(rhs.values)
+
+
+def textbook_pcg(A, b, precond, tol):
+    """PCG that preconditions every residual, its last one included: the oracle of _pcg."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precond(r)
+    p = z.copy()
+    rz = pde._dot(r, z)
+    bnorm = rnorm = pde._norm(b)
+    it = 0
+    while rnorm > tol * bnorm:
+        Ap = A @ p
+        alpha = rz / pde._dot(p, Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        z = precond(r)
+        rz_new = pde._dot(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        rnorm = pde._norm(r)
+        it += 1
+    return x, r, it
+
 
 class TestLinearSolve:
     def test_zero_data_gives_zero(self):
@@ -398,6 +454,33 @@ class TestLinearSolve:
         with pytest.raises(ConvergenceError) as exc:
             pde.solve_linear_interface(op, None, rhs, tol=1e-14, maxiter=2)
         assert exc.value.residual is not None
+
+    def test_converged_cg_preconditions_once_per_iteration(self):
+        # CG tests the updated residual before preconditioning it, and gives
+        # the bits of the textbook loop, which preconditions its final residual too
+        domain = unit_domain()
+        grid = pde.Grid3D(domain, 17)
+        coeffs = pde.PBECoefficients([5.0, 2.0, 1.0], [0.0, 0.0, 4.0],
+                                     [pde.Charge([0.45, 0.5, 0.55], 1.0, 0.1)], 0.0)
+        op = pde.assemble_pulled_back_operator(domain, identity_map(), coeffs, None, grid)
+        rhs = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid)
+        A = op.matrix + sp.diags(pde.reaction_profile(domain, identity_map(), coeffs, None,
+                                                      grid).flat[grid.interior_idx])
+        b = op.rhs_interior(rhs.flat, np.zeros(len(grid.boundary_idx)))
+        vcycle = pde.VCycle(A, grid)
+        applied = []
+
+        def precond(r):
+            applied.append(1)
+            return vcycle(r)
+
+        for tol in (1e-3, 1e-12):
+            applied.clear()
+            x, info = pde._pcg(A, b, precond, tol=tol)
+            assert info.iterations >= 1 and len(applied) == info.iterations
+            x_ref, r_ref, it_ref = textbook_pcg(A, b, vcycle, tol)
+            assert it_ref == info.iterations
+            assert np.array_equal(x, x_ref) and info.residual == pde._norm(r_ref)
 
     def test_manufactured_solution_order(self):
         domain = unit_domain()
@@ -591,6 +674,35 @@ class TestNewton:
         pde.newton_solve_npbe(domain, identity_map(), coeffs, None, grid, op=op,
                               reaction=react)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("goal", [False, True])
+    def test_first_residual_needs_no_matvec(self, monkeypatch, goal):
+        # from u = 0 the residual is -b: the operator is first applied inside CG
+        domain = big_domain()
+        grid = pde.Grid3D(domain, 17)
+        coeffs = self.strong_coeffs(q=100.0)
+        op = pde.assemble_pulled_back_operator(domain, identity_map(), coeffs, None, grid)
+        react = pde.reaction_profile(domain, identity_map(), coeffs, None, grid)
+        adjoint = pde.solve_adjoint(op, react) if goal else None
+        events = []
+
+        class Spy(sp.csr_matrix):
+            def __matmul__(self, other):
+                if np.ndim(other) == 1:
+                    events.append("matvec")
+                return super().__matmul__(other)
+
+        pcg = pde._pcg
+
+        def logging_pcg(*args, **kwargs):
+            events.append("cg")
+            return pcg(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "_pcg", logging_pcg)
+        pde.newton_solve_npbe(domain, identity_map(), coeffs, None, grid,
+                              op=replace(op, matrix=Spy(op.matrix)), reaction=react,
+                              adjoint=adjoint)
+        assert events[0] == "cg" and "matvec" in events
 
     def test_uniqueness_from_random_start(self):
         domain = big_domain()
