@@ -8,6 +8,7 @@ ledger), region (analyticity-region radii and sparse-grid error constants).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -21,9 +22,15 @@ def cmd_solve(args) -> int:
     config = harness.load_config(args.config)
     y = np.zeros(config.N)
     if args.y:
-        y = np.array([float(t) for t in args.y.split(",")])
+        try:
+            y = np.array([float(t) for t in args.y.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"--y needs comma-separated numbers: {exc}") from None
         if len(y) != config.N:
             raise ConfigError(f"--y needs {config.N} components")
+        for k, yk in enumerate(y, start=1):
+            if not abs(yk) <= 1.0:  # also rejects nan
+                raise ConfigError(f"--y component y_{k} = {yk} is not in [-1, 1]")
     solver = harness.KnotSolver(config)
     u, info = solver.solve(y)
     grid = solver.grid
@@ -61,12 +68,34 @@ def cmd_study(args) -> int:
     return 1 if any(r.failed for r in result.records) else 0
 
 
-def cmd_bounds(args) -> int:
-    raw = harness.load_raw(args.config)
-    blk = raw.get("bounds")
+def _block(raw: dict, name: str, required, allowed) -> dict:
+    """The config's block ``name``, checked to hold every required key and only allowed keys."""
+    blk = raw.get(name)
     if not isinstance(blk, dict):
-        raise ConfigError("config needs a 'bounds' block")
-    inp = bounds_mod.BoundsInput(**blk)
+        raise ConfigError(f"config needs a {name!r} block")
+    for key in required:
+        if key not in blk:
+            raise ConfigError(f"block {name!r} needs key {key!r}")
+    for key in blk:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} in block {name!r}")
+    return blk
+
+
+def _number(name: str, key: str, value, kind=float):
+    """kind(value) for the entry ``key`` of block ``name``; ConfigError if it is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"key {key!r} in block {name!r} must be a number, "
+                          f"got {value!r}") from None
+
+
+def cmd_bounds(args) -> int:
+    fields = dataclasses.fields(bounds_mod.BoundsInput)
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    blk = _block(harness.load_raw(args.config), "bounds", required, [f.name for f in fields])
+    inp = bounds_mod.BoundsInput(**{k: _number("bounds", k, v) for k, v in blk.items()})
     rows = [("b1", inp.b1), ("binf", inp.binf),
             ("y0_inf", inp.y0_inf), ("y_inf", inp.y_inf)]
     rows += list(bounds_mod.prop_a_bounds(inp).as_dict().items())
@@ -82,28 +111,32 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_region(args) -> int:
-    raw = harness.load_raw(args.config)
-    blk = raw.get("region")
-    if not isinstance(blk, dict):
-        raise ConfigError("config needs a 'region' block")
-    M, a, R = (float(blk[k]) for k in ("M", "a", "R"))
+    blk = _block(harness.load_raw(args.config), "region", ("M", "a", "R"),
+                 ("M", "a", "R", "N", "M_tilde", "levels", "rule"))
+    M, a, R = (_number("region", k, blk[k]) for k in ("M", "a", "R"))
+    N = _number("region", "N", blk.get("N", 1), int)
+    levels = blk.get("levels", [1, 2, 3, 4, 5])
+    if not isinstance(levels, list):
+        raise ConfigError(f"key 'levels' in block 'region' must be a list, got {levels!r}")
+    levels = [_number("region", "levels", w, int) for w in levels]
+    rule = blk.get("rule", "SM")
+    if rule not in smolyak.RULES:
+        raise ConfigError(f"key 'rule' in block 'region' must be one of {smolyak.RULES}, "
+                          f"got {rule!r}")
     est = region.region_estimate(M, a, R)
+    # the solution-norm bound doubles as the polyellipse sup estimate
+    m_tilde = _number("region", "M_tilde", blk.get("M_tilde", est.xi))
     print(f"theta,{est.theta:.12g}")
     print(f"xi,{est.xi:.12g}")
     print(f"sigma_star,{est.sigma_star:.12g}")
-    N = int(blk.get("N", 1))
-    # the solution-norm bound doubles as the polyellipse sup estimate
-    m_tilde = float(blk.get("M_tilde", est.xi))
     c = region.error_constants(est.sigma_star, N, m_tilde)
     for name in ("sigma", "c2_tilde", "delta_star", "mu1", "mu2", "mu3",
                  "a_delta_sigma", "C1", "Q"):
         print(f"{name},{getattr(c, name):.12g}")
-    levels = blk.get("levels", [1, 2, 3, 4, 5])
-    rule = blk.get("rule", "SM")
     print("w,eta,regime,bound")
     for w in levels:
-        eta = smolyak.build_plan(rule, int(w), N).n_knots
-        eb = region.error_bound(est.sigma_star, N, m_tilde, int(w), eta)
+        eta = smolyak.build_plan(rule, w, N).n_knots
+        eb = region.error_bound(est.sigma_star, N, m_tilde, w, eta)
         print(f"{w},{eta},{eb.regime},{eb.bound:.6g}")
     return 0
 

@@ -20,7 +20,7 @@ result is shaped like the points: (n0, n1, n2, ...) for a lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -274,7 +274,6 @@ class MapBoundsProfile:
     b_norm_inf: float
     b_norm_p: float
     p: float
-    mode_c1_norms: tuple = field(default=())
 
 
 def _spectral_norms(mats):
@@ -300,36 +299,34 @@ def b_norms(dmap: DomainMap, domain: ReferenceDomain, p: float = 2.0, n: int = 6
     norm_1 = sum(terms)
     norm_inf = max(terms)
     norm_p = sum(t**p for t in terms) ** (1.0 / p)
-    return MapBoundsProfile(norm_1, norm_inf, norm_p, p, tuple(c1))
+    return MapBoundsProfile(norm_1, norm_inf, norm_p, p)
 
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    c1: float       # lower bound on epsilon over U
-    c2: float       # sampled lower bound on det J over Gamma x U
-    kappa_ok: bool  # kappa^2 >= 0 in every region
-    b_small: bool   # ||B||_1 < 1/4
-    b_norm_1: float
+    c1: float  # lower bound on epsilon over U
+    c2: float  # sampled lower bound on det J over Gamma x U
 
 
-def check_assumptions(domain: ReferenceDomain, dmap: DomainMap, eps, kappa2,
-                      n_space: int = 17, n_random_y: int = 32, seed: int = 0,
-                      norm_samples: int = 32) -> AssumptionReport:
-    """Sample det J over corner and random y to estimate c2; check signs.
+def check_assumptions(domain: ReferenceDomain, dmap: DomainMap, eps, kappa2) -> AssumptionReport:
+    """Check the coefficient signs and sample det J over corner and random y for c2.
 
-    det J is multilinear in y for this map family, so extrema sit near the
-    corners of Gamma; a 5-point tensor grid per dimension plus random interior
-    draws covers both.  In space det J is sampled on n_space nodes per axis,
-    whose spacing must be below the narrowest feature of the fields: a
-    cutoff's det J departs from 1 only inside its margin, so a coarser grid
-    reports c2 = 1.
+    Raises DomainError unless eps > 0 and kappa^2 >= 0 in every region, and
+    MapOrientationError if a sampled det J is <= 0.  det J is multilinear in
+    y for this map family, so extrema sit near the corners of Gamma; a
+    5-point tensor grid per dimension plus 32 random interior draws (seed 0)
+    covers both.  In space det J is sampled on 17 nodes per axis, whose
+    spacing must be below the narrowest feature of the fields: a cutoff's
+    det J departs from 1 only inside its margin, so a coarser grid reports
+    c2 = 1.  The small-B hypothesis ||B||_1 < 1/4 is checked where the bounds
+    use it, when a bounds.BoundsInput is built.
     """
     eps = np.asarray(eps, dtype=float)
-    kappa2 = np.asarray(kappa2, dtype=float)
     if np.any(eps <= 0.0):
         raise DomainError("epsilon must be positive in every region")
-    profile = b_norms(dmap, domain, p=1.0, n=norm_samples)
-    pts = _box_grid(domain, n_space)
+    if np.any(np.asarray(kappa2, dtype=float) < 0.0):
+        raise DomainError("kappa^2 must be nonnegative in every region")
+    pts = _box_grid(domain, 17)
     N = dmap.n_modes
     if not dmap.modes:
         c2 = 1.0
@@ -337,17 +334,10 @@ def check_assumptions(domain: ReferenceDomain, dmap: DomainMap, eps, kappa2,
         levels = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
         grids = np.meshgrid(*([levels] * N), indexing="ij")
         ys = np.stack([g.ravel() for g in grids], axis=-1)
-        rng = np.random.default_rng(seed)
-        ys = np.vstack([ys, rng.uniform(-1.0, 1.0, size=(n_random_y, N))])
+        ys = np.vstack([ys, np.random.default_rng(0).uniform(-1.0, 1.0, size=(32, N))])
         c2 = math.inf
         for y in ys:
             c2 = min(c2, float(np.min(det_jacobian(dmap, pts, y))))
     if c2 <= 0.0:
         raise MapOrientationError(f"det J <= 0 sampled (min {c2:.3e}); map rejected")
-    return AssumptionReport(
-        c1=float(np.min(eps)),
-        c2=c2,
-        kappa_ok=bool(np.all(kappa2 >= 0.0)),
-        b_small=profile.b_norm_1 < 0.25,
-        b_norm_1=profile.b_norm_1,
-    )
+    return AssumptionReport(c1=float(np.min(eps)), c2=c2)

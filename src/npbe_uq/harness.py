@@ -33,17 +33,14 @@ class RunConfig:
     # geometry
     box_min: np.ndarray = None
     box_max: np.ndarray = None
-    sphere_center: np.ndarray = None
     radii: tuple = (15.0, 25.0)
     # coefficients
     eps: tuple = (70.0, 70.0, 1.0)
     kappa2: tuple = (0.0, 0.0, 0.5)
-    boundary_value: float = 0.0
     # charges
     charges_inline: list = field(default_factory=list)  # [[x, y, z, q], ...]
     charges_path: str = None
     charge_width: float = None  # default 2h, clamped >= 1 Angstrom
-    recenter_charges: bool = True
     # stochastic shift model
     N: int = 2
     alpha: tuple = None  # Angstrom amplitudes, default 2.0 each
@@ -67,9 +64,8 @@ class RunConfig:
             self.box_max = np.full(3, 70.0)
         self.box_min = np.asarray(self.box_min, dtype=float)
         self.box_max = np.asarray(self.box_max, dtype=float)
-        if self.sphere_center is None:
-            self.sphere_center = 0.5 * (self.box_min + self.box_max)
-        self.sphere_center = np.asarray(self.sphere_center, dtype=float)
+        if not (isinstance(self.grid_n, int) and self.grid_n >= 2):
+            raise ConfigError(f"grid n must be an integer >= 2, got {self.grid_n!r}")
         if self.N not in (1, 2, 3):
             raise ConfigError("shift model supports N in {1, 2, 3}")
         if self.alpha is None:
@@ -86,22 +82,29 @@ class RunConfig:
 
     @property
     def domain(self) -> geometry.ReferenceDomain:
+        """The box with both spheres centred in it."""
         return geometry.ReferenceDomain(self.box_min, self.box_max,
-                                        self.sphere_center, tuple(self.radii))
+                                        0.5 * (self.box_min + self.box_max), tuple(self.radii))
 
     def grid(self) -> pde.Grid3D:
         return pde.Grid3D(self.domain, self.grid_n)
 
-    def width(self, grid: pde.Grid3D) -> float:
+    def width(self) -> float:
+        """The charge width: charge_width if set, else 2h clamped to >= 1 Angstrom.
+
+        h = (box_max - box_min)[0] / (grid_n - 1) is the spacing of grid(),
+        computed without building the grid.
+        """
         if self.charge_width is not None:
             return float(self.charge_width)
-        return max(2.0 * grid.h, 1.0)
+        h = float((self.box_max - self.box_min)[0] / (self.grid_n - 1))
+        return max(2.0 * h, 1.0)
 
 
 _BLOCK_KEYS = {
-    "geometry": {"box_min", "box_max", "sphere_center", "radii"},
-    "coefficients": {"eps", "kappa2", "boundary_value"},
-    "charges": {"charges_inline", "charges_path", "charge_width", "recenter_charges"},
+    "geometry": {"box_min", "box_max", "radii"},
+    "coefficients": {"eps", "kappa2"},
+    "charges": {"charges_inline", "charges_path", "charge_width"},
     "stochastic": {"N", "alpha"},
     "grid": {"grid_n"},
     "sparse_grid": {"rule", "levels", "reference_level"},
@@ -110,7 +113,7 @@ _BLOCK_KEYS = {
 }
 
 _ALIASES = {"inline": "charges_inline", "path": "charges_path",
-            "width": "charge_width", "recenter": "recenter_charges", "n": "grid_n"}
+            "width": "charge_width", "n": "grid_n"}
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -176,13 +179,14 @@ def parse_pqr(text: str) -> list:
     return out
 
 
-def ingest_charges(config: RunConfig, grid: pde.Grid3D = None) -> list:
+def ingest_charges(config: RunConfig) -> list:
     """Charge list from the config: inline entries or a PQR-subset file.
 
-    Positions are recentred so their centroid sits at the sphere center;
-    charges still landing outside the box are dropped with a warning.
+    Every charge gets config.width().  Positions are recentred so their
+    centroid sits at the sphere center; charges still landing outside the
+    box are dropped with a warning.
     """
-    width = config.width(grid if grid is not None else config.grid())
+    width = config.width()
     if config.charges_path:
         with open(config.charges_path) as fh:
             pairs = [(p, q) for p, q in parse_pqr(fh.read())]
@@ -195,10 +199,9 @@ def ingest_charges(config: RunConfig, grid: pde.Grid3D = None) -> list:
             pairs.append((np.array(entry[:3], dtype=float), float(entry[3])))
     if not pairs:
         raise ParseError("no valid charges found")
-    positions = np.array([p for p, _ in pairs])
-    if config.recenter_charges:
-        positions = positions - positions.mean(axis=0) + config.sphere_center
     domain = config.domain
+    positions = np.array([p for p, _ in pairs])
+    positions = positions - positions.mean(axis=0) + domain.sphere_center
     charges, rejected = [], []
     for pos, (_, q) in zip(positions, pairs):
         if not domain.contains(pos):
@@ -212,17 +215,16 @@ def ingest_charges(config: RunConfig, grid: pde.Grid3D = None) -> list:
     return charges
 
 
-def shifted_charges(charges: list, alpha, y, domain: geometry.ReferenceDomain = None) -> list:
+def shifted_charges(charges: list, alpha, y, domain: geometry.ReferenceDomain) -> list:
     """Rigid shift of every charge by sum_k alpha_k e_k y_k, kept inside the domain's box."""
     y = np.asarray(y, dtype=float)
     shift = np.zeros(3)
     for k, (a, yk) in enumerate(zip(alpha, y)):
         shift[k] = a * yk
     out = [replace(c, position=c.position + shift) for c in charges]
-    if domain is not None:
-        for c in out:
-            if not domain.contains(c.position):
-                raise ConfigError("shifted charge leaves the box; reduce alpha")
+    for c in out:
+        if not domain.contains(c.position):
+            raise ConfigError("shifted charge leaves the box; reduce alpha")
     return out
 
 
@@ -278,7 +280,7 @@ class KnotSolver:
         self.config = config
         self.domain = config.domain
         self.grid = config.grid()
-        s, h = config.width(self.grid), self.grid.h
+        s, h = config.width(), self.grid.h
         if s < h:
             amplitude = math.exp(-2.0 * (math.pi * s / h) ** 2)
             warnings.warn(f"charge width {s:.4g} is below the grid spacing h = {h:.4g}: the "
@@ -286,8 +288,7 @@ class KnotSolver:
                           f"= {amplitude:.2g}")
         self.dmap = geometry.DomainMap([])
         self.coeffs = pde.PBECoefficients(np.array(config.eps), np.array(config.kappa2),
-                                          ingest_charges(config, self.grid),
-                                          config.boundary_value)
+                                          ingest_charges(config), 0.0)
         self.op = pde.assemble_pulled_back_operator(self.domain, self.dmap, self.coeffs,
                                                     None, self.grid)
         self.reaction = pde.reaction_profile(self.domain, self.dmap, self.coeffs, None,

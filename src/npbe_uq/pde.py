@@ -61,32 +61,26 @@ from .errors import AssemblyError, ConvergenceError, DomainError
 # ---------------------------------------------------------------------------
 
 class Grid3D:
-    """Uniform node-centered grid over the reference box with subdomain tags."""
+    """Uniform node-centered grid of n^3 nodes over the reference box with subdomain tags."""
 
-    def __init__(self, domain: geometry.ReferenceDomain, shape):
-        if np.isscalar(shape):
-            shape = (int(shape),) * 3
-        self.shape = tuple(int(n) for n in shape)
-        if any(n < 2 for n in self.shape):
+    def __init__(self, domain: geometry.ReferenceDomain, n: int):
+        n = int(n)
+        if n < 2:
             raise DomainError("grid needs at least 2 nodes per axis")
+        self.shape = (n, n, n)
         self.domain = domain
-        spacings = (domain.box_max - domain.box_min) / (np.array(self.shape) - 1)
+        spacings = (domain.box_max - domain.box_min) / (n - 1)
         if not np.allclose(spacings, spacings[0], rtol=1e-12):
             raise DomainError("grid spacing must be equal along all axes")
         self.h = float(spacings[0])
-        self.axes = [
-            np.linspace(domain.box_min[d], domain.box_max[d], self.shape[d])
-            for d in range(3)
-        ]
+        self.axes = [np.linspace(domain.box_min[d], domain.box_max[d], n) for d in range(3)]
         self.lattice = geometry.Lattice(self.axes)
         self.points = np.asarray(self.lattice).reshape(-1, 3)
         self.subdomain_tag = geometry.classify_point(domain, self.points).reshape(self.shape)
         interior = np.zeros(self.shape, dtype=bool)
         interior[1:-1, 1:-1, 1:-1] = True
-        self.interior_mask = interior.ravel()
-        self.boundary_mask = ~self.interior_mask
-        self.interior_idx = np.flatnonzero(self.interior_mask)
-        self.boundary_idx = np.flatnonzero(self.boundary_mask)
+        self.interior_idx = np.flatnonzero(interior)
+        self.boundary_idx = np.flatnonzero(~interior)
 
     @property
     def n_nodes(self) -> int:
@@ -94,14 +88,10 @@ class Grid3D:
 
     def node_weights(self) -> np.ndarray:
         """Node-centered cell volumes: h per axis, halved at the endpoints."""
-        per_axis = []
-        for n in self.shape:
-            w = np.full(n, self.h)
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            per_axis.append(w)
-        wx, wy, wz = per_axis
-        return (wx[:, None, None] * wy[None, :, None] * wz[None, None, :]).ravel()
+        w = np.full(self.shape[0], self.h)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
 
 
 @dataclass

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from npbe_uq import geometry
-from npbe_uq.errors import DomainError, MapOrientationError
+from npbe_uq import bounds, geometry
+from npbe_uq.errors import DomainError, HypothesisViolationError, MapOrientationError
 
 
 def make_domain():
@@ -262,17 +262,25 @@ class TestAssumptions:
         rep = geometry.check_assumptions(domain, geometry.DomainMap([]), [70, 70, 1],
                                          [0, 0, 0.5])
         assert rep.c2 == 1.0
-        assert rep.b_small
-        assert rep.kappa_ok
         assert rep.c1 == 1.0
 
     def test_large_map_not_small(self):
+        # the small-B hypothesis is BoundsInput's to check, not check_assumptions'
         domain = make_domain()
-        dmap = cutoff_map(domain, scales=(0.3,))
-        rep = geometry.check_assumptions(domain, dmap, [1, 1, 1], [0, 0, 0],
-                                         n_space=5, norm_samples=16)
-        assert not rep.b_small
-        assert rep.b_norm_1 > 0.25
+        prof = geometry.b_norms(cutoff_map(domain, scales=(0.3,)), domain, p=1.0, n=16)
+        assert prof.b_norm_1 > 0.25
+        with pytest.raises(HypothesisViolationError) as info:
+            bounds.BoundsInput(b1=prof.b_norm_1, binf=prof.b_norm_inf, y0_inf=0.0, y_inf=0.0)
+        assert info.value.violated == "small-b"
+
+    def test_no_norm_sampling(self, monkeypatch):
+        domain = make_domain()
+        dmap = cutoff_map(domain, scales=(0.1, 0.1))
+        calls = []
+        for name in ("b_norms", "mode_c1_norm"):
+            monkeypatch.setattr(geometry, name, lambda *a, name=name, **kw: calls.append(name))
+        geometry.check_assumptions(domain, dmap, [1, 1, 1], [0, 0, 0])
+        assert calls == []
 
     def test_cutoff_margin_sampled(self):
         # det J of the cutoff map departs from 1 only inside the 7 A margin;
@@ -298,10 +306,14 @@ class TestAssumptions:
         domain = make_domain()
         dmap = geometry.DomainMap([(1.0, Collapse())])
         with pytest.raises(MapOrientationError):
-            geometry.check_assumptions(domain, dmap, [1, 1, 1], [0, 0, 0],
-                                       n_space=3, n_random_y=4, norm_samples=8)
+            geometry.check_assumptions(domain, dmap, [1, 1, 1], [0, 0, 0])
 
     def test_negative_eps_rejected(self):
         domain = make_domain()
         with pytest.raises(DomainError):
             geometry.check_assumptions(domain, geometry.DomainMap([]), [1, -1, 1], [0, 0, 0])
+
+    def test_negative_kappa2_rejected(self):
+        domain = make_domain()
+        with pytest.raises(DomainError, match="kappa"):
+            geometry.check_assumptions(domain, geometry.DomainMap([]), [1, 1, 1], [0, -0.5, 0])

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import yaml
 
 from npbe_uq import cli, geometry, harness, pde
 from npbe_uq.errors import ConfigError, ConvergenceError, ParseError
@@ -69,12 +70,12 @@ class TestIngest:
         assert np.allclose(centroid, [35, 35, 35], atol=1e-12)
 
     def test_out_of_box_dropped_with_warning(self):
-        config = small_config(
-            charges_inline=[[35, 35, 35, 1.0], [200, 35, 35, 1.0]],
-            recenter_charges=False)
-        with pytest.warns(UserWarning):
+        # the centroid is at x = 45, so recentring moves the last charge to x = 135
+        config = small_config(charges_inline=[[35, 35, 35, 1.0]] * 10 + [[145, 35, 35, 1.0]])
+        with pytest.warns(UserWarning, match="dropped 1 charges"):
             charges = harness.ingest_charges(config)
-        assert len(charges) == 1
+        assert len(charges) == 10
+        assert all(np.array_equal(c.position, [25.0, 35.0, 35.0]) for c in charges)
 
     def test_pqr_file(self, tmp_path):
         path = tmp_path / "c.pqr"
@@ -85,9 +86,20 @@ class TestIngest:
         assert charges[2].magnitude == 0.7
 
     def test_default_width_two_h(self):
-        config = small_config(charge_width=None, grid_n=15)
-        grid = config.grid()
-        assert config.width(grid) == max(2.0 * grid.h, 1.0)
+        # bit-equal to the spacing of the grid the solver builds
+        for box_max in (70.0, 61.3):
+            for grid_n in (9, 13, 15, 33, 65):
+                config = small_config(charge_width=None, grid_n=grid_n, box_min=[-0.7] * 3,
+                                      box_max=[box_max] * 3)
+                assert config.width() == max(2.0 * config.grid().h, 1.0)
+
+    def test_ingest_builds_no_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("ingest_charges built a Grid3D")
+
+        monkeypatch.setattr(pde, "Grid3D", no_grid)
+        charges = harness.ingest_charges(small_config(charge_width=None, grid_n=15))
+        assert charges[0].width == 10.0  # 2h with h = 70 / 14
 
 
 class TestShiftedCharges:
@@ -95,15 +107,17 @@ class TestShiftedCharges:
         return [pde.Charge(np.array([35.0, 35.0, 35.0]), 1.0, 2.0)]
 
     def test_zero_shift_identical(self):
-        out = harness.shifted_charges(self.base(), (2.0,), np.zeros(1))
+        out = harness.shifted_charges(self.base(), (2.0,), np.zeros(1), small_config().domain)
         assert np.array_equal(out[0].position, [35.0, 35.0, 35.0])
 
     def test_axis_shift_amplitude(self):
-        out = harness.shifted_charges(self.base(), (10.0,), np.array([0.1]))
+        out = harness.shifted_charges(self.base(), (10.0,), np.array([0.1]),
+                                      small_config().domain)
         assert np.allclose(out[0].position, [36.0, 35.0, 35.0], atol=1e-12)
 
     def test_second_axis(self):
-        out = harness.shifted_charges(self.base(), (1.0, 3.0), np.array([0.0, 1.0]))
+        out = harness.shifted_charges(self.base(), (1.0, 3.0), np.array([0.0, 1.0]),
+                                      small_config().domain)
         assert np.allclose(out[0].position, [35.0, 38.0, 35.0], atol=0)
 
     def test_margin_violation(self):
@@ -116,7 +130,7 @@ class TestShiftedCharges:
         config = small_config()
         domain = config.domain
         grid = config.grid()
-        charges = harness.ingest_charges(config, grid)
+        charges = harness.ingest_charges(config)
         coeffs = pde.PBECoefficients(np.array(config.eps), np.zeros(3), charges, 0.0)
         from npbe_uq.geometry import DomainMap
         dmap = DomainMap([])
@@ -132,11 +146,17 @@ class TestConfig:
         config = harness.RunConfig()
         assert config.grid_n == 33
         assert config.alpha == (2.0, 2.0)
-        assert np.allclose(config.sphere_center, [35, 35, 35], atol=0)
+        assert np.array_equal(config.domain.sphere_center, [35, 35, 35])
 
     def test_bad_n(self):
         with pytest.raises(ConfigError):
             harness.RunConfig(N=4)
+
+    @pytest.mark.parametrize("grid_n", [1, 33.5, "33"])
+    def test_bad_grid_n(self, grid_n):
+        # width() reads h from grid_n, so grid_n must be the grid's own node count
+        with pytest.raises(ConfigError, match="grid n"):
+            harness.RunConfig(grid_n=grid_n)
 
     def test_alpha_length_mismatch(self):
         with pytest.raises(ConfigError):
@@ -173,6 +193,14 @@ class TestConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             harness.config_from_dict({"grid": {"spacing": 1.0}})
+
+    @pytest.mark.parametrize("block,key", [("coefficients", "boundary_value"),
+                                           ("geometry", "sphere_center"),
+                                           ("charges", "recenter"),
+                                           ("charges", "recenter_charges")])
+    def test_removed_keys_rejected(self, block, key):
+        with pytest.raises(ConfigError, match=f"unknown key {key!r} in block {block!r}"):
+            harness.config_from_dict({block: {key: 0.0}})
 
     @pytest.mark.parametrize("key", ["newton_tol", "cg_tol"])
     def test_removed_solver_key_names_replacement(self, key):
@@ -223,7 +251,7 @@ class TestRunStudy:
         result = harness.run_study(config)
         domain = config.domain
         grid = config.grid()
-        charges = harness.ingest_charges(config, grid)
+        charges = harness.ingest_charges(config)
         coeffs = pde.PBECoefficients(np.array(config.eps), np.array(config.kappa2),
                                      charges, 0.0)
         u, _ = pde.newton_solve_npbe(domain, geometry.DomainMap([]), coeffs, None, grid,
@@ -530,3 +558,42 @@ class TestCli:
         rc = cli.main(["bounds", "--config", self.write_config(tmp_path)])
         assert rc == 1
         assert "bounds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,block,key", [
+        ("region", "region:\n  M: 1.0\n  a: 1.0\n  N: 2\n", "R"),
+        ("region", "region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  radius: 2.0\n", "radius"),
+        ("region", "region:\n  M: 1.0\n  a: one\n  R: 1.0\n", "a"),
+        ("region", "region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  levels: [1, x]\n", "levels"),
+        ("region", "region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  rule: XX\n", "rule"),
+        ("bounds", "bounds:\n  b1: 0.1\n  binf: 0.1\n  y0_inf: 1.0\n", "y_inf"),
+        ("bounds", "bounds:\n  b1: 0.1\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n"
+                   "  yinf: 0.5\n", "yinf"),
+        ("bounds", "bounds:\n  b1: small\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n", "b1"),
+    ], ids=["region-missing", "region-unknown", "region-non-numeric", "region-level",
+            "region-rule", "bounds-missing", "bounds-unknown", "bounds-non-numeric"])
+    def test_bad_block_key_named(self, tmp_path, capsys, command, block, key):
+        rc = cli.main([command, "--config", self.write_config(tmp_path, block)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and repr(key) in err
+
+    @pytest.mark.parametrize("y,message", [("2.5", "y_1 = 2.5 is not in"),
+                                           ("-1.01", "y_1 = -1.01 is not in"),
+                                           ("nan", "y_1 = nan is not in"),
+                                           ("-inf", "y_1 = -inf is not in"),
+                                           ("abc", "comma-separated numbers")])
+    def test_solve_bad_y_rejected(self, tmp_path, capsys, y, message):
+        rc = cli.main(["solve", "--config", self.write_config(tmp_path), f"--y={y}"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+    def test_readme_example_config(self, tmp_path, capsys):
+        readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+        with open(readme) as fh:
+            text = fh.read().split("Example config:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+        harness.config_from_dict(yaml.safe_load(text))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        for command in ("bounds", "region"):
+            assert cli.main([command, "--config", str(path)]) == 0
