@@ -68,34 +68,12 @@ def cmd_study(args) -> int:
     return 1 if any(r.failed for r in result.records) else 0
 
 
-def _block(raw: dict, name: str, required, allowed) -> dict:
-    """The config's block ``name``, checked to hold every required key and only allowed keys."""
-    blk = raw.get(name)
-    if not isinstance(blk, dict):
-        raise ConfigError(f"config needs a {name!r} block")
-    for key in required:
-        if key not in blk:
-            raise ConfigError(f"block {name!r} needs key {key!r}")
-    for key in blk:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in block {name!r}")
-    return blk
-
-
-def _number(name: str, key: str, value, kind=float):
-    """kind(value) for the entry ``key`` of block ``name``; ConfigError if it is not a number."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key {key!r} in block {name!r} must be a number, "
-                          f"got {value!r}") from None
-
-
 def cmd_bounds(args) -> int:
     fields = dataclasses.fields(bounds_mod.BoundsInput)
     required = [f.name for f in fields if f.default is dataclasses.MISSING]
-    blk = _block(harness.load_raw(args.config), "bounds", required, [f.name for f in fields])
-    inp = bounds_mod.BoundsInput(**{k: _number("bounds", k, v) for k, v in blk.items()})
+    kinds = {f.name: int if f.type in (int, "int") else float for f in fields}
+    blk = harness.read_block(harness.load_raw(args.config), "bounds", kinds, required)
+    inp = bounds_mod.BoundsInput(**blk)
     rows = [("b1", inp.b1), ("binf", inp.binf),
             ("y0_inf", inp.y0_inf), ("y_inf", inp.y_inf)]
     rows += list(bounds_mod.prop_a_bounds(inp).as_dict().items())
@@ -111,21 +89,15 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_region(args) -> int:
-    blk = _block(harness.load_raw(args.config), "region", ("M", "a", "R"),
-                 ("M", "a", "R", "N", "M_tilde", "levels", "rule"))
-    M, a, R = (_number("region", k, blk[k]) for k in ("M", "a", "R"))
-    N = _number("region", "N", blk.get("N", 1), int)
-    levels = blk.get("levels", [1, 2, 3, 4, 5])
-    if not isinstance(levels, list):
-        raise ConfigError(f"key 'levels' in block 'region' must be a list, got {levels!r}")
-    levels = [_number("region", "levels", w, int) for w in levels]
-    rule = blk.get("rule", "SM")
+    kinds = {"M": float, "a": float, "R": float, "N": int, "M_tilde": float,
+             "levels": [int, None], "rule": str}
+    blk = harness.read_block(harness.load_raw(args.config), "region", kinds, ("M", "a", "R"))
+    N, levels, rule = blk.get("N", 1), blk.get("levels", (1, 2, 3, 4, 5)), blk.get("rule", "SM")
     if rule not in smolyak.RULES:
-        raise ConfigError(f"key 'rule' in block 'region' must be one of {smolyak.RULES}, "
-                          f"got {rule!r}")
-    est = region.region_estimate(M, a, R)
+        raise ConfigError(f"key 'rule' in block 'region': {rule!r} is not one of {smolyak.RULES}")
+    est = region.region_estimate(blk["M"], blk["a"], blk["R"])
     # the solution-norm bound doubles as the polyellipse sup estimate
-    m_tilde = _number("region", "M_tilde", blk.get("M_tilde", est.xi))
+    m_tilde = blk.get("M_tilde", est.xi)
     print(f"theta,{est.theta:.12g}")
     print(f"xi,{est.xi:.12g}")
     print(f"sigma_star,{est.sigma_star:.12g}")
@@ -166,6 +138,10 @@ def main(argv=None) -> int:
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_region)
 
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--y" in argv[:-1]:  # argparse takes a value such as -0.5,0.3 for an option
+        i = argv.index("--y")
+        argv[i:i + 2] = [f"--y={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

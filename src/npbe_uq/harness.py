@@ -11,6 +11,8 @@ study level and each is solved exactly once.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -28,11 +30,63 @@ SQRT3 = math.sqrt(3.0)
 # Configuration
 # ---------------------------------------------------------------------------
 
+# Each study block's YAML keys, key -> (RunConfig field, kind).  A kind is float
+# (a finite number, not a bool, read as a float), int (not a bool or 2.0), str,
+# bool, or [kind, length]: a list read as a tuple, of any length if length is None.
+STUDY_KEYS = {
+    "geometry": {"box_min": ("box_min", [float, 3]), "box_max": ("box_max", [float, 3]),
+                 "radii": ("radii", [float, 2])},
+    "coefficients": {"eps": ("eps", [float, 3]), "kappa2": ("kappa2", [float, 3])},
+    "charges": {"inline": ("charges_inline", [[float, 4], None]),
+                "path": ("charges_path", str), "width": ("charge_width", float)},
+    "stochastic": {"N": ("N", int), "alpha": ("alpha", [float, None])},
+    "grid": {"n": ("grid_n", int)},
+    "sparse_grid": {"rule": ("rule", str), "levels": ("levels", [int, None]),
+                    "reference_level": ("reference_level", int)},
+    "output": {"csv_path": ("csv_path", str), "svg_path": ("svg_path", str),
+               "deterministic_csv": ("deterministic_csv", bool)},
+}
+_AT = {name: f"key {key!r} in block {block!r}"  # where the YAML config sets a field
+       for block, keys in STUDY_KEYS.items() for key, (name, _) in keys.items()}
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string", bool: "true or false"}
+
+
+def _read(value, kind, where: str):
+    """value read as kind (see STUDY_KEYS); ConfigError naming where if it is not of that kind."""
+    if isinstance(kind, list):
+        if not isinstance(value, list) or kind[1] not in (None, len(value)):
+            size = f" of {kind[1]}" if kind[1] else ""
+            raise ConfigError(f"{where}: {value!r} is not a list{size}")
+        return tuple(_read(v, kind[0], where) for v in value)
+    ok = isinstance(value, (int, float) if kind is float else kind)
+    ok = ok and isinstance(value, bool) == (kind is bool)
+    if not ok or kind is float and not abs(value) <= sys.float_info.max:  # finite, as a float
+        raise ConfigError(f"{where}: {value!r} is not {_KIND_NAMES[kind]}")
+    return float(value) if kind is float else value
+
+
+def read_block(raw: dict, block: str, kinds: dict, required=()) -> dict:
+    """The config's block with each value read as its kind in kinds (see STUDY_KEYS).
+
+    ConfigError names the block and key of a missing or unknown key or a bad value.
+    """
+    entries = raw.get(block)
+    if not isinstance(entries, dict):
+        raise ConfigError(f"config needs a {block!r} block that is a mapping, got {entries!r}")
+    for key in (*required, *entries):
+        if key not in entries:
+            raise ConfigError(f"block {block!r} needs key {key!r}")
+        if key not in kinds:
+            raise ConfigError(f"unknown key {key!r} in block {block!r}")
+    return {key: _read(value, kinds[key], f"key {key!r} in block {block!r}")
+            for key, value in entries.items()}
+
+
 @dataclass
 class RunConfig:
     # geometry
-    box_min: np.ndarray = None
-    box_max: np.ndarray = None
+    box_min: np.ndarray = (0.0, 0.0, 0.0)
+    box_max: np.ndarray = (70.0, 70.0, 70.0)
     radii: tuple = (15.0, 25.0)
     # coefficients
     eps: tuple = (70.0, 70.0, 1.0)
@@ -50,35 +104,36 @@ class RunConfig:
     rule: str = "SM"
     levels: tuple = (1, 2, 3, 4)
     reference_level: int = 6
-    # solver
-    max_newton: int = 50
     # output
     csv_path: str = None
     svg_path: str = None
     deterministic_csv: bool = True
 
     def __post_init__(self):
-        if self.box_min is None:
-            self.box_min = np.zeros(3)
-        if self.box_max is None:
-            self.box_max = np.full(3, 70.0)
         self.box_min = np.asarray(self.box_min, dtype=float)
         self.box_max = np.asarray(self.box_max, dtype=float)
         if not (isinstance(self.grid_n, int) and self.grid_n >= 2):
             raise ConfigError(f"grid n must be an integer >= 2, got {self.grid_n!r}")
         if self.N not in (1, 2, 3):
-            raise ConfigError("shift model supports N in {1, 2, 3}")
+            raise ConfigError(f"{_AT['N']}: shift model supports N in {{1, 2, 3}}")
         if self.alpha is None:
             self.alpha = (2.0,) * self.N
         self.alpha = tuple(float(a) for a in self.alpha)
         if len(self.alpha) != self.N:
-            raise ConfigError("alpha must list one amplitude per dimension")
+            raise ConfigError(f"{_AT['alpha']}: alpha must list one amplitude per dimension")
         if any(a <= 0.0 for a in self.alpha):
-            raise ConfigError("shift amplitudes must be positive")
+            raise ConfigError(f"{_AT['alpha']}: shift amplitudes must be positive")
         if any(self.reference_level <= w for w in self.levels):
-            raise ConfigError("reference level must exceed every study level")
+            raise ConfigError(f"{_AT['reference_level']}: must exceed every study level")
         if self.rule not in smolyak.RULES:
-            raise ConfigError(f"unknown sparse-grid rule {self.rule!r}")
+            raise ConfigError(f"{_AT['rule']}: unknown sparse-grid rule {self.rule!r}")
+        if any(len(c) != 4 for c in self.charges_inline):
+            raise ConfigError(f"{_AT['charges_inline']}: each charge needs [x, y, z, q]")
+        if self.charges_path and not os.path.isfile(self.charges_path):
+            raise ConfigError(f"{_AT['charges_path']}: no file {self.charges_path!r}")
+        for name, path in (("csv_path", self.csv_path), ("svg_path", self.svg_path)):
+            if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+                raise ConfigError(f"{_AT[name]}: cannot write a file at {path!r}")
 
     @property
     def domain(self) -> geometry.ReferenceDomain:
@@ -101,42 +156,14 @@ class RunConfig:
         return max(2.0 * h, 1.0)
 
 
-_BLOCK_KEYS = {
-    "geometry": {"box_min", "box_max", "radii"},
-    "coefficients": {"eps", "kappa2"},
-    "charges": {"charges_inline", "charges_path", "charge_width"},
-    "stochastic": {"N", "alpha"},
-    "grid": {"grid_n"},
-    "sparse_grid": {"rule", "levels", "reference_level"},
-    "solver": {"max_newton"},
-    "output": {"csv_path", "svg_path", "deterministic_csv"},
-}
-
-_ALIASES = {"inline": "charges_inline", "path": "charges_path",
-            "width": "charge_width", "n": "grid_n"}
-
-
 def config_from_dict(raw: dict) -> RunConfig:
     kwargs = {}
-    for block, entries in raw.items():
-        if block in ("bounds", "region"):
-            continue  # consumed by the respective CLI subcommands
-        if block not in _BLOCK_KEYS:
+    for block in (b for b in raw if b not in ("bounds", "region")):  # read by the CLI
+        keys = STUDY_KEYS.get(block)
+        if keys is None:
             raise ConfigError(f"unknown config block {block!r}")
-        if not isinstance(entries, dict):
-            raise ConfigError(f"config block {block!r} must be a mapping")
-        for key, val in entries.items():
-            key = _ALIASES.get(key, key)
-            if block == "solver" and key in ("newton_tol", "cg_tol"):
-                raise ConfigError(f"solver key {key!r} was removed: knot solves stop once "
-                                  f"their QoI error estimate is within a fixed relative "
-                                  f"1e-12, which has no key")
-            if key not in _BLOCK_KEYS[block]:
-                raise ConfigError(f"unknown key {key!r} in block {block!r}")
-            kwargs[key] = val
-    for key in ("levels", "radii", "alpha", "eps", "kappa2"):
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = tuple(kwargs[key])
+        entries = read_block(raw, block, {key: kind for key, (_, kind) in keys.items()})
+        kwargs.update((keys[key][0], value) for key, value in entries.items())
     return RunConfig(**kwargs)
 
 
@@ -191,12 +218,7 @@ def ingest_charges(config: RunConfig) -> list:
         with open(config.charges_path) as fh:
             pairs = [(p, q) for p, q in parse_pqr(fh.read())]
     else:
-        pairs = []
-        for entry in config.charges_inline:
-            entry = list(entry)
-            if len(entry) != 4:
-                raise ConfigError(f"inline charge needs [x, y, z, q], got {entry}")
-            pairs.append((np.array(entry[:3], dtype=float), float(entry[3])))
+        pairs = [(np.array(c[:3], dtype=float), float(c[3])) for c in config.charges_inline]
     if not pairs:
         raise ParseError("no valid charges found")
     domain = config.domain
@@ -302,8 +324,7 @@ class KnotSolver:
                              self.domain)
         coeffs = replace(self.coeffs, charges=ch)
         return pde.newton_solve_npbe(self.domain, self.dmap, coeffs, None, self.grid,
-                                     max_iter=c.max_newton, op=self.op,
-                                     reaction=self.reaction, adjoint=self.adjoint)
+                                     op=self.op, reaction=self.reaction, adjoint=self.adjoint)
 
 
 def run_study(config: RunConfig, progress=None) -> StudyResult:

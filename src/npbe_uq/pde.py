@@ -615,7 +615,10 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
 # ---------------------------------------------------------------------------
 
 def qoi_integral(u: GridField) -> float:
-    """Integral of u over the box: node values times node-centered cell volumes."""
+    """Integral of u over the reference box: node values times node-centered cell volumes.
+
+    Under a map with J != I that is the pulled-back potential's integral, without det J.
+    """
     return _dot(u.grid.node_weights(), u.flat)
 
 

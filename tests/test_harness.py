@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -20,6 +22,10 @@ ATOM      2  O   ALA      40.000  35.000  35.000 -0.5000 1.4000
 HETATM    3  X   LIG       0.000   0.000   0.000  9.0000 1.0000
 ATOM      3  C   ALA      35.000  30.000  35.000  0.7000 1.7000
 """
+
+
+def failing_newton(*args, **kwargs):
+    raise ConvergenceError("Newton failed to converge in 50 iterations")
 
 
 def small_config(**kw):
@@ -204,8 +210,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["newton_tol", "cg_tol"])
     def test_removed_solver_key_names_replacement(self, key):
-        with pytest.raises(ConfigError, match=f"{key}.*removed.*fixed relative 1e-12"):
+        with pytest.raises(ConfigError, match="unknown config block 'solver'"):
             harness.config_from_dict({"solver": {key: 1e-9}})
+
+    def test_every_field_has_one_yaml_key(self):
+        # the table is the only way from the YAML config to a RunConfig field
+        fields = [f for keys in harness.STUDY_KEYS.values() for f, _ in keys.values()]
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(harness.RunConfig))
 
     def test_bounds_region_blocks_ignored(self):
         config = harness.config_from_dict({"bounds": {"b1": 0.1}, "region": {"M": 1}})
@@ -349,10 +360,11 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="solver bug"):
             harness.run_study(small_config())
 
-    def test_newton_failure_recorded_as_nan(self, tmp_path):
+    def test_newton_failure_recorded_as_nan(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)
         out = tmp_path / "study.csv"
         result = harness.run_study(small_config(levels=(0, 1), reference_level=2,
-                                                max_newton=0, csv_path=str(out)))
+                                                csv_path=str(out)))
         assert all(r.failed and math.isnan(r.error) for r in result.records)
         assert all("Newton failed to converge" in r.reason for r in result.records)
         assert all(len(r.failed_at) == 1 for r in result.records)
@@ -495,6 +507,14 @@ class TestCli:
         )
         return str(path)
 
+    def write_with(self, tmp_path, block, **entries):
+        """Path of the test config with the given entries set in block."""
+        path = pathlib.Path(self.write_config(tmp_path))
+        raw = yaml.safe_load(path.read_text())
+        raw.setdefault(block, {}).update(entries)
+        path.write_text(yaml.safe_dump(raw))
+        return str(path)
+
     def test_solve(self, tmp_path, capsys):
         rc = cli.main(["solve", "--config", self.write_config(tmp_path)])
         out = capsys.readouterr().out
@@ -525,9 +545,9 @@ class TestCli:
         assert out.startswith("w,eta,qoi_mean")
         assert "# slope" in out
 
-    def test_study_reports_failed_levels(self, tmp_path, capsys):
-        extra = "solver:\n  max_newton: 0\n"
-        rc = cli.main(["study", "--config", self.write_config(tmp_path, extra)])
+    def test_study_reports_failed_levels(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)
+        rc = cli.main(["study", "--config", self.write_config(tmp_path)])
         lines = capsys.readouterr().out.splitlines()
         assert rc == 1
         failed = [ln for ln in lines if ln.startswith("# level ")]
@@ -565,18 +585,63 @@ class TestCli:
         ("region", "region:\n  M: 1.0\n  a: one\n  R: 1.0\n", "a"),
         ("region", "region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  levels: [1, x]\n", "levels"),
         ("region", "region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  rule: XX\n", "rule"),
+        ("region", "region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  N: 2.5\n", "N"),
+        ("region", "region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  levels: [1.5]\n", "levels"),
         ("bounds", "bounds:\n  b1: 0.1\n  binf: 0.1\n  y0_inf: 1.0\n", "y_inf"),
         ("bounds", "bounds:\n  b1: 0.1\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n"
                    "  yinf: 0.5\n", "yinf"),
         ("bounds", "bounds:\n  b1: small\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n", "b1"),
     ], ids=["region-missing", "region-unknown", "region-non-numeric", "region-level",
-            "region-rule", "bounds-missing", "bounds-unknown", "bounds-non-numeric"])
+            "region-rule", "region-fractional-N", "region-fractional-level", "bounds-missing",
+            "bounds-unknown", "bounds-non-numeric"])
     def test_bad_block_key_named(self, tmp_path, capsys, command, block, key):
         rc = cli.main([command, "--config", self.write_config(tmp_path, block)])
         out, err = capsys.readouterr()
         assert rc == 1
         assert out == ""
         assert err.startswith("error: ") and repr(key) in err
+
+    @pytest.mark.parametrize("block,key,kind", [
+        (block, key, kind) for block, keys in harness.STUDY_KEYS.items()
+        for key, (_, kind) in keys.items()])
+    def test_study_key_of_wrong_kind_named(self, tmp_path, capsys, block, key, kind):
+        def wrong(kind):
+            """A value of the right shape whose innermost entries have the wrong kind."""
+            if isinstance(kind, list):
+                item, length = kind
+                return [wrong(item)] * (length or 1)
+            return {float: "x", int: 2.5, str: 5, bool: 1}[kind]
+
+        path = self.write_with(tmp_path, block, **{key: wrong(kind)})
+        rc = cli.main(["study", "--config", path])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"error: key {key!r} in block {block!r}: ") and " is not " in err
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("charges", "path", "missing.pqr"),
+        ("output", "csv_path", "missing/study.csv"),
+        ("output", "svg_path", "missing/study.svg"),
+        ("output", "csv_path", "."),
+    ], ids=["charges-path", "csv-dir", "svg-dir", "csv-is-dir"])
+    def test_bad_file_named_before_any_knot(self, tmp_path, capsys, monkeypatch,
+                                            block, key, value):
+        monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)
+        path = self.write_with(tmp_path, block, **{key: str(tmp_path / value)})
+        rc = cli.main(["study", "--config", path])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"error: key {key!r} in block {block!r}")
+
+    def test_solve_negative_first_y(self, tmp_path, capsys):
+        path = self.write_with(tmp_path, "stochastic", N=2, alpha=[2.0, 2.0])
+        outs = []
+        for y in (["--y", "-0.5,0.3"], ["--y=-0.5,0.3"]):
+            assert cli.main(["solve", "--config", path] + y) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "qoi integral" in outs[0]
 
     @pytest.mark.parametrize("y,message", [("2.5", "y_1 = 2.5 is not in"),
                                            ("-1.01", "y_1 = -1.01 is not in"),
