@@ -57,6 +57,10 @@ def cmd_study(args) -> int:
         if r.failed:
             y = ",".join(repr(v) for v in r.failed_at)
             print(f"# level {r.w} failed at y={y}: {r.reason}")
+    print(f"# nonlinear remainder: level {result.nonlinear_level}, mean "
+          f"{result.nonlinear_mean:.6g}, estimate {result.nonlinear_estimate:.3g} "
+          f"(target {result.nonlinear_target:.3g}), {result.knot_solves} knot solves "
+          f"of {result.reference_eta} reference knots")
     ok = [r for r in result.records if not r.failed]
     if len(ok) >= 2:
         fit = harness.fit_rate(ok)
@@ -98,18 +102,17 @@ def cmd_region(args) -> int:
     est = region.region_estimate(blk["M"], blk["a"], blk["R"])
     # the solution-norm bound doubles as the polyellipse sup estimate
     m_tilde = blk.get("M_tilde", est.xi)
-    print(f"theta,{est.theta:.12g}")
-    print(f"xi,{est.xi:.12g}")
-    print(f"sigma_star,{est.sigma_star:.12g}")
+    # every row is built before any is printed, so an error leaves stdout empty
+    rows = [f"{name},{getattr(est, name):.12g}" for name in ("theta", "xi", "sigma_star")]
     c = region.error_constants(est.sigma_star, N, m_tilde)
-    for name in ("sigma", "c2_tilde", "delta_star", "mu1", "mu2", "mu3",
-                 "a_delta_sigma", "C1", "Q"):
-        print(f"{name},{getattr(c, name):.12g}")
-    print("w,eta,regime,bound")
+    rows += [f"{name},{getattr(c, name):.12g}" for name in
+             ("sigma", "c2_tilde", "delta_star", "mu1", "mu2", "mu3", "a_delta_sigma", "C1", "Q")]
+    rows.append("w,eta,regime,bound")
     for w in levels:
         eta = smolyak.build_plan(rule, w, N).n_knots
         eb = region.error_bound(est.sigma_star, N, m_tilde, w, eta)
-        print(f"{w},{eta},{eb.regime},{eb.bound:.6g}")
+        rows.append(f"{w},{eta},{eb.regime},{eb.bound:.6g}")
+    print("\n".join(rows))
     return 0
 
 

@@ -2,10 +2,26 @@
 
 Builds the rigid-shift experiment: Gaussian charges inside the inner sphere
 are translated by sum_k alpha_k e_k Y_k with Y_k uniform on [-sqrt(3),
-sqrt(3)], the NPBE is solved at every sparse-grid knot, and the expected
-quantity of interest is compared against a higher-level reference.  The
-Clenshaw-Curtis family is nested, so the reference plan's knots cover every
-study level and each is solved exactly once.
+sqrt(3)], and the expected quantity of interest on each sparse-grid level is
+compared against a higher-level reference.
+
+The shift moves only the charges (J = I, zero Dirichlet data), so the
+adjoint-corrected knot QoI splits exactly as Q(y) = z.b(y) + N(y): z is the
+study's one adjoint solution, b(y) the knot's interior forcing, and the
+remainder N = r_z.u + z.K(u - sinh u) holds the nonlinearity and the
+adjoint's residual r_z.  The linear part z.b needs no solve and is taken at
+every knot of the reference level in one batched contraction.  The NPBE is
+solved only at the knots of a nonlinear level w_N, raised from 1 until N's
+own estimate |E_{w_N}[N] - E_{w_N - 1}[N]| is at most
+max(0.01 x the finest study level's error, 1e-12 |E_ref[z.b]|); at the
+latest w_N is the reference level, where every knot is solved as in a
+plain collocation.  A level's mean is E_w[z.b] + E_{min(w, w_N)}[N] and the
+reference is E_ref[z.b] + E_{w_N}[N], so the error column measures the
+linear part's sparse-grid error, plus N's for w < w_N.  The Clenshaw-Curtis
+family is nested, so the reference plan's knots cover every level and each
+knot is solved at most once.  (This is the multifidelity or control-variate
+split of Narayan, Gittelson & Xiu, SIAM J. Sci. Comput. 36, 2014, with the
+solve-free linear part as the cheap model.)
 """
 
 from __future__ import annotations
@@ -123,6 +139,8 @@ class RunConfig:
             raise ConfigError(f"{_AT['alpha']}: alpha must list one amplitude per dimension")
         if any(a <= 0.0 for a in self.alpha):
             raise ConfigError(f"{_AT['alpha']}: shift amplitudes must be positive")
+        if not self.levels:
+            raise ConfigError(f"{_AT['levels']}: needs at least one study level")
         if any(self.reference_level <= w for w in self.levels):
             raise ConfigError(f"{_AT['reference_level']}: must exceed every study level")
         if self.rule not in smolyak.RULES:
@@ -237,17 +255,24 @@ def ingest_charges(config: RunConfig) -> list:
     return charges
 
 
+def shifted_positions(positions: np.ndarray, alpha, ys, domain: geometry.ReferenceDomain):
+    """positions (C, 3) shifted by sum_k alpha_k e_k y_k for each row y of ys (K, N): (K, C, 3).
+
+    Raises ConfigError if any shifted position leaves the domain's box.
+    """
+    ys = np.asarray(ys, dtype=float)
+    shift = np.zeros((len(ys), 3))
+    shift[:, :ys.shape[1]] = np.asarray(alpha) * ys
+    out = shift[:, None, :] + positions
+    if not np.all(domain.contains(out)):
+        raise ConfigError("shifted charge leaves the box; reduce alpha")
+    return out
+
+
 def shifted_charges(charges: list, alpha, y, domain: geometry.ReferenceDomain) -> list:
     """Rigid shift of every charge by sum_k alpha_k e_k y_k, kept inside the domain's box."""
-    y = np.asarray(y, dtype=float)
-    shift = np.zeros(3)
-    for k, (a, yk) in enumerate(zip(alpha, y)):
-        shift[k] = a * yk
-    out = [replace(c, position=c.position + shift) for c in charges]
-    for c in out:
-        if not domain.contains(c.position):
-            raise ConfigError("shifted charge leaves the box; reduce alpha")
-    return out
+    out, = shifted_positions(np.array([c.position for c in charges]), alpha, [y], domain)
+    return [replace(c, position=p) for c, p in zip(charges, out)]
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +298,11 @@ class StudyResult:
     reference_level: int
     reference_eta: int
     csv_text: str
+    nonlinear_level: int       # w_N, the level whose knots were solved
+    nonlinear_mean: float      # E_{w_N}[N], NaN if one of its knots failed
+    nonlinear_estimate: float  # |E_{w_N}[N] - E_{w_N - 1}[N]|, NaN at w_N = 0 or on failure
+    nonlinear_target: float    # the estimate at which w_N stops rising
+    knot_solves: int
 
 
 def _csv_text(records, deterministic: bool) -> str:
@@ -281,6 +311,9 @@ def _csv_text(records, deterministic: bool) -> str:
         wall = 0.0 if deterministic else r.wall_time
         lines.append(f"{r.w},{r.eta},{r.qoi_mean:.17g},{r.error:.17g},{wall:.3f}")
     return "\n".join(lines) + "\n"
+
+
+_CHUNK_FLOATS = 2**16  # bound on the (knots, charges, m, m) floats linear_parts holds at once
 
 
 class KnotSolver:
@@ -294,8 +327,11 @@ class KnotSolver:
     e ~ u* - u~ from one V-cycle (see the pde module docstring); Newton stops
     once the estimate is within 1e-12 relative.  The estimate is not a
     bound; it was checked against tight direct solves on the acceptance
-    study's knots and in the tests.  A charge width below the grid spacing h
-    is warned about, since the grid then aliases the charges.
+    study's knots and in the tests.  With zero Dirichlet data the corrected
+    QoI is z.b(y) + N(y) for the knot's interior forcing b(y); linear_parts
+    gives z.b for a whole batch of points without a solve.  A charge width
+    below the grid spacing h is warned about, since the grid then aliases
+    the charges.
     """
 
     def __init__(self, config: RunConfig):
@@ -326,62 +362,131 @@ class KnotSolver:
         return pde.newton_solve_npbe(self.domain, self.dmap, coeffs, None, self.grid,
                                      op=self.op, reaction=self.reaction, adjoint=self.adjoint)
 
+    def linear_parts(self, ys) -> np.ndarray:
+        """z.b(y) at each row y of ys (K, N), the charges shifted as in solve.
+
+        z.b = sum_charges amp sum_ijk Z[i, j, k] gx[i] gy[j] gz[k] over the
+        interior nodes, with Z the adjoint on the interior lattice and the
+        per-axis factors of pde.gaussian_factors.  Every shifted charge is
+        checked against the box first.  The contraction is np.einsum, whose
+        sums never go to BLAS, so the bits do not depend on the thread count.
+        """
+        charges = self.coeffs.charges
+        positions = shifted_positions(np.array([c.position for c in charges]), self.config.alpha,
+                                      SQRT3 * np.asarray(ys, dtype=float), self.domain)
+        m = self.grid.shape[0] - 2
+        Z = self.adjoint.z.reshape(m, m, m)
+        interior = [a[1:-1] for a in self.grid.axes]
+        step = max(1, _CHUNK_FLOATS // (len(charges) * m * m))
+        out = []
+        for s in range(0, len(positions), step):
+            amp, (gx, gy, gz) = pde.gaussian_factors(interior, charges, positions[s:s + step])
+            t = np.einsum("qcij,qcj->qci", np.einsum("ijk,qck->qcij", Z, gz), gy)
+            out.append(np.einsum("qci,qci,c->q", t, gx, amp))
+        return np.concatenate(out)
+
+
+# The nonlinear level stops rising once N's estimate is at most this fraction
+# of the finest study level's error: leaving N's own error out of the level
+# errors then moves that error by at most 1%, 0.01 in the log error the rate
+# fit reads, far below the decades between levels.
+_REMAINDER_FRACTION = 0.01
+
 
 def run_study(config: RunConfig, progress=None) -> StudyResult:
     """Execute the shift-model convergence study described by the config.
 
-    Only the reference plan is evaluated: under nesting its knots cover
-    every study level, so each knot is solved exactly once, by one
-    KnotSolver; its value is the adjoint-corrected QoI.  A knot whose
-    Newton iteration raises ConvergenceError is recorded as NaN and poisons
-    only the levels that use it, whose records keep the y and message of
-    their first failing knot; any other error propagates.  A level's wall
-    time is the solve time of its knots plus its integration.
+    The corrected knot QoI splits as Q(y) = z.b(y) + N(y) (see the module
+    docstring).  z.b is taken at every knot of the reference plan, by one
+    batched KnotSolver.linear_parts call; a charge shifted out of the box
+    raises ConfigError there, before any solve.  KnotSolver.solve then runs
+    at the knots of levels 0, 1, 2, ..., each knot once, storing
+    N = Q - z.b, until the first level w_N >= 1 whose estimate
+    |E_{w_N}[N] - E_{w_N - 1}[N]| is at most
+    max(0.01 |E_finest[z.b] - E_ref[z.b]|, 1e-12 |E_ref[z.b]|), the floor being
+    the knot QoI's own tolerance; at the latest w_N is the reference level,
+    where every knot is solved.  A level's mean is E_w[z.b] + E_{min(w, w_N)}[N]
+    and the reference is E_ref[z.b] + E_{w_N}[N].
+
+    A knot whose Newton iteration raises ConvergenceError stops the
+    escalation at its level: it fails the reference and the levels whose N
+    mean uses it, whose means are NaN and whose records keep its y and
+    message; any other error propagates.  progress(done, total) ticks once
+    per solve, total being the knot count of the level being solved.  A
+    level's wall time is its share of the batched z.b time, plus the solve
+    time of the knots its N mean uses, plus its z.b integration.
     """
     solver = KnotSolver(config)
-    plans = {w: smolyak.build_plan(config.rule, w, config.N)
-             for w in list(config.levels) + [config.reference_level]}
-    ref_plan = plans[config.reference_level]
-    seconds, errors = [], []  # per knot, in the order evaluate_plan visits ref_plan.knots
+    plans = {}
 
-    def qoi_at(y):
-        t0 = time.perf_counter()
-        error = None
-        try:
-            value = solver.solve(y)[1].qoi
-        except ConvergenceError as exc:
-            value, error = math.nan, str(exc)
-        seconds.append(time.perf_counter() - t0)
-        errors.append(error)
-        if progress is not None:
-            progress(len(seconds), ref_plan.n_knots)
-        return value
+    def plan(w):
+        if w not in plans:
+            plans[w] = smolyak.build_plan(config.rule, w, config.N)
+        return plans[w]
 
-    store = smolyak.evaluate_plan(ref_plan, qoi_at)
-    knot_seconds = dict(zip(ref_plan.knots, seconds))
-    knot_errors = dict(zip(ref_plan.knots, errors))
+    ref_plan = plan(config.reference_level)
+    t0 = time.perf_counter()
+    linear = smolyak.SurplusStore()
+    for key, value in zip(ref_plan.knots, solver.linear_parts(ref_plan.knot_values)):
+        linear.set(key, value)
+    linear_s = time.perf_counter() - t0
+    ref_linear = smolyak.integrate(ref_plan, linear)
+    finest_error = abs(smolyak.integrate(plan(max(config.levels)), linear) - ref_linear)
+    target = max(_REMAINDER_FRACTION * finest_error, pde._GOAL_QOI_TOL * abs(ref_linear))
+
+    remainder = smolyak.SurplusStore()
+    seconds, errors = {}, {}  # per solved knot: solve time, ConvergenceError message
+    means = []                # E_w[N] for w = 0, 1, ..., w_N
+
+    def solve_new_knots(p) -> bool:
+        """Solve the knots of plan p not solved yet; False once one fails."""
+        for key, y in zip(p.knots, p.knot_values):
+            if key in seconds:
+                continue
+            t0 = time.perf_counter()
+            try:
+                remainder.set(key, solver.solve(y)[1].qoi - linear.get(key))
+            except ConvergenceError as exc:
+                errors[key] = str(exc)
+            seconds[key] = time.perf_counter() - t0
+            if progress is not None:
+                progress(len(seconds), p.n_knots)
+            if errors:
+                return False
+        return True
+
+    for w_n in range(config.reference_level + 1):
+        if not solve_new_knots(plan(w_n)):
+            break
+        means.append(smolyak.integrate(plan(w_n), remainder))
+        if w_n and abs(means[-1] - means[-2]) <= target:
+            break
+    failed = bool(errors)  # at a knot of level w_n
+    estimate = abs(means[-1] - means[-2]) if w_n and not failed else math.nan
 
     def first_failure(w):
         """(y, message) of the first knot of level w whose solve failed, or None."""
-        for key, y in zip(plans[w].knots, plans[w].knot_values):
-            if knot_errors[key] is not None:
-                return tuple(float(v) for v in y), knot_errors[key]
+        for key, y in zip(plan(w).knots, plan(w).knot_values):
+            if key in errors:
+                return tuple(float(v) for v in y), errors[key]
         return None
 
-    ref_failure = first_failure(config.reference_level)
-    ref_qoi = math.nan if ref_failure else smolyak.integrate(ref_plan, store)
+    ref_failure = first_failure(w_n)
+    ref_qoi = math.nan if ref_failure else ref_linear + means[w_n]
     records = []
     for w in config.levels:
         t0 = time.perf_counter()
-        failure = first_failure(w)
-        mean = math.nan if failure else smolyak.integrate(plans[w], store)
-        wall = time.perf_counter() - t0 + sum(knot_seconds[k] for k in plans[w].knots)
+        w_mean = min(w, w_n)
+        failure = first_failure(w_mean)
+        mean = math.nan if failure else smolyak.integrate(plan(w), linear) + means[w_mean]
+        wall = (time.perf_counter() - t0 + linear_s * plan(w).n_knots / ref_plan.n_knots
+                + sum(seconds.get(k, 0.0) for k in plan(w_mean).knots))
         if failure is None and ref_failure is not None:
             y, message = ref_failure
             failure = (y, f"reference level {config.reference_level}: {message}")
         err = math.nan if failure else abs(mean - ref_qoi)
         y, reason = failure or (None, "")
-        records.append(ConvergenceRecord(w, plans[w].n_knots, mean, err, wall,
+        records.append(ConvergenceRecord(w, plan(w).n_knots, mean, err, wall,
                                          failure is not None, y, reason))
     csv = _csv_text(records, config.deterministic_csv)
     if config.csv_path:
@@ -390,7 +495,9 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
     if config.svg_path:
         with open(config.svg_path, "w") as fh:
             fh.write(convergence_svg(records))
-    return StudyResult(records, ref_qoi, config.reference_level, ref_plan.n_knots, csv)
+    return StudyResult(records, ref_qoi, config.reference_level, ref_plan.n_knots, csv,
+                       w_n, math.nan if failed else means[w_n], estimate, target,
+                       len(seconds))
 
 
 # ---------------------------------------------------------------------------

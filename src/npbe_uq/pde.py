@@ -250,31 +250,44 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     return AssembledOperator(grid, full[ii][:, ii].tocsr(), full[ii][:, bb].tocsr())
 
 
+def gaussian_factors(axes, charges: list, positions=None):
+    """Each charge's Gaussian on the lattice of axes as amp g_0 (x) g_1 (x) g_2.
+
+    Returns (amp, [g_0, g_1, g_2]): amp = q / (2 pi s^2)^(3/2) per charge, shape
+    (C,), and g_d = exp(-(a_d - c_d)^2 / (2 s^2)) on axes[d], shape (..., C,
+    len(axes[d])).  The centres c are positions, shape (..., C, 3), or the
+    charges' own positions; a leading batch of shifted centres gives one
+    factor set per shift.
+    """
+    if positions is None:
+        positions = np.array([c.position for c in charges])
+    s2 = np.array([c.width for c in charges]) ** 2
+    amp = np.array([c.magnitude for c in charges]) / (2.0 * math.pi * s2) ** 1.5
+    return amp, [np.exp(-0.5 * (a - positions[..., d, None]) ** 2 / s2[:, None])
+                 for d, a in enumerate(axes)]
+
+
 def assemble_rhs(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> GridField:
     """Nodal values of f*(r; y) det J(r; y) for the Gaussian charge model.
 
     For a map with no modes (J = I) each charge's Gaussian on the node
-    lattice is the product of one factor per axis, amp gx (x) gy (x) gz with
-    g_d = exp(-(a_d - c_d)^2 / (2 s^2)) on grid.axes[d], so no per-node
-    displacement is formed.
+    lattice is the outer product of its gaussian_factors on grid.axes, so no
+    per-node displacement is formed.
     """
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
-    identity = not dmap.modes
     vals = np.zeros(grid.n_nodes)
-    if coeffs.charges:
-        det = 1.0 if identity else geometry.det3(
-            geometry.jacobian(dmap, grid.lattice, y)).ravel()
+    if coeffs.charges and not dmap.modes:
+        amp, factors = gaussian_factors(grid.axes, coeffs.charges)
+        for a, gx, gy, gz in zip(amp, *factors):
+            vals += ((a * gx)[:, None, None] * np.multiply.outer(gy, gz)).ravel()
+    elif coeffs.charges:
+        det = geometry.det3(geometry.jacobian(dmap, grid.lattice, y)).ravel()
         # the modes' displacements at the nodes do not depend on the charge
         shifts = [(math.sqrt(mu) * y[k], fld, np.reshape(fld.value(grid.lattice), (-1, 3)))
                   for k, (mu, fld) in enumerate(dmap.modes)]
         for c in coeffs.charges:
             s2 = c.width**2
             amp = c.magnitude / (2.0 * math.pi * s2) ** 1.5
-            if identity:
-                gx, gy, gz = (np.exp(-0.5 * (a - p) ** 2 / s2)
-                              for a, p in zip(grid.axes, c.position))
-                vals += ((amp * gx)[:, None, None] * np.multiply.outer(gy, gz)).ravel()
-                continue
             # charge centers ride along with the map; taking the displacement
             # difference mode by mode makes translation cancellation exact
             delta = grid.points - c.position

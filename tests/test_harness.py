@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 import yaml
 
-from npbe_uq import cli, geometry, harness, pde
+from npbe_uq import cli, geometry, harness, pde, smolyak
 from npbe_uq.errors import ConfigError, ConvergenceError, ParseError
 
 PQR_OK = """\
@@ -28,12 +28,27 @@ def failing_newton(*args, **kwargs):
     raise ConvergenceError("Newton failed to converge in 50 iterations")
 
 
+ACCEPTANCE_CHARGES = [[30.0, 35.0, 35.0, 1.0], [40.0, 35.0, 35.0, -0.5],
+                      [35.0, 30.0, 35.0, 0.7]]
+
+
 def small_config(**kw):
     base = dict(charges_inline=[[35.0, 35.0, 35.0, 1.0]], grid_n=13,
                 levels=(0,), reference_level=1, N=1, alpha=(2.0,),
                 kappa2=(0.0, 0.0, 0.0))
     base.update(kw)
     return harness.RunConfig(**base)
+
+
+def all_knot_study(config):
+    """(level means, level errors, reference mean) with every reference knot solved."""
+    solver = harness.KnotSolver(config)
+    ref_plan = smolyak.build_plan(config.rule, config.reference_level, config.N)
+    store = smolyak.evaluate_plan(ref_plan, lambda y: solver.solve(y)[1].qoi)
+    ref = smolyak.integrate(ref_plan, store)
+    means = [smolyak.integrate(smolyak.build_plan(config.rule, w, config.N), store)
+             for w in config.levels]
+    return means, [abs(m - ref) for m in means], ref
 
 
 class TestParsePqr:
@@ -291,21 +306,30 @@ class TestRunStudy:
         text = out.read_text()
         assert "<svg" in text and "polyline" in text
 
-    def test_each_reference_knot_solved_once(self, monkeypatch):
-        solve = pde.newton_solve_npbe
-        calls, ticks = [], []
+    def test_each_nonlinear_knot_solved_once(self, monkeypatch):
+        newton, solve = pde.newton_solve_npbe, harness.KnotSolver.solve
+        calls, solved, ticks = [], [], []
 
-        def counting(*args, **kwargs):
+        def counting_newton(*args, **kwargs):
             calls.append(1)
-            return solve(*args, **kwargs)
+            return newton(*args, **kwargs)
 
-        monkeypatch.setattr(pde, "newton_solve_npbe", counting)
-        result = harness.run_study(small_config(levels=(0, 1), reference_level=3),
+        def recording_solve(self, y):
+            solved.append(tuple(y))
+            return solve(self, y)
+
+        monkeypatch.setattr(pde, "newton_solve_npbe", counting_newton)
+        monkeypatch.setattr(harness.KnotSolver, "solve", recording_solve)
+        config = small_config(levels=(0, 1), reference_level=3)
+        result = harness.run_study(config,
                                    progress=lambda done, total: ticks.append((done, total)))
-        eta = result.reference_eta
-        assert len(calls) == eta
+        plan = smolyak.build_plan(config.rule, result.nonlinear_level, config.N)
+        eta = plan.n_knots
+        assert len(calls) == len(solved) == len(set(solved)) == result.knot_solves == eta
+        assert set(solved) == {tuple(y) for y in plan.knot_values}
+        assert eta < result.reference_eta
         assert ticks[-1] == (eta, eta)
-        assert all(a[0] < b[0] for a, b in zip(ticks, ticks[1:]))
+        assert all(a[0] + 1 == b[0] for a, b in zip(ticks, ticks[1:]))
 
     def test_one_multigrid_hierarchy_per_study(self, monkeypatch):
         built = []
@@ -393,6 +417,98 @@ class TestRunStudy:
         assert result.records[-1].wall_time >= result.records[0].wall_time
 
 
+    def test_split_matches_all_knot_study(self):
+        # near-linear: N(y) is ~1e-10 of Q, so a coarse nonlinear level suffices
+        config = harness.RunConfig(charges_inline=ACCEPTANCE_CHARGES, grid_n=17,
+                                   alpha=(3.0, 3.0), levels=(1, 2, 3), reference_level=5)
+        result = harness.run_study(config)
+        means, errors, ref = all_knot_study(config)
+        assert result.knot_solves < result.reference_eta
+        assert result.nonlinear_estimate <= result.nonlinear_target
+        # here 1% of the finest level's z.b error sets the target, not the floor
+        ref_plan, finest_plan = (smolyak.build_plan(config.rule, w, config.N) for w in (5, 3))
+        linear = smolyak.SurplusStore()
+        for key, value in zip(ref_plan.knots,
+                              harness.KnotSolver(config).linear_parts(ref_plan.knot_values)):
+            linear.set(key, value)
+        ref_linear = smolyak.integrate(ref_plan, linear)
+        finest_error = abs(smolyak.integrate(finest_plan, linear) - ref_linear)
+        assert result.nonlinear_target == 0.01 * finest_error > 1e-12 * abs(ref_linear)
+        assert abs(result.reference_qoi - ref) <= 1e-12 * abs(ref)
+        for r, mean, err in zip(result.records, means, errors):
+            assert abs(r.qoi_mean - mean) <= 1e-12 * abs(mean)
+            assert abs(r.error - err) <= 1e-11
+
+    def test_nonlinear_level_is_the_first_within_target(self):
+        # the finest level is so close to the reference that the floor
+        # 1e-12 |E_ref[z.b]| sets the target, above the ~1e-11 noise of N
+        config = small_config(kappa2=(0.0, 0.0, 0.5), charges_inline=[[35.0, 35.0, 35.0, 20.0]],
+                              levels=(3,), reference_level=5)
+        result = harness.run_study(config)
+        solver = harness.KnotSolver(config)
+        plans = [smolyak.build_plan(config.rule, w, config.N) for w in range(6)]
+        linear, remainder = smolyak.SurplusStore(), smolyak.SurplusStore()
+        for key, y, value in zip(plans[5].knots, plans[5].knot_values,
+                                 solver.linear_parts(plans[5].knot_values)):
+            linear.set(key, value)
+            remainder.set(key, solver.solve(y)[1].qoi - value)
+        ref_linear = smolyak.integrate(plans[5], linear)
+        finest_error = abs(smolyak.integrate(plans[3], linear) - ref_linear)
+        assert 0.01 * finest_error < 1e-12 * abs(ref_linear) == result.nonlinear_target
+        means = [smolyak.integrate(p, remainder) for p in plans]
+        estimates = [abs(b - a) for a, b in zip(means, means[1:])]  # of w = 1, 2, ...
+        w_n = result.nonlinear_level
+        assert 1 <= w_n < 5
+        assert result.nonlinear_estimate == estimates[w_n - 1] <= result.nonlinear_target
+        assert all(e > result.nonlinear_target for e in estimates[:w_n - 1])
+        assert result.nonlinear_mean == means[w_n]
+        assert result.reference_qoi == ref_linear + means[w_n]
+
+    @pytest.mark.parametrize("N, levels, reference_level", [(1, (1, 2), 4), (2, (1, 2), 3)])
+    def test_scaled_charges_escalate(self, N, levels, reference_level):
+        # charges in kT/e units (x 4 pi l_B): |u| reaches ~5 and N(y) is O(Q)
+        charges = [c[:3] + [7046.0 * c[3]] for c in ACCEPTANCE_CHARGES]
+        config = harness.RunConfig(charges_inline=charges, grid_n=17, N=N, alpha=(3.0,) * N,
+                                   levels=levels, reference_level=reference_level)
+        result = harness.run_study(config)
+        means, errors, ref = all_knot_study(config)
+        assert result.nonlinear_level == reference_level
+        assert result.knot_solves == result.reference_eta
+        assert abs(result.nonlinear_mean) > 1e-3 * abs(ref)
+        assert abs(result.reference_qoi - ref) <= 1e-12 * abs(ref)
+        for r, mean, err in zip(result.records, means, errors):
+            assert abs(r.qoi_mean - mean) <= 1e-12 * abs(mean)
+            assert abs(r.error - err) <= 1e-12 * abs(ref)
+
+    def test_linear_parts_match_assembled_rhs(self):
+        config = small_config(charges_inline=ACCEPTANCE_CHARGES, N=2, alpha=(3.0, 2.0),
+                              grid_n=17, kappa2=(0.0, 0.0, 0.5))
+        solver = harness.KnotSolver(config)
+        ys = np.array([[0.0, 0.0], [0.5, -1.0], [-0.7, 0.3], [1.0, 1.0]])
+        ii = solver.grid.interior_idx
+        for y, value in zip(ys, solver.linear_parts(ys)):
+            charges = harness.shifted_charges(solver.coeffs.charges, config.alpha,
+                                              harness.SQRT3 * y, solver.domain)
+            rhs = pde.assemble_rhs(solver.domain, solver.dmap,
+                                   replace(solver.coeffs, charges=charges), None, solver.grid)
+            ref = solver.adjoint.z @ rhs.flat[ii]
+            assert abs(value - ref) <= 1e-14 * abs(ref)
+
+    def test_charge_out_of_box_raises_before_any_solve(self, monkeypatch):
+        calls = []
+        newton = pde.newton_solve_npbe
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(pde, "newton_solve_npbe", counting)
+        # sqrt(3) * 25 > 35: the knots y = +-1 push the charge out of the box
+        with pytest.raises(ConfigError, match="leaves the box"):
+            harness.run_study(small_config(alpha=(25.0,), levels=(0, 1), reference_level=2))
+        assert calls == []
+
+
 class TestKnotSolver:
     def tight_qoi(self, solver, y):
         """QoI of a direct Newton solve with a tight l2 stop."""
@@ -462,8 +578,10 @@ class TestKnotSolver:
                   "config = harness.RunConfig(charges_inline=[[35.0, 35.0, 35.0, 20.0]],\n"
                   "    grid_n=25, levels=(0,), reference_level=1, N=1, alpha=(2.0,),\n"
                   "    kappa2=(0.0, 0.0, 0.5))\n"
-                  "_, info = harness.KnotSolver(config).solve([0.5])\n"
-                  "print(repr((info.qoi, info.qoi_error, info.residual_history)))\n")
+                  "solver = harness.KnotSolver(config)\n"
+                  "_, info = solver.solve([0.5])\n"
+                  "print(repr((info.qoi, info.qoi_error, info.residual_history)))\n"
+                  "print(repr(solver.linear_parts([[0.5], [-0.25]]).tolist()))\n")
         src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outs = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -544,6 +662,8 @@ class TestCli:
         assert rc == 0
         assert out.startswith("w,eta,qoi_mean")
         assert "# slope" in out
+        line, = [ln for ln in out.splitlines() if ln.startswith("# nonlinear remainder: ")]
+        assert line.startswith("# nonlinear remainder: level ") and "reference knots" in line
 
     def test_study_reports_failed_levels(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)
@@ -619,6 +739,24 @@ class TestCli:
         assert out == ""
         assert err.startswith(f"error: key {key!r} in block {block!r}: ") and " is not " in err
 
+    def test_study_empty_levels_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)  # a solve would print
+        path = self.write_with(tmp_path, "sparse_grid", levels=[])
+        rc = cli.main(["study", "--config", path])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: key 'levels' in block 'sparse_grid': ")
+
+    @pytest.mark.parametrize("entries", [{"N": 0}, {"levels": [-1]}], ids=["N-0", "level-neg"])
+    def test_region_error_prints_no_rows(self, tmp_path, capsys, entries):
+        path = self.write_with(tmp_path, "region", M=1.0, a=1.0, R=1.0, **entries)
+        rc = cli.main(["region", "--config", path])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize("block,key,value", [
         ("charges", "path", "missing.pqr"),
         ("output", "csv_path", "missing/study.csv"),
@@ -653,12 +791,19 @@ class TestCli:
         assert rc == 1
         assert message in capsys.readouterr().err
 
-    def test_readme_example_config(self, tmp_path, capsys):
+    def test_readme_example_config(self, tmp_path, capsys, monkeypatch):
         readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
         with open(readme) as fh:
             text = fh.read().split("Example config:\n\n```yaml\n", 1)[1].split("```", 1)[0]
         harness.config_from_dict(yaml.safe_load(text))
+        monkeypatch.chdir(tmp_path)  # the study writes study.csv and study.svg here
         path = tmp_path / "cfg.yaml"
         path.write_text(text)
         for command in ("bounds", "region"):
             assert cli.main([command, "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["study", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "w,eta,qoi_mean,error,wall_time_s"
+        assert [ln.split(",")[0] for ln in lines[1:5]] == ["1", "2", "3", "4"]
+        assert lines[5].startswith("# ")
