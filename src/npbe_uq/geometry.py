@@ -235,7 +235,7 @@ def jacobian(dmap: DomainMap, r, y):
     J = np.zeros(r.shape[:-1] + (3, 3), dtype=dtype)
     J[...] = np.eye(3)
     for k, (mu, fld) in enumerate(dmap.modes):
-        J = J + math.sqrt(mu) * y[k] * fld.jac(r)
+        J += math.sqrt(mu) * y[k] * fld.jac(r)
     return J
 
 

@@ -129,7 +129,19 @@ class RunConfig:
         self.box_min = np.asarray(self.box_min, dtype=float)
         self.box_max = np.asarray(self.box_max, dtype=float)
         if not (isinstance(self.grid_n, int) and self.grid_n >= 2):
-            raise ConfigError(f"grid n must be an integer >= 2, got {self.grid_n!r}")
+            raise ConfigError(f"{_AT['grid_n']}: grid n must be an integer >= 2, "
+                              f"got {self.grid_n!r}")
+        if not 0.0 < self.radii[0] < self.radii[1]:
+            raise ConfigError(f"{_AT['radii']}: sphere radii must satisfy 0 < r1 < r2, "
+                              f"got {tuple(self.radii)}")
+        if not min(self.eps) > 0.0:
+            raise ConfigError(f"{_AT['eps']}: eps must be 3 positive values, got {self.eps}")
+        if not min(self.kappa2) >= 0.0:
+            raise ConfigError(f"{_AT['kappa2']}: kappa2 must be 3 nonnegative values, "
+                              f"got {self.kappa2}")
+        if self.charge_width is not None and not self.charge_width > 0.0:
+            raise ConfigError(f"{_AT['charge_width']}: charge width must be positive, "
+                              f"got {self.charge_width}")
         if self.N not in (1, 2, 3):
             raise ConfigError(f"{_AT['N']}: shift model supports N in {{1, 2, 3}}")
         if self.alpha is None:
@@ -141,6 +153,8 @@ class RunConfig:
             raise ConfigError(f"{_AT['alpha']}: shift amplitudes must be positive")
         if not self.levels:
             raise ConfigError(f"{_AT['levels']}: needs at least one study level")
+        if min(self.levels) < 0:
+            raise ConfigError(f"{_AT['levels']}: levels must be >= 0, got {self.levels}")
         if any(self.reference_level <= w for w in self.levels):
             raise ConfigError(f"{_AT['reference_level']}: must exceed every study level")
         if self.rule not in smolyak.RULES:

@@ -319,7 +319,7 @@ class CGInfo:
 
 
 _OMEGA = 0.8           # damped-Jacobi weight of the V-cycle smoother
-_DENSE_NODES = 512     # a level this small is not coarsened but inverted
+_DENSE_NODES = 512     # a coarsest level this small is inverted, a larger one smoothed
 _GOAL_CG_TOL = 1e-3    # relative CG tolerance of a goal-oriented Newton step
 _GOAL_QOI_TOL = 1e-12  # relative QoI error at which goal-oriented Newton stops
 
@@ -335,9 +335,11 @@ def _interpolation_1d(m: int) -> sp.csr_matrix:
 def _invert_spd(a: np.ndarray) -> np.ndarray:
     """Invert a small SPD matrix in place by Gauss-Jordan elimination without pivoting.
 
-    Plain ufunc arithmetic rather than np.linalg.inv: LAPACK would allocate
-    OpenBLAS's level-3 buffers, several MB of resident memory, for a matrix
-    that is inverted once per hierarchy.
+    The V-cycle's coarsest level: 1 x 1 on a 2^k + 1 grid, at most 512 nodes
+    on a grid whose halving stops at an even axis.  Plain ufunc arithmetic
+    rather than np.linalg.inv: LAPACK would allocate OpenBLAS's level-3
+    buffers, several MB of resident memory, for a matrix that is inverted
+    once per hierarchy.
     """
     for k in range(len(a)):
         piv = 1.0 / a[k, k]
@@ -354,14 +356,15 @@ class VCycle:
     """Symmetric Galerkin V-cycle: the preconditioner of every CG solve.
 
     Built once from an SPD interior matrix on a grid.  A level is coarsened
-    while every interior axis has an odd node count (at least 3) and the
-    level has more than 512 nodes: trilinear interpolation P (the Kronecker
-    product of per-axis [1/2, 1, 1/2] stencils), its restriction R = P^T, kept
-    as CSR so that no cycle transposes P, and coarse operator P^T A P.
-    Each level smooths with one damped-Jacobi sweep (omega = 0.8) before and
-    one after its coarse correction.  The coarsest level is inverted densely
-    when it has at most 512 nodes; a larger one (an axis with an even count)
-    is only smoothed, so no large dense matrix is ever formed.
+    while every interior axis has an odd node count of at least 3, whatever
+    its size: trilinear interpolation P (the Kronecker product of per-axis
+    [1/2, 1, 1/2] stencils), its restriction R = P^T, kept as CSR so that no
+    cycle transposes P, and coarse operator R A P.  On a 2^k + 1 grid the
+    hierarchy ends at one node.  Each level smooths with one damped-Jacobi
+    sweep (omega = 0.8) before and one after its coarse correction.  The
+    coarsest level, which cannot be halved, is inverted densely when it has
+    at most 512 nodes; a larger one (an axis with an even count) is only
+    smoothed, so no large dense matrix is ever formed.
     """
 
     def __init__(self, matrix, grid: Grid3D):
@@ -369,14 +372,14 @@ class VCycle:
         A = sp.csr_matrix(matrix)
         # (A, omega / diag A, P from the next coarser level and R = P^T, or None)
         self.levels = []
-        while A.shape[0] > _DENSE_NODES and all(m >= 3 and m % 2 for m in shape):
+        while all(m >= 3 and m % 2 for m in shape):
             shape = [(m - 1) // 2 for m in shape]
             P = _interpolation_1d(shape[0])
             for m in shape[1:]:
                 P = sp.kron(P, _interpolation_1d(m), format="csr")
-            self.levels.append((A, _OMEGA / A.diagonal(), P, P.T.tocsr()))
-            # R @ (A @ P) sums in another order and would change the coarse bits
-            A = (P.T @ (A @ P)).tocsr()
+            R = P.T.tocsr()
+            self.levels.append((A, _OMEGA / A.diagonal(), P, R))
+            A = (R @ (A @ P)).tocsr()
         self.levels.append((A, _OMEGA / A.diagonal(), None, None))
         self.coarse_inverse = (_invert_spd(A.toarray()) if A.shape[0] <= _DENSE_NODES
                                else None)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 import yaml
 
 from npbe_uq import cli, geometry, harness, pde, smolyak
@@ -529,6 +530,39 @@ class TestKnotSolver:
         assert 0.0 <= info.qoi_error <= 1e-12 * abs(info.qoi)
         assert info.iterations >= min_steps
 
+    def test_coarse_grid_knots_match_direct_newton(self, monkeypatch):
+        # N = 3, n = 9, default width 2h: the V-cycle is not the exact
+        # inverse, so e = V-cycle(R(u~)) in the stop rule is only approximate
+        config = harness.RunConfig(charges_inline=ACCEPTANCE_CHARGES, N=3, alpha=(3.0,) * 3,
+                                   grid_n=9, levels=(1, 2, 3, 4, 5), reference_level=7)
+        solve, knots = harness.KnotSolver.solve, []
+
+        def recording_solve(self, y):
+            u, info = solve(self, y)
+            knots.append((self, y, info))
+            return u, info
+
+        monkeypatch.setattr(harness.KnotSolver, "solve", recording_solve)
+        result = harness.run_study(config)
+        assert result.nonlinear_level == 2 and len(knots) == result.knot_solves == 25
+        for solver, y, info in knots:
+            # Newton whose steps are direct sparse solves, run to a tight residual
+            charges = harness.shifted_charges(solver.coeffs.charges, config.alpha,
+                                              harness.SQRT3 * np.asarray(y), solver.domain)
+            rhs = pde.assemble_rhs(solver.domain, solver.dmap,
+                                   replace(solver.coeffs, charges=charges), None, solver.grid)
+            ii = solver.grid.interior_idx
+            A, kd, b = solver.op.matrix, solver.reaction.flat[ii], rhs.flat[ii]
+            v = np.zeros(len(ii))
+            for _ in range(20):
+                r = A @ v + kd * np.sinh(v) - b
+                if np.linalg.norm(r) <= 1e-14 * np.linalg.norm(b):
+                    break
+                v -= spsolve((A + sp.diags(kd * np.cosh(v))).tocsc(), r)
+            assert np.linalg.norm(A @ v + kd * np.sinh(v) - b) <= 1e-14 * np.linalg.norm(b)
+            ref = solver.grid.node_weights()[ii] @ v
+            assert abs(info.qoi - ref) <= 1e-12 * abs(ref)
+
     def test_knot_vcycles_are_cg_iterations_plus_estimates(self, monkeypatch):
         # one V-cycle per CG iteration and one per step's error estimate: CG
         # does not precondition the residual it stops on
@@ -738,6 +772,26 @@ class TestCli:
         assert rc == 1
         assert out == ""
         assert err.startswith(f"error: key {key!r} in block {block!r}: ") and " is not " in err
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("coefficients", "eps", [-1, 70, 1]), ("coefficients", "kappa2", [0.0, 0.0, -0.5]),
+        ("geometry", "radii", [25.0, 15.0]), ("geometry", "radii", [0.0, 15.0]),
+        ("charges", "width", -1.0), ("charges", "width", 0.0),
+        ("sparse_grid", "levels", [-1, 1]),
+    ], ids=["eps", "kappa2", "radii-order", "radii-zero", "width-neg", "width-zero", "level-neg"])
+    def test_study_value_out_of_range_named(self, tmp_path, capsys, monkeypatch, block, key,
+                                            value):
+        # the config layer rejects it before the solver would warn about it or solve
+        monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)
+        path = self.write_with(tmp_path, block, **{key: value})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["study", "--config", path])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert caught == []
+        assert err.startswith(f"error: key {key!r} in block {block!r}: ")
 
     def test_study_empty_levels_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)  # a solve would print

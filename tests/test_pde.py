@@ -445,7 +445,8 @@ class TestLinearSolve:
             pde.solve_linear_interface(op, react, zero)
 
     def test_iteration_cap_raises(self):
-        # at n = 9 the V-cycle is the exact inverse; n = 17 has two levels
+        # n = 17 coarsens to one node in four levels, so two CG iterations
+        # cannot reach 1e-14
         domain = unit_domain()
         grid = pde.Grid3D(domain, 17)
         op = pde.assemble_pulled_back_operator(domain, identity_map(),
@@ -545,21 +546,39 @@ class TestVCycle:
         _, info = pde.solve_linear_interface(op, react, rhs, tol=1e-12)
         assert info.iterations <= 25
 
-    @pytest.mark.parametrize("n, depth, dense", [(12, 1, False), (13, 2, True),
-                                                 (21, 3, True)])
+    @pytest.mark.parametrize("n, depth, dense", [(12, 1, False), (13, 3, True),
+                                                 (19, 2, True), (21, 3, True)])
     def test_non_dyadic_grids_converge(self, n, depth, dense):
-        # 12: an even axis with 1000 > 512 nodes, smoothed only; 13 and 21
-        # coarsen to 125 and 64 nodes
+        # 12: an even axis with 1000 > 512 nodes, smoothed only; 13, 19 and 21
+        # coarsen until an axis is even, to 8, 512 and 64 nodes
         op, rhs, react = self.interface_problem(n)
         grid = op.grid
         A = op.matrix + sp.diags(react.flat[grid.interior_idx])
         vcycle = pde.VCycle(A, grid)
         assert len(vcycle.levels) == depth
         assert (vcycle.coarse_inverse is not None) == dense
+        if dense:
+            coarse = vcycle.levels[-1][0]
+            assert vcycle.coarse_inverse.shape == coarse.shape
+            assert np.allclose(vcycle.coarse_inverse @ coarse.toarray(), np.eye(coarse.shape[0]))
         u, info = pde.solve_linear_interface(op, react, rhs, tol=1e-10)
         b = op.rhs_interior(rhs.flat, np.zeros(len(grid.boundary_idx)))
         assert np.linalg.norm(b - A @ u.flat[grid.interior_idx]) <= 1e-10 * np.linalg.norm(b)
         assert info.iterations <= 60
+
+    @pytest.mark.parametrize("n, sizes", [(9, [343, 27, 1]), (17, [3375, 343, 27, 1]),
+                                          (33, [29791, 3375, 343, 27, 1]),
+                                          (65, [250047, 29791, 3375, 343, 27, 1])])
+    def test_dyadic_grids_coarsen_to_one_node(self, n, sizes):
+        # a 2^k + 1 grid halves down to its one centre node, inverted as 1 / a
+        grid = pde.Grid3D(unit_domain(), n)
+        op = pde.assemble_pulled_back_operator(unit_domain(), identity_map(),
+                                               no_charge_coeffs(), None, grid)
+        vcycle = pde.VCycle(op.matrix, grid)
+        assert [A.shape[0] for A, *_ in vcycle.levels] == sizes
+        coarse = vcycle.levels[-1][0].toarray()
+        assert vcycle.coarse_inverse.shape == (1, 1)
+        assert vcycle.coarse_inverse[0, 0] == 1.0 / coarse[0, 0]
 
     @pytest.mark.parametrize("n", [12, 17, 21])
     def test_symmetric_positive_definite(self, n):
@@ -580,8 +599,9 @@ class TestVCycle:
 
     @pytest.mark.parametrize("n", [9, 13])
     def test_cutoff_newton_matches_dense_solve(self, n):
-        # J != I (19-point operator); at n = 9 the V-cycle is the exact
-        # inverse, at n = 13 it has a Galerkin coarse level
+        # J != I (19-point operator); n = 9 coarsens to one node (343, 27,
+        # 1), n = 13 to a dense 8-node level (1331, 125, 8), so neither
+        # V-cycle is the exact inverse
         domain = unit_domain()
         grid = pde.Grid3D(domain, n)
         dmap, y = cutoff_map(domain), np.array([0.6, -0.4])
