@@ -236,7 +236,7 @@ def verify_bounds_by_sampling(dmap, domain, inp: BoundsInput, trials: int = 1000
     bounds; a violation indicates an implementation bug since the bounds are
     estimates.  ``bound_scale`` is a self-test hook that shrinks every bound.
     Each trial draws r, y0 and y in turn; the matrices of all trials are then
-    formed at once, from one evaluation of each mode's field on the batch.
+    formed at once by geometry.jacobian, with one y per sampled point.
     """
     report = VerificationReport(trials=trials)
     N = dmap.n_modes
@@ -259,19 +259,10 @@ def verify_bounds_by_sampling(dmap, domain, inp: BoundsInput, trials: int = 1000
         y0[trial] = rng.uniform(-inp.y0_inf, inp.y0_inf, size=N)
         if y_cap > 0:
             y[trial] = rng.uniform(-y_cap, y_cap, size=N)
-    # each mode's B_k at all sampled points, then J(r; y) = I + sum_k sqrt(mu_k) y_k B_k
-    # per trial, summed as geometry.jacobian sums it
-    modes = [(math.sqrt(mu), fld.jac(r)) for mu, fld in dmap.modes]
-
-    def jacobians(ys):
-        J = np.broadcast_to(np.eye(3), (trials, 3, 3))
-        for k, (scale, B) in enumerate(modes):
-            J = J + (scale * ys[:, k])[:, None, None] * B
-        return J
-
-    J0, J1 = jacobians(y0), jacobians(y0 + y)
+    # J(r; y) = I + sum_k sqrt(mu_k) y_k B_k(r) at each trial's r and y
+    J0, J1, Jy = (geometry.jacobian(dmap, r, ys.T) for ys in (y0, y0 + y, y))
     inv0 = np.linalg.inv(J0)
-    step = np.eye(3) + inv0 @ (jacobians(y) - np.eye(3))  # I + J^-1(y0) By
+    step = np.eye(3) + inv0 @ (Jy - np.eye(3))  # I + J^-1(y0) By
 
     def norm2(mats):
         return np.linalg.norm(mats, 2, axis=(-2, -1))

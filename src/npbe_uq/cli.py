@@ -61,6 +61,7 @@ def cmd_study(args) -> int:
           f"{result.nonlinear_mean:.6g}, estimate {result.nonlinear_estimate:.3g} "
           f"(target {result.nonlinear_target:.3g}), {result.knot_solves} knot solves "
           f"of {result.reference_eta} reference knots")
+    print(f"# adjoint: {result.adjoint_cg.iterations} CG iterations")
     ok = [r for r in result.records if not r.failed]
     if len(ok) >= 2:
         fit = harness.fit_rate(ok)

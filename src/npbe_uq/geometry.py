@@ -13,8 +13,12 @@ which the solver's grids and the sampled checks here pass.  A field may read
 a lattice's coordinate d as ``r[..., d]``, axis d shaped to broadcast over
 the lattice, so a separable field such as ``CutoffShift`` evaluates its
 factors once per axis coordinate; ``np.asarray(r)`` gives the lattice's
-(n0, n1, n2, 3) points, so any other field works on it unchanged.  The
-result is shaped like the points: (n0, n1, n2, ...) for a lattice.
+(n0, n1, n2, 3) points, so any other field works on it unchanged.  Results
+have the points' leading shape, (n0, n1, n2) for a lattice.  ``jac`` returns
+B as a 3x3 nested list of entries, each broadcasting over that shape, and an
+entry that vanishes everywhere is the float 0.0.  J is formed entry by entry
+from them, so only the entry each face uses is formed; ``jacobian`` stacks
+J to (..., 3, 3) for callers that need matrices.
 """
 
 from __future__ import annotations
@@ -168,13 +172,10 @@ class CutoffShift:
         return out
 
     def jac(self, r):
-        r = _points(r)
-        q, dq = self._axis_factors(r, 1)
-        out = np.zeros(r.shape[:-1] + (3, 3))
-        for i in range(3):
-            j, k = (d for d in range(3) if d != i)
-            out[..., self.axis, i] = dq[i] * q[j] * q[k]
-        return out
+        q, dq = self._axis_factors(_points(r), 1)
+        B = [[0.0] * 3 for _ in range(3)]
+        B[self.axis] = [dq[i] * q[j] * q[k] for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))]
+        return B
 
     def jac_deriv(self, r):
         r = _points(r)
@@ -227,39 +228,63 @@ def map_forward(dmap: DomainMap, r, y):
     return out
 
 
-def jacobian(dmap: DomainMap, r, y):
-    """J(r; y) = I + sum_k sqrt(mu_k) B_k(r) y_k, shape (..., 3, 3); r may be a Lattice."""
+def _jacobian_entries(dmap: DomainMap, r, y):
+    """J(r; y) = I + sum_k sqrt(mu_k) B_k(r) y_k as a 3x3 nested list of entries.
+
+    An entry that every mode's field gives as 0.0 stays the scalar 1.0 or 0.0.
+    """
     r = _points(r)
-    y = np.asarray(y)
-    dtype = complex if np.iscomplexobj(y) else float
-    J = np.zeros(r.shape[:-1] + (3, 3), dtype=dtype)
-    J[...] = np.eye(3)
+    J = [[float(i == j) for j in range(3)] for i in range(3)]
     for k, (mu, fld) in enumerate(dmap.modes):
-        J += math.sqrt(mu) * y[k] * fld.jac(r)
+        scale = math.sqrt(mu) * y[k]
+        for i, row in enumerate(fld.jac(r)):
+            for j, b in enumerate(row):
+                if not (isinstance(b, float) and b == 0.0):
+                    J[i][j] = J[i][j] + scale * b
     return J
 
 
+def _stack(entries, shape):
+    """A 3x3 nested list of entries as stacked matrices of shape shape + (3, 3)."""
+    return np.stack([np.stack([np.broadcast_to(e, shape) for e in row], axis=-1)
+                     for row in entries], axis=-2)
+
+
+def jacobian(dmap: DomainMap, r, y):
+    """J(r; y) = I + sum_k sqrt(mu_k) B_k(r) y_k, shape (..., 3, 3); r may be a Lattice.
+
+    y is (N,), or (N, ...) to give each point its own y.
+    """
+    r = _points(r)
+    return _stack(_jacobian_entries(dmap, r, np.asarray(y)), r.shape[:-1])
+
+
 def det3(J):
-    """Determinant of stacked 3x3 matrices by cofactor expansion."""
-    a = J[..., 0, 0] * (J[..., 1, 1] * J[..., 2, 2] - J[..., 1, 2] * J[..., 2, 1])
-    b = J[..., 0, 1] * (J[..., 1, 0] * J[..., 2, 2] - J[..., 1, 2] * J[..., 2, 0])
-    c = J[..., 0, 2] * (J[..., 1, 0] * J[..., 2, 1] - J[..., 1, 1] * J[..., 2, 0])
-    return a - b + c
+    """Determinant of stacked 3x3 matrices, shape (..., 3, 3)."""
+    J = [[J[..., i, j] for j in range(3)] for i in range(3)]
+    return _det(J, _adjugate_row(J, 0), 0)
 
 
 def _adjugate_row(J, d: int):
-    """Row d, shape (..., 3), of the adjugate of stacked 3x3 matrices: J^-1 = adj(J) / det(J).
+    """Row d of the adjugate of a 3x3 nested list of entries J: J^-1 = adj(J) / det(J).
 
     adj(J)[d, j] is the cofactor of J[j, d], written with cyclic indices.
     """
     a, b = (d + 1) % 3, (d + 2) % 3
-    return np.stack([J[..., (j + 1) % 3, a] * J[..., (j + 2) % 3, b]
-                     - J[..., (j + 1) % 3, b] * J[..., (j + 2) % 3, a] for j in range(3)],
-                    axis=-1)
+    return [J[(j + 1) % 3][a] * J[(j + 2) % 3][b] - J[(j + 1) % 3][b] * J[(j + 2) % 3][a]
+            for j in range(3)]
+
+
+def _det(J, adj_d, d: int):
+    """det J = sum_j adj(J)[d, j] J[j, d], from row d of the adjugate."""
+    return adj_d[0] * J[0][d] + adj_d[1] * J[1][d] + adj_d[2] * J[2][d]
 
 
 def det_jacobian(dmap: DomainMap, r, y):
-    return det3(jacobian(dmap, r, y))
+    """det J(r; y) from the entries of J, shaped like the points; r may be a Lattice."""
+    r = _points(r)
+    J = _jacobian_entries(dmap, r, np.asarray(y))
+    return np.broadcast_to(_det(J, _adjugate_row(J, 0), 0), r.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +301,24 @@ class MapBoundsProfile:
     p: float
 
 
-def _spectral_norms(mats):
-    return np.linalg.svd(mats, compute_uv=False)[..., 0]
-
-
 def mode_c1_norm(fld, domain: ReferenceDomain, n: int = 64) -> float:
-    """Sampled sup over U of the spectral norms of B and its first derivatives."""
+    """Sampled sup over U of the spectral norms of B and its first derivatives.
+
+    sigma_max <= ||.||_F, so after the matrix of largest Frobenius norm the
+    SVD runs only where the Frobenius norm reaches the running sup times
+    (1 - 1e-12), far above the rounding of either norm.  Each matrix's SVD
+    is independent of the rest of the stack, so the sup is bit for bit that
+    of the exhaustive sweep.
+    """
     pts = _box_grid(domain, n)
-    sup = float(np.max(_spectral_norms(fld.jac(pts))))
     dB = fld.jac_deriv(pts)
-    for i in range(3):
-        sup = max(sup, float(np.max(_spectral_norms(dB[..., i, :, :]))))
+    sup = 0.0
+    for mats in [_stack(fld.jac(pts), pts.shape[:-1])] + [dB[..., i, :, :] for i in range(3)]:
+        mats = mats.reshape(-1, 3, 3)
+        fro = np.sqrt(np.einsum("pij,pij->p", mats, mats))
+        sup = max(sup, float(np.linalg.svd(mats[np.argmax(fro)], compute_uv=False)[0]))
+        near = np.linalg.svd(mats[fro >= sup * (1.0 - 1e-12)], compute_uv=False)
+        sup = max(sup, float(np.max(near[:, 0], initial=0.0)))
     return sup
 
 

@@ -317,6 +317,7 @@ class StudyResult:
     nonlinear_estimate: float  # |E_{w_N}[N] - E_{w_N - 1}[N]|, NaN at w_N = 0 or on failure
     nonlinear_target: float    # the estimate at which w_N stops rising
     knot_solves: int
+    adjoint_cg: pde.CGInfo     # the study's one adjoint solve
 
 
 def _csv_text(records, deterministic: bool) -> str:
@@ -511,7 +512,7 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
             fh.write(convergence_svg(records))
     return StudyResult(records, ref_qoi, config.reference_level, ref_plan.n_knots, csv,
                        w_n, math.nan if failed else means[w_n], estimate, target,
-                       len(seconds))
+                       len(seconds), solver.adjoint.cg)
 
 
 # ---------------------------------------------------------------------------

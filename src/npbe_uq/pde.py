@@ -7,9 +7,12 @@ the two diagonal directions of each coordinate plane, which keeps the
 assembled matrix symmetric.  The tensor is evaluated once per midpoint set
 (three sets of axis faces, three of plane edges, whose two diagonals share
 their midpoints), and only the entry each face uses is formed, from the two
-adjugate rows it reads.  Each midpoint set, like the nodes where the forcing
-and reaction take det J, is a tensor lattice and is passed to the map's
-fields as a ``geometry.Lattice``, so a separable field evaluates per axis.
+adjugate rows it reads, which are built from the entries of J that the map's
+fields return (see geometry): no stacked 3x3 matrix is formed.  Each
+midpoint set, like the nodes where the forcing and reaction take det J, is a
+tensor lattice and is passed to the fields as a ``geometry.Lattice``, so a
+separable field evaluates per axis.  The face coefficients go straight into
+the interior and boundary-coupling blocks, without a full-grid matrix.
 For a map with no modes J = I, the tensor reduces to eps*I and the stencil
 degenerates to the classic 7-point one, and each charge's Gaussian forcing
 on the node lattice is the outer product of three per-axis factors.
@@ -163,19 +166,20 @@ class AssembledOperator:
 
 
 def _tensor_entry(dmap, y, mid, d: int, e: int, place: str) -> np.ndarray:
-    """Entry [d, e] of the eps-free pulled-back tensor J^-1 J^-T det J at midpoints.
+    """Entry [d, e] of the eps-free pulled-back tensor J^-1 J^-T det J on the lattice mid.
 
-    mid is a Lattice; the entry comes flat, in its C order.  The tensor is
-    adj(J) adj(J)^T / det J, so one entry needs only rows d and e of the
-    adjugate.  Raises AssemblyError naming ``place`` where det J <= 0.
+    The tensor is adj(J) adj(J)^T / det J, so one entry needs only rows d and
+    e of the adjugate, formed from the entries of J, and det J is
+    sum_j adj(J)[d, j] J[j, d].  Like those entries, it broadcasts over the
+    lattice.  Raises AssemblyError naming ``place`` where det J <= 0.
     """
-    J = geometry.jacobian(dmap, mid, y).reshape(-1, 3, 3)
-    det = geometry.det3(J)
+    J = geometry._jacobian_entries(dmap, mid, y)
+    row_d = geometry._adjugate_row(J, d)
+    det = geometry._det(J, row_d, d)
     if np.any(det <= 0.0):
         raise AssemblyError(f"det J <= 0 at the {place} midpoints (min det {np.min(det):.6g})")
-    row_d = geometry._adjugate_row(J, d)
     row_e = row_d if e == d else geometry._adjugate_row(J, e)
-    return np.einsum("pj,pj->p", row_d, row_e) / det
+    return (row_d[0] * row_e[0] + row_d[1] * row_e[1] + row_d[2] * row_e[2]) / det
 
 
 def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
@@ -183,71 +187,69 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     """Assemble the pulled-back diffusion operator in per-volume form.
 
     Face dielectric values use the harmonic mean of the two nodal values, so
-    flux continuity holds weakly across the interfaces where eps jumps.
+    flux continuity holds weakly across the interfaces where eps jumps.  A
+    face with coefficient c adds c to the diagonal at its two nodes and -c
+    between them.  Each face family is one array over its midpoint lattice;
+    its slices give every interior node's entry towards one stencil offset,
+    and the interior and boundary-coupling blocks are filled from these in
+    column order.  Mixed-term coefficients vanish exactly wherever the
+    modes' fields are flat (the cutoff plateau, and everywhere at y = 0);
+    zero entries are not stored.
     """
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
     identity = not dmap.modes
-    shape = grid.shape
-    n = grid.n_nodes
-    strides = (shape[1] * shape[2], shape[2], 1)
-    eps_node = coeffs.eps[grid.subdomain_tag].ravel()
+    n, m = grid.shape[0], grid.shape[0] - 2
+    eps = coeffs.eps[grid.subdomain_tag]
     h2 = grid.h * grid.h
-
-    rows, cols, vals = [], [], []
-
-    def add_faces(p_idx, q_idx, coeff):
-        # mixed-term coefficients vanish exactly wherever the modes' fields
-        # are flat (the cutoff plateau, and everywhere at y = 0); storing
-        # them would only slow every matvec
-        keep = coeff != 0.0
-        p_idx, q_idx, coeff = p_idx[keep], q_idx[keep], coeff[keep]
-        rows.extend((p_idx, q_idx, p_idx, q_idx))
-        cols.extend((p_idx, q_idx, q_idx, p_idx))
-        vals.extend((coeff, coeff, -coeff, -coeff))
-
     half = [0.5 * (a[:-1] + a[1:]) for a in grid.axes]
+    unit, zero = np.eye(3, dtype=int), np.zeros(3, dtype=int)
+    stencil = {}  # offset -> the matrix entry towards it at every interior node
 
     def midpoints(*dims):
         # the lattice of face or edge centres, halfway along the axes in dims
         return geometry.Lattice([half[a] if a in dims else grid.axes[a] for a in range(3)])
 
-    def harmonic_eps(p_idx, q_idx):
-        return 2.0 * eps_node[p_idx] * eps_node[q_idx] / (eps_node[p_idx] + eps_node[q_idx])
+    def add_faces(dims, a, b, sign, T):
+        # the faces lo + a -- lo + b over the lattice of lo: node p = lo + a
+        # gets -c towards p + b - a, and p = lo + b gets -c towards p + a - b
+        ep, eq = (eps[tuple(slice(v[t], n - 1 + v[t]) if t in dims else slice(None)
+                            for t in range(3))] for v in (a, b))
+        neg = -(sign * (2.0 * ep * eq / (ep + eq)) * T / (len(dims) * h2))
+        for start, end in ((a, b), (b, a)):
+            stencil[tuple(end - start)] = neg[tuple(slice(1 - v, n - 1 - v) for v in start)]
 
-    idx = np.arange(n).reshape(shape)
-
-    # axis-aligned fluxes
     for d in range(3):
-        sl_lo = [slice(None)] * 3
-        sl_lo[d] = slice(0, shape[d] - 1)
-        p = idx[tuple(sl_lo)].ravel()
-        q = p + strides[d]
         T_dd = 1.0 if identity else _tensor_entry(dmap, y, midpoints(d), d, d,
                                                   f"axis {d} face")
-        add_faces(p, q, harmonic_eps(p, q) * T_dd / h2)
-
-    # mixed-derivative part, split along the plane diagonals
+        add_faces((d,), zero, unit[d], 1, T_dd)
     if not identity:
         for d, e in ((0, 1), (0, 2), (1, 2)):
-            sl = [slice(None)] * 3
-            sl[d] = slice(0, shape[d] - 1)
-            sl[e] = slice(0, shape[e] - 1)
-            lo = idx[tuple(sl)].ravel()
-            # the d+e diagonal runs lo -> lo + s_d + s_e and the d-e diagonal
-            # lo + s_e -> lo + s_d: the same edge centres, in the same order
+            # the d+e diagonal runs lo -> lo + e_d + e_e and the d-e diagonal
+            # lo + e_e -> lo + e_d: the same edge centres
             T_de = _tensor_entry(dmap, y, midpoints(d, e), d, e, f"plane ({d}, {e}) edge")
-            for sign in (+1, -1):
-                p = lo if sign > 0 else lo + strides[e]
-                q = p + strides[d] + sign * strides[e]
-                add_faces(p, q, sign * harmonic_eps(p, q) * T_de / (2.0 * h2))
-
-    rows = np.concatenate([np.atleast_1d(r) for r in rows])
-    cols = np.concatenate([np.atleast_1d(c) for c in cols])
-    vals = np.concatenate([np.atleast_1d(v) for v in vals])
-    full = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    ii = grid.interior_idx
-    bb = grid.boundary_idx
-    return AssembledOperator(grid, full[ii][:, ii].tocsr(), full[ii][:, bb].tocsr())
+            add_faces((d, e), zero, unit[d] + unit[e], 1, T_de)
+            add_faces((d, e), unit[e], unit[d], -1, T_de)
+    stencil[(0, 0, 0)] = -sum(stencil.values())
+    offsets = sorted(stencil, key=lambda v: np.dot(v, (n * n, n, 1)))
+    vals = np.stack([stencil[v] for v in offsets]).reshape(len(offsets), -1).T  # row by row
+    keep = vals != 0.0
+    # the neighbour along an offset is interior where each shifted coordinate is
+    shifted = np.arange(m)[:, None] + np.array(offsets).T[:, None, :]
+    ok = (shifted >= 0) & (shifted < m)
+    inside = (ok[0][:, None, None] & ok[1][None, :, None]
+              & ok[2][None, None, :]).reshape(keep.shape)
+    interior = keep & inside
+    indptr = np.zeros(m**3 + 1, dtype=np.int32)
+    np.cumsum(interior.sum(axis=1), out=indptr[1:])
+    cols = (np.arange(m**3, dtype=np.int32)[:, None]
+            + np.array([np.dot(v, (m * m, m, 1)) for v in offsets], dtype=np.int32))
+    matrix = sp.csr_matrix((vals[interior], cols[interior], indptr), shape=(m**3, m**3))
+    # the few entries towards boundary nodes, row by row
+    row, col = np.divmod(np.flatnonzero(keep & ~inside), len(offsets))
+    full = grid.interior_idx[row] + np.dot(offsets, (n * n, n, 1))[col]
+    coupling = sp.csr_matrix((vals[row, col], (row, np.searchsorted(grid.boundary_idx, full))),
+                             shape=(m**3, len(grid.boundary_idx)))
+    return AssembledOperator(grid, matrix, coupling)
 
 
 def gaussian_factors(axes, charges: list, positions=None):
@@ -281,7 +283,7 @@ def assemble_rhs(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> Grid
         for a, gx, gy, gz in zip(amp, *factors):
             vals += ((a * gx)[:, None, None] * np.multiply.outer(gy, gz)).ravel()
     elif coeffs.charges:
-        det = geometry.det3(geometry.jacobian(dmap, grid.lattice, y)).ravel()
+        det = geometry.det_jacobian(dmap, grid.lattice, y).ravel()
         # the modes' displacements at the nodes do not depend on the charge
         shifts = [(math.sqrt(mu) * y[k], fld, np.reshape(fld.value(grid.lattice), (-1, 3)))
                   for k, (mu, fld) in enumerate(dmap.modes)]
@@ -304,7 +306,7 @@ def reaction_profile(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> 
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
     kap = coeffs.kappa2[grid.subdomain_tag].ravel()
     if dmap.modes:
-        kap = kap * geometry.det3(geometry.jacobian(dmap, grid.lattice, y)).ravel()
+        kap = kap * geometry.det_jacobian(dmap, grid.lattice, y).ravel()
     return GridField(grid, kap)
 
 
@@ -481,6 +483,7 @@ class Adjoint:
     weights: np.ndarray   # QoI weights w on the full grid
     z: np.ndarray         # interior
     residual: np.ndarray  # r_z = w - (A + diag K) z, interior
+    cg: CGInfo            # the CG solve that gave z
 
 
 def solve_adjoint(op: AssembledOperator, reaction: GridField) -> Adjoint:
@@ -495,8 +498,8 @@ def solve_adjoint(op: AssembledOperator, reaction: GridField) -> Adjoint:
     vcycle = VCycle(matrix, grid)
     w = grid.node_weights()
     w_int = w[grid.interior_idx]
-    z, _ = _pcg(matrix, w_int, vcycle, tol=_GOAL_QOI_TOL)
-    return Adjoint(matrix, vcycle, w, z, w_int - matrix @ z)
+    z, cg = _pcg(matrix, w_int, vcycle, tol=_GOAL_QOI_TOL)
+    return Adjoint(matrix, vcycle, w, z, w_int - matrix @ z, cg)
 
 
 @dataclass

@@ -49,24 +49,18 @@ class TestAcceptance:
     def test_preconditioner_quality(self, monkeypatch):
         # the counts repeat exactly, so a hierarchy that weakens the V-cycle
         # fails here instead of only running slower
-        cg, knots = [], []
-        pcg, newton = pde._pcg, pde.newton_solve_npbe
-
-        def counting_pcg(*args, **kwargs):
-            x, info = pcg(*args, **kwargs)
-            cg.append((kwargs.get("tol"), info.iterations))
-            return x, info
+        knots = []
+        newton = pde.newton_solve_npbe
 
         def counting_newton(*args, **kwargs):
             u, info = newton(*args, **kwargs)
             knots.append(info.cg_iterations)
             return u, info
 
-        monkeypatch.setattr(pde, "_pcg", counting_pcg)
         monkeypatch.setattr(pde, "newton_solve_npbe", counting_newton)
         result = harness.run_study(study_config())
         report("preconditioner quality: adjoint 18 CG, 13 knots of 1 Newton step x 6 CG",
-               cg[0] == (pde._GOAL_QOI_TOL, 18) and result.knot_solves == 13
+               result.adjoint_cg.iterations == 18 and result.knot_solves == 13
                and knots == [[6]] * 13)
 
     def test_manufactured_solution_order(self):

@@ -138,8 +138,10 @@ class TestLattice:
         pts = np.asarray(lat)
         for axis in range(3):
             fld = geometry.CutoffShift(axis, domain.box_min, domain.box_max, 7.0)
-            for name in ("value", "jac", "jac_deriv"):
+            for name in ("value", "jac_deriv"):
                 assert np.array_equal(getattr(fld, name)(lat), getattr(fld, name)(pts)), name
+            for got, expect in zip(sum(fld.jac(lat), []), sum(fld.jac(pts), [])):
+                assert np.array_equal(got, expect)
         dmap = cutoff_map(domain)
         for y in (np.array([0.8, -0.6]), np.array([-1.0, 1.0])):
             assert np.array_equal(geometry.jacobian(dmap, lat, y),
@@ -179,6 +181,22 @@ class TestJacobian:
             for d in range(3):
                 assert np.allclose(geometry._adjugate_row(J, d), adj[d], atol=1e-12)
 
+    def test_stacked_shape(self):
+        # bench tracing reads the points count from jacobian's leading shape
+        domain = make_domain()
+        dmap = cutoff_map(domain)
+        lat = TestLattice().lattice()
+        pts = np.asarray(lat)[1, :4, 2]
+        y = np.array([0.8, -0.6])
+        assert geometry.jacobian(dmap, lat, y).shape == (5, 7, 6, 3, 3)
+        assert geometry.jacobian(dmap, pts, y).shape == (4, 3, 3)
+        assert geometry.jacobian(dmap, pts[0], y).shape == (3, 3)
+        assert geometry.jacobian(geometry.DomainMap([]), pts, []).shape == (4, 3, 3)
+        # one y per point, as the bound sampling passes it
+        ys = np.array([[0.8, -0.6], [0.1, 0.2], [-1.0, 1.0], [0.0, 0.5]])
+        expect = np.array([geometry.jacobian(dmap, r, yk) for r, yk in zip(pts, ys)])
+        assert np.array_equal(geometry.jacobian(dmap, pts, ys.T), expect)
+
     def test_singular_value_lower_bound(self):
         # sigma_min(J) >= 1 - ||B||_1 |y|_inf for small maps
         domain = make_domain()
@@ -193,7 +211,59 @@ class TestJacobian:
             assert smin >= 1.0 - prof.b_norm_1 * np.max(np.abs(y)) - 1e-9
 
 
+class FullRank:
+    """B_ij(r) = sin(a_ij . r + c_ij), full rank at almost every point."""
+
+    def __init__(self):
+        rng = np.random.default_rng(7)
+        self.a, self.c = rng.uniform(-0.2, 0.2, (3, 3, 3)), rng.uniform(0.0, 6.0, (3, 3))
+
+    def value(self, r):
+        return np.zeros(np.asarray(r).shape)
+
+    def jac(self, r):
+        phase = np.asarray(r) @ self.a.reshape(9, 3).T + self.c.ravel()
+        return [[np.sin(phase[..., 3 * i + j]) for j in range(3)] for i in range(3)]
+
+    def jac_deriv(self, r):
+        phase = np.asarray(r) @ self.a.reshape(9, 3).T + self.c.ravel()
+        # [..., k, i, j] = dB_ij / dr_k
+        return np.cos(phase).reshape(phase.shape[:-1] + (1, 3, 3)) * np.moveaxis(self.a, -1, 0)
+
+
+class Constant:
+    """The same B at every point, so every point ties at the sup."""
+
+    def value(self, r):
+        return np.zeros(np.asarray(r).shape)
+
+    def jac(self, r):
+        return [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 3.0]]
+
+    def jac_deriv(self, r):
+        return np.zeros(np.asarray(r).shape[:-1] + (3, 3, 3))
+
+
 class TestNorms:
+    @pytest.mark.parametrize("name", ["cutoff", "full-rank", "ties"])
+    def test_pruned_sweep_matches_exhaustive(self, name, monkeypatch):
+        domain = make_domain()
+        fld = {"cutoff": geometry.CutoffShift(1, domain.box_min, domain.box_max, 7.0),
+               "full-rank": FullRank(), "ties": Constant()}[name]
+        n = 20
+        pts = np.asarray(geometry._box_grid(domain, n))
+        mats = [geometry._stack(fld.jac(pts), pts.shape[:-1])]
+        mats += [fld.jac_deriv(pts)[..., i, :, :] for i in range(3)]
+        expect = max(float(np.max(np.linalg.svd(b, compute_uv=False)[..., 0])) for b in mats)
+        svd, sizes = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: sizes.append(a.size // 9) or svd(a, **kw))
+        assert geometry.mode_c1_norm(fld, domain, n=n) == expect
+        if name == "ties":  # one SVD per stack at its largest norm, then every point of B
+            assert sum(sizes) == 4 + n**3
+        else:
+            assert sum(sizes) < n**3
+
     def test_empty_map_gives_zero_norms(self):
         prof = geometry.b_norms(geometry.DomainMap([]), make_domain())
         assert prof.b_norm_1 == 0.0
@@ -205,9 +275,7 @@ class TestNorms:
                 return np.zeros(np.asarray(r).shape)
 
             def jac(self, r):
-                out = np.zeros(np.asarray(r).shape[:-1] + (3, 3))
-                out[..., 0, 0] = 1.0
-                return out
+                return [[1.0 if i == j == 0 else 0.0 for j in range(3)] for i in range(3)]
 
             def jac_deriv(self, r):
                 return np.zeros(np.asarray(r).shape[:-1] + (3, 3, 3))
@@ -296,9 +364,7 @@ class TestAssumptions:
                 return np.asarray(r, dtype=float)
 
             def jac(self, r):
-                out = np.zeros(np.asarray(r).shape[:-1] + (3, 3))
-                out[...] = -2.0 * np.eye(3)
-                return out
+                return [[-2.0 if i == j else 0.0 for j in range(3)] for i in range(3)]
 
             def jac_deriv(self, r):
                 return np.zeros(np.asarray(r).shape[:-1] + (3, 3, 3))

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -698,6 +699,8 @@ class TestCli:
         assert "# slope" in out
         line, = [ln for ln in out.splitlines() if ln.startswith("# nonlinear remainder: ")]
         assert line.startswith("# nonlinear remainder: level ") and "reference knots" in line
+        lines = out.splitlines()
+        assert re.fullmatch(r"# adjoint: [1-9][0-9]* CG iterations", lines[lines.index(line) + 1])
 
     def test_study_reports_failed_levels(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)

@@ -84,6 +84,60 @@ class TestQoI:
         assert abs(pde.qoi_integral(u) - 0.5) <= 1e-12
 
 
+ORACLE_YS = [np.array([0.6, -0.4]), np.array([1.0, -1.0])]
+
+
+def oracle_case():
+    domain = unit_domain()
+    grid = pde.Grid3D(domain, 9)
+    coeffs = no_charge_coeffs(eps=(3.0, 2.0, 1.0))
+    return domain, cutoff_map(domain, scales=(0.1, 0.05)), grid, coeffs
+
+
+def dense_operator(dmap, coeffs, y, grid):
+    """Full-grid matrix of the flux scheme, coded independently, face by face."""
+    n = grid.shape[0]
+    h = grid.h
+    eps_node = coeffs.eps[grid.subdomain_tag]
+    pts = grid.points.reshape(grid.shape + (3,))
+    idx = np.arange(n**3).reshape(grid.shape)
+    A = np.zeros((n**3, n**3))
+
+    def harm(a, b):
+        return 2.0 * a * b / (a + b)
+
+    def tensor(mid):
+        J = geometry.jacobian(dmap, mid, y)
+        Jinv = np.linalg.inv(J)
+        return (Jinv @ Jinv.T) * np.linalg.det(J)
+
+    def add(P, Q, c):
+        A[idx[P], idx[P]] += c
+        A[idx[Q], idx[Q]] += c
+        A[idx[P], idx[Q]] -= c
+        A[idx[Q], idx[P]] -= c
+
+    for P in itertools.product(range(n), repeat=3):
+        for d in range(3):
+            Q = list(P)
+            Q[d] += 1
+            Q = tuple(Q)
+            if Q[d] < n:
+                mid = 0.5 * (pts[P] + pts[Q])
+                add(P, Q, harm(eps_node[P], eps_node[Q]) * tensor(mid)[d, d] / h**2)
+        for d, e in ((0, 1), (0, 2), (1, 2)):
+            for sgn in (1, -1):
+                Q = list(P)
+                Q[d] += 1
+                Q[e] += sgn
+                Q = tuple(Q)
+                if Q[d] < n and 0 <= Q[e] < n:
+                    mid = 0.5 * (pts[P] + pts[Q])
+                    add(P, Q, sgn * harm(eps_node[P], eps_node[Q])
+                        * tensor(mid)[d, e] / (2.0 * h**2))
+    return A
+
+
 class TestAssembly:
     def test_seven_point_degeneration(self):
         # translation map, eps constant: matrix equals the scaled 7-point Laplacian
@@ -112,9 +166,9 @@ class TestAssembly:
         general, fast = cutoff_map(domain), identity_map()
         y = np.zeros(2)
         calls = []
-        jacobian = geometry.jacobian
-        monkeypatch.setattr(geometry, "jacobian",
-                            lambda *args: calls.append(args) or jacobian(*args))
+        entries = geometry._jacobian_entries
+        monkeypatch.setattr(geometry, "_jacobian_entries",
+                            lambda *args: calls.append(args) or entries(*args))
         op_g = pde.assemble_pulled_back_operator(domain, general, coeffs, y, grid)
         assert calls  # the general path really ran
         op_f = pde.assemble_pulled_back_operator(domain, fast, coeffs, None, grid)
@@ -150,53 +204,12 @@ class TestAssembly:
     def test_dense_oracle_on_cutoff_map(self):
         # independently coded dense assembly of the same flux scheme, at an
         # interior y and at a corner of Gamma
-        domain = unit_domain()
-        dmap = cutoff_map(domain, scales=(0.1, 0.05))
-        grid = pde.Grid3D(domain, 9)
-        coeffs = no_charge_coeffs(eps=(3.0, 2.0, 1.0))
-        n = grid.shape[0]
-        h = grid.h
-        eps_node = coeffs.eps[grid.subdomain_tag]
-        pts = grid.points.reshape(grid.shape + (3,))
-        idx = np.arange(n**3).reshape(grid.shape)
+        domain, dmap, grid, coeffs = oracle_case()
         ii, bb = grid.interior_idx, grid.boundary_idx
-
-        def harm(a, b):
-            return 2.0 * a * b / (a + b)
-
-        for y in (np.array([0.6, -0.4]), np.array([1.0, -1.0])):
+        n = grid.shape[0]
+        for y in ORACLE_YS:
             op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
-            A = np.zeros((n**3, n**3))
-
-            def tensor(mid):
-                J = geometry.jacobian(dmap, mid, y)
-                Jinv = np.linalg.inv(J)
-                return (Jinv @ Jinv.T) * np.linalg.det(J)
-
-            def add(P, Q, c):
-                A[idx[P], idx[P]] += c
-                A[idx[Q], idx[Q]] += c
-                A[idx[P], idx[Q]] -= c
-                A[idx[Q], idx[P]] -= c
-
-            for P in itertools.product(range(n), repeat=3):
-                for d in range(3):
-                    Q = list(P)
-                    Q[d] += 1
-                    Q = tuple(Q)
-                    if Q[d] < n:
-                        mid = 0.5 * (pts[P] + pts[Q])
-                        add(P, Q, harm(eps_node[P], eps_node[Q]) * tensor(mid)[d, d] / h**2)
-                for d, e in ((0, 1), (0, 2), (1, 2)):
-                    for sgn in (1, -1):
-                        Q = list(P)
-                        Q[d] += 1
-                        Q[e] += sgn
-                        Q = tuple(Q)
-                        if Q[d] < n and 0 <= Q[e] < n:
-                            mid = 0.5 * (pts[P] + pts[Q])
-                            add(P, Q, sgn * harm(eps_node[P], eps_node[Q])
-                                * tensor(mid)[d, e] / (2.0 * h**2))
+            A = dense_operator(dmap, coeffs, y, grid)
             u = grid.points @ np.array([0.3, -0.2, 0.5])
             r1 = op.matrix @ u[ii] + op.boundary_coupling @ u[bb]
             r2 = A[np.ix_(ii, np.arange(n**3))] @ u
@@ -206,15 +219,59 @@ class TestAssembly:
                                (op.boundary_coupling, A[np.ix_(ii, bb)])):
                 assert np.max(np.abs(got.toarray() - block)) <= 1e-12 * np.max(np.abs(block))
 
+    def test_blocks_are_canonical_csr_with_the_oracle_pattern(self):
+        # rows in column order without duplicates, int32 indices, and a
+        # stored entry exactly where the dense oracle has a nonzero; at
+        # y = 0 every mixed term is zero and the 7-point pattern is left
+        domain, dmap, grid, coeffs = oracle_case()
+        ii, bb = grid.interior_idx, grid.boundary_idx
+        m = grid.shape[0] - 2
+        for y in ORACLE_YS + [np.zeros(2)]:
+            op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
+            A = dense_operator(dmap, coeffs, y, grid)
+            for got, block in ((op.matrix, A[np.ix_(ii, ii)]),
+                               (op.boundary_coupling, A[np.ix_(ii, bb)])):
+                assert got.indices.dtype == got.indptr.dtype == np.int32
+                for row in range(got.shape[0]):
+                    cols = got.indices[got.indptr[row]:got.indptr[row + 1]]
+                    assert np.all(np.diff(cols) > 0)
+                    assert np.array_equal(cols, np.flatnonzero(block[row]))
+            if not y.any():
+                assert op.matrix.nnz == m**3 + 6 * m**2 * (m - 1)
+                assert op.boundary_coupling.nnz == 6 * m**2
+
+    def test_knot_path_forms_no_stacked_jacobian(self, monkeypatch):
+        # operator, forcing and reaction of a J != I knot come from the
+        # entries of J alone
+        domain = unit_domain()
+        grid = pde.Grid3D(domain, 9)
+        dmap = cutoff_map(domain)
+        coeffs = pde.PBECoefficients([3.0, 2.0, 1.0], [1.0, 0.5, 2.0],
+                                     [pde.Charge([0.45, 0.5, 0.55], 1.0, 0.1)], 0.0)
+        y = np.array([0.8, -0.6])
+        expect = [build(domain, dmap, coeffs, y, grid)
+                  for build in (pde.assemble_pulled_back_operator, pde.assemble_rhs,
+                                pde.reaction_profile)]
+
+        def dense(*args):
+            raise AssertionError("a stacked Jacobian was formed")
+
+        monkeypatch.setattr(geometry, "jacobian", dense)
+        monkeypatch.setattr(geometry, "_stack", dense)
+        op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
+        assert (op.matrix != expect[0].matrix).nnz == 0
+        for build, ref in zip((pde.assemble_rhs, pde.reaction_profile), expect[1:]):
+            assert np.array_equal(build(domain, dmap, coeffs, y, grid).values, ref.values)
+
     def test_jacobian_once_per_midpoint_set(self, monkeypatch):
         # three axis-face sets and three plane-edge sets, whose two diagonals
         # share their midpoints; the map with no modes needs no Jacobian
         domain = unit_domain()
         grid = pde.Grid3D(domain, 9)
         calls = []
-        jacobian = geometry.jacobian
-        monkeypatch.setattr(geometry, "jacobian",
-                            lambda *args: calls.append(args) or jacobian(*args))
+        entries = geometry._jacobian_entries
+        monkeypatch.setattr(geometry, "_jacobian_entries",
+                            lambda *args: calls.append(args) or entries(*args))
         for dmap, y, expect in ((cutoff_map(domain), np.array([0.5, -0.5]), 6),
                                 (identity_map(), None, 0)):
             calls.clear()
@@ -298,9 +355,8 @@ class TestAssembly:
                 r = np.asarray(r, dtype=float)
                 frac = r / grid.h - np.round(r / grid.h)
                 folded = np.sum(np.abs(frac) > 0.25, axis=-1) >= self.off
-                out = np.zeros(r.shape[:-1] + (3, 3))
-                out[folded] = self.scale * np.eye(3)
-                return out
+                diag = np.where(folded, self.scale, 0.0)
+                return [[diag if i == j else 0.0 for j in range(3)] for i in range(3)]
 
             def jac_deriv(self, r):
                 return np.zeros(np.asarray(r).shape[:-1] + (3, 3, 3))
