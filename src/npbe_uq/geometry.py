@@ -14,15 +14,17 @@ a lattice's coordinate d as ``r[..., d]``, axis d shaped to broadcast over
 the lattice, so a separable field such as ``CutoffShift`` evaluates its
 factors once per axis coordinate; ``np.asarray(r)`` gives the lattice's
 (n0, n1, n2, 3) points, so any other field works on it unchanged.  Results
-have the points' leading shape, (n0, n1, n2) for a lattice.  ``jac`` returns
-B as a 3x3 nested list of entries, each broadcasting over that shape, and an
-entry that vanishes everywhere is the float 0.0.  J is formed entry by entry
-from them, so only the entry each face uses is formed; ``jacobian`` stacks
-J to (..., 3, 3) for callers that need matrices.
+have the points' leading shape, (n0, n1, n2) for a lattice.  ``value``
+returns b as 3 entries and ``jac`` B as a 3x3 nested list of entries, each
+broadcasting over that shape, and an entry that vanishes everywhere is the
+float 0.0.  J is formed entry by entry, so an entry no mode touches stays a
+scalar (with no modes, J = I in floats); ``jacobian`` and ``map_forward``
+stack for callers that need arrays, and ``jac_deriv`` returns dB stacked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -134,7 +136,8 @@ class CutoffShift:
     The cutoff is 1 on the inner plateau of the box and decays to 0 over a
     margin of width ``margin`` at each box face, so the box boundary stays
     fixed while interior interfaces move.  It is the product of one factor
-    per axis, each evaluated on that axis's coordinates alone.
+    per axis, each evaluated on that axis's coordinates alone.  Outside
+    component ``axis`` of b and row ``axis`` of B every entry is the float 0.0.
     """
 
     def __init__(self, axis: int, box_min, box_max, margin: float):
@@ -165,11 +168,10 @@ class CutoffShift:
         return out
 
     def value(self, r):
-        r = _points(r)
-        (q,) = self._axis_factors(r, 0)
-        out = np.zeros(r.shape)
-        out[..., self.axis] = q[0] * q[1] * q[2]
-        return out
+        (q,) = self._axis_factors(_points(r), 0)
+        b = [0.0] * 3
+        b[self.axis] = q[0] * q[1] * q[2]
+        return b
 
     def jac(self, r):
         q, dq = self._axis_factors(_points(r), 1)
@@ -224,7 +226,8 @@ def map_forward(dmap: DomainMap, r, y):
     y = np.asarray(y)
     out = r.astype(complex) if np.iscomplexobj(y) else r.copy()
     for k, (mu, fld) in enumerate(dmap.modes):
-        out = out + math.sqrt(mu) * y[k] * fld.value(r)
+        for d, b in enumerate(fld.value(r)):
+            out[..., d] += math.sqrt(mu) * y[k] * b
     return out
 
 
@@ -281,10 +284,9 @@ def _det(J, adj_d, d: int):
 
 
 def det_jacobian(dmap: DomainMap, r, y):
-    """det J(r; y) from the entries of J, shaped like the points; r may be a Lattice."""
-    r = _points(r)
-    J = _jacobian_entries(dmap, r, np.asarray(y))
-    return np.broadcast_to(_det(J, _adjugate_row(J, 0), 0), r.shape[:-1])
+    """det J(r; y) from the entries of J, broadcasting over the points; r may be a Lattice."""
+    J = _jacobian_entries(dmap, _points(r), np.asarray(y))
+    return _det(J, _adjugate_row(J, 0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +326,10 @@ def mode_c1_norm(fld, domain: ReferenceDomain, n: int = 64) -> float:
 
 def b_norms(dmap: DomainMap, domain: ReferenceDomain, p: float = 2.0, n: int = 64) -> MapBoundsProfile:
     """Sampled estimates of ||B||_1, ||B||_inf, ||B||_p (lower estimates of the sup)."""
-    if not dmap.modes:
-        return MapBoundsProfile(0.0, 0.0, 0.0, p)
     c1 = [mode_c1_norm(fld, domain, n=n) for _, fld in dmap.modes]
     terms = [math.sqrt(mu) * c for (mu, _), c in zip(dmap.modes, c1)]
-    norm_1 = sum(terms)
-    norm_inf = max(terms)
+    norm_1 = sum(terms, 0.0)
+    norm_inf = max(terms, default=0.0)
     norm_p = sum(t**p for t in terms) ** (1.0 / p)
     return MapBoundsProfile(norm_1, norm_inf, norm_p, p)
 
@@ -360,16 +360,9 @@ def check_assumptions(domain: ReferenceDomain, dmap: DomainMap, eps, kappa2) -> 
         raise DomainError("kappa^2 must be nonnegative in every region")
     pts = _box_grid(domain, 17)
     N = dmap.n_modes
-    if not dmap.modes:
-        c2 = 1.0
-    else:
-        levels = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        grids = np.meshgrid(*([levels] * N), indexing="ij")
-        ys = np.stack([g.ravel() for g in grids], axis=-1)
-        ys = np.vstack([ys, np.random.default_rng(0).uniform(-1.0, 1.0, size=(32, N))])
-        c2 = math.inf
-        for y in ys:
-            c2 = min(c2, float(np.min(det_jacobian(dmap, pts, y))))
+    ys = np.vstack([list(itertools.product([-1.0, -0.5, 0.0, 0.5, 1.0], repeat=N)),
+                    np.random.default_rng(0).uniform(-1.0, 1.0, size=(32, N))])
+    c2 = min(float(np.min(det_jacobian(dmap, pts, y))) for y in ys)
     if c2 <= 0.0:
         raise MapOrientationError(f"det J <= 0 sampled (min {c2:.3e}); map rejected")
     return AssumptionReport(c1=float(np.min(eps)), c2=c2)

@@ -13,9 +13,10 @@ midpoint set, like the nodes where the forcing and reaction take det J, is a
 tensor lattice and is passed to the fields as a ``geometry.Lattice``, so a
 separable field evaluates per axis.  The face coefficients go straight into
 the interior and boundary-coupling blocks, without a full-grid matrix.
-For a map with no modes J = I, the tensor reduces to eps*I and the stencil
-degenerates to the classic 7-point one, and each charge's Gaussian forcing
-on the node lattice is the outer product of three per-axis factors.
+Every map takes this one path.  An entry that no mode touches stays a
+scalar, so with no modes (J = I) each mixed term is the float 0.0 and adds no
+faces, leaving the classic 7-point stencil, det J is the float 1.0, and each
+charge's Gaussian forcing is the outer product of three per-axis factors.
 
 The sinh nonlinearity is handled by damped Newton iteration with residual
 backtracking; from u = 0 its first residual is -b, formed without a matvec.
@@ -194,10 +195,10 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     and the interior and boundary-coupling blocks are filled from these in
     column order.  Mixed-term coefficients vanish exactly wherever the
     modes' fields are flat (the cutoff plateau, and everywhere at y = 0);
-    zero entries are not stored.
+    zero entries are not stored, and a plane whose mixed term is the float
+    0.0 (as with no modes) adds no diagonal faces.
     """
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
-    identity = not dmap.modes
     n, m = grid.shape[0], grid.shape[0] - 2
     eps = coeffs.eps[grid.subdomain_tag]
     h2 = grid.h * grid.h
@@ -219,14 +220,13 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
             stencil[tuple(end - start)] = neg[tuple(slice(1 - v, n - 1 - v) for v in start)]
 
     for d in range(3):
-        T_dd = 1.0 if identity else _tensor_entry(dmap, y, midpoints(d), d, d,
-                                                  f"axis {d} face")
-        add_faces((d,), zero, unit[d], 1, T_dd)
-    if not identity:
-        for d, e in ((0, 1), (0, 2), (1, 2)):
-            # the d+e diagonal runs lo -> lo + e_d + e_e and the d-e diagonal
-            # lo + e_e -> lo + e_d: the same edge centres
-            T_de = _tensor_entry(dmap, y, midpoints(d, e), d, e, f"plane ({d}, {e}) edge")
+        add_faces((d,), zero, unit[d], 1,
+                  _tensor_entry(dmap, y, midpoints(d), d, d, f"axis {d} face"))
+    for d, e in ((0, 1), (0, 2), (1, 2)):
+        # the d+e diagonal runs lo -> lo + e_d + e_e and the d-e diagonal
+        # lo + e_e -> lo + e_d: the same edge centres
+        T_de = _tensor_entry(dmap, y, midpoints(d, e), d, e, f"plane ({d}, {e}) edge")
+        if not (isinstance(T_de, float) and T_de == 0.0):
             add_faces((d, e), zero, unit[d] + unit[e], 1, T_de)
             add_faces((d, e), unit[e], unit[d], -1, T_de)
     stencil[(0, 0, 0)] = -sum(stencil.values())
@@ -252,6 +252,12 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     return AssembledOperator(grid, matrix, coupling)
 
 
+def _amplitudes(charges: list):
+    """(amp, s^2) per charge: amp = q / (2 pi s^2)^(3/2), each of shape (C,)."""
+    s2 = np.array([c.width for c in charges]) ** 2
+    return np.array([c.magnitude for c in charges]) / (2.0 * math.pi * s2) ** 1.5, s2
+
+
 def gaussian_factors(axes, charges: list, positions=None):
     """Each charge's Gaussian on the lattice of axes as amp g_0 (x) g_1 (x) g_2.
 
@@ -263,8 +269,7 @@ def gaussian_factors(axes, charges: list, positions=None):
     """
     if positions is None:
         positions = np.array([c.position for c in charges])
-    s2 = np.array([c.width for c in charges]) ** 2
-    amp = np.array([c.magnitude for c in charges]) / (2.0 * math.pi * s2) ** 1.5
+    amp, s2 = _amplitudes(charges)
     return amp, [np.exp(-0.5 * (a - positions[..., d, None]) ** 2 / s2[:, None])
                  for d, a in enumerate(axes)]
 
@@ -272,42 +277,36 @@ def gaussian_factors(axes, charges: list, positions=None):
 def assemble_rhs(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> GridField:
     """Nodal values of f*(r; y) det J(r; y) for the Gaussian charge model.
 
-    For a map with no modes (J = I) each charge's Gaussian on the node
-    lattice is the outer product of its gaussian_factors on grid.axes, so no
-    per-node displacement is formed.
+    The charge centres ride along with the map: a charge at c gives node x
+    amp g_0 g_1 g_2, g_d = exp(-delta_d^2 / (2 s^2)), for the offset
+    delta = F(x) - F(c), whose component d is x_d - c_d plus
+    sum_k sqrt(mu_k) y_k (b_kd(x) - b_kd(c)).  A component no mode displaces
+    stays on its grid axis, so with no modes (J = I) each Gaussian is the
+    outer product of three per-axis factors; no (n^3, 3) array is formed.
     """
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
-    vals = np.zeros(grid.n_nodes)
-    if coeffs.charges and not dmap.modes:
-        amp, factors = gaussian_factors(grid.axes, coeffs.charges)
-        for a, gx, gy, gz in zip(amp, *factors):
-            vals += ((a * gx)[:, None, None] * np.multiply.outer(gy, gz)).ravel()
-    elif coeffs.charges:
-        det = geometry.det_jacobian(dmap, grid.lattice, y).ravel()
-        # the modes' displacements at the nodes do not depend on the charge
-        shifts = [(math.sqrt(mu) * y[k], fld, np.reshape(fld.value(grid.lattice), (-1, 3)))
-                  for k, (mu, fld) in enumerate(dmap.modes)]
-        for c in coeffs.charges:
-            s2 = c.width**2
-            amp = c.magnitude / (2.0 * math.pi * s2) ** 1.5
-            # charge centers ride along with the map; taking the displacement
-            # difference mode by mode makes translation cancellation exact
-            delta = grid.points - c.position
-            for scale, fld, at_nodes in shifts:
-                delta = delta + scale * (at_nodes - fld.value(c.position))
-            d2 = np.sum(delta**2, axis=-1)
-            vals += amp * np.exp(-0.5 * d2 / s2)
-        vals = vals * det
-    return GridField(grid, vals)
+    x = grid.lattice
+    # the modes' displacements at the nodes do not depend on the charge
+    shifts = [(math.sqrt(mu) * y[k], fld, fld.value(x)) for k, (mu, fld) in enumerate(dmap.modes)]
+    axes = [x[..., d] for d in range(3)]
+    vals = np.zeros(grid.shape)
+    for c, amp, s2 in zip(coeffs.charges, *_amplitudes(coeffs.charges)):
+        delta = [a - p for a, p in zip(axes, c.position)]
+        # taking the displacement difference mode by mode makes translation
+        # cancellation exact; a float 0.0 component leaves its axis 1-D
+        for scale, fld, at_nodes in shifts:
+            at_c = fld.value(c.position)
+            delta = [t + scale * (b - b_c) for t, b, b_c in zip(delta, at_nodes, at_c)]
+        g0, g1, g2 = (np.exp(-0.5 * t**2 / s2) for t in delta)
+        vals += (amp * g0) * (g1 * g2)
+    return GridField(grid, vals * geometry.det_jacobian(dmap, x, y))
 
 
 def reaction_profile(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> GridField:
     """Nodal kappa^2(r) det J(r; y), the coefficient of sinh(u) in the residual."""
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
-    kap = coeffs.kappa2[grid.subdomain_tag].ravel()
-    if dmap.modes:
-        kap = kap * geometry.det_jacobian(dmap, grid.lattice, y).ravel()
-    return GridField(grid, kap)
+    return GridField(grid, coeffs.kappa2[grid.subdomain_tag]
+                     * geometry.det_jacobian(dmap, grid.lattice, y))
 
 
 # ---------------------------------------------------------------------------

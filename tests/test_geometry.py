@@ -138,10 +138,13 @@ class TestLattice:
         pts = np.asarray(lat)
         for axis in range(3):
             fld = geometry.CutoffShift(axis, domain.box_min, domain.box_max, 7.0)
-            for name in ("value", "jac_deriv"):
-                assert np.array_equal(getattr(fld, name)(lat), getattr(fld, name)(pts)), name
-            for got, expect in zip(sum(fld.jac(lat), []), sum(fld.jac(pts), [])):
+            assert np.array_equal(fld.jac_deriv(lat), fld.jac_deriv(pts))
+            b = fld.value(lat)
+            for got, expect in zip(b + sum(fld.jac(lat), []),
+                                   fld.value(pts) + sum(fld.jac(pts), [])):
                 assert np.array_equal(got, expect)
+            # the two components the shift does not displace are the float 0.0
+            assert all(type(b[d]) is float and b[d] == 0.0 for d in range(3) if d != axis)
         dmap = cutoff_map(domain)
         for y in (np.array([0.8, -0.6]), np.array([-1.0, 1.0])):
             assert np.array_equal(geometry.jacobian(dmap, lat, y),
@@ -219,7 +222,7 @@ class FullRank:
         self.a, self.c = rng.uniform(-0.2, 0.2, (3, 3, 3)), rng.uniform(0.0, 6.0, (3, 3))
 
     def value(self, r):
-        return np.zeros(np.asarray(r).shape)
+        return [0.0] * 3
 
     def jac(self, r):
         phase = np.asarray(r) @ self.a.reshape(9, 3).T + self.c.ravel()
@@ -235,7 +238,7 @@ class Constant:
     """The same B at every point, so every point ties at the sup."""
 
     def value(self, r):
-        return np.zeros(np.asarray(r).shape)
+        return [0.0] * 3
 
     def jac(self, r):
         return [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 3.0]]
@@ -272,7 +275,7 @@ class TestNorms:
         # mode with ||B||_C1 = 1 and mu = 0.04 gives norms sqrt(0.04) = 0.2
         class UnitJac:
             def value(self, r):
-                return np.zeros(np.asarray(r).shape)
+                return [0.0] * 3
 
             def jac(self, r):
                 return [[1.0 if i == j == 0 else 0.0 for j in range(3)] for i in range(3)]
@@ -361,7 +364,8 @@ class TestAssumptions:
     def test_orientation_violation_rejected(self):
         class Collapse:
             def value(self, r):
-                return np.asarray(r, dtype=float)
+                r = np.asarray(r, dtype=float)
+                return [r[..., d] for d in range(3)]
 
             def jac(self, r):
                 return [[-2.0 if i == j else 0.0 for j in range(3)] for i in range(3)]

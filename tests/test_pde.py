@@ -156,9 +156,10 @@ class TestAssembly:
         assert abs(diff).max() <= 1e-12
 
     def test_general_path_matches_fast_path_at_identity(self, monkeypatch):
-        # at y = 0 the cutoff map has J = I exactly, so the 19-point path
-        # must reproduce the 7-point fast path of the map with no modes,
-        # down to the sparsity pattern once its zero mixed terms are dropped
+        # at y = 0 the cutoff map has J = I exactly, in arrays; its mixed
+        # terms are arrays of zeros, so the 19-point stencil it assembles must
+        # reproduce the 7-point one of the map with no modes, whose J = I is in
+        # floats, down to the sparsity pattern once the zero entries are dropped
         domain = unit_domain()
         grid = pde.Grid3D(domain, 9)
         coeffs = pde.PBECoefficients([3.0, 2.0, 1.0], [1.0, 0.5, 2.0],
@@ -182,6 +183,36 @@ class TestAssembly:
             g = build(domain, general, coeffs, y, grid).values
             f = build(domain, fast, coeffs, None, grid).values
             assert np.max(np.abs(g - f)) <= 1e-12 * np.max(np.abs(f))
+
+    def test_zero_mode_is_identity_bit_for_bit(self):
+        # a mode whose field vanishes everywhere, in floats, leaves J = I in
+        # floats at any y: the one assembly path must give the map with no
+        # modes its results exactly
+        class Zero:
+            def value(self, r):
+                return [0.0] * 3
+
+            def jac(self, r):
+                return [[0.0] * 3 for _ in range(3)]
+
+            def jac_deriv(self, r):
+                return np.zeros(np.asarray(r).shape[:-1] + (3, 3, 3))
+
+        domain = unit_domain()
+        grid = pde.Grid3D(domain, 9)
+        coeffs = pde.PBECoefficients([3.0, 2.0, 1.0], [1.0, 0.5, 2.0],
+                                     [pde.Charge([0.45, 0.5, 0.55], 1.0, 0.1),
+                                      pde.Charge([0.6, 0.5, 0.45], -0.5, 0.15)], 0.0)
+        zero = geometry.DomainMap([(0.3, Zero())])
+        op_z = pde.assemble_pulled_back_operator(domain, zero, coeffs, np.array([0.7]), grid)
+        op_i = pde.assemble_pulled_back_operator(domain, identity_map(), coeffs, None, grid)
+        for got, expect in ((op_z.matrix, op_i.matrix),
+                            (op_z.boundary_coupling, op_i.boundary_coupling)):
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(expect, attr)), attr
+        for build in (pde.assemble_rhs, pde.reaction_profile):
+            assert np.array_equal(build(domain, zero, coeffs, np.array([0.7]), grid).values,
+                                  build(domain, identity_map(), coeffs, None, grid).values)
 
     def test_harmonic_mean_across_interface(self):
         # face along x crossing the outer sphere: coefficient 2*70*1/71 / h^2
@@ -265,18 +296,19 @@ class TestAssembly:
 
     def test_jacobian_once_per_midpoint_set(self, monkeypatch):
         # three axis-face sets and three plane-edge sets, whose two diagonals
-        # share their midpoints; the map with no modes needs no Jacobian
+        # share their midpoints; with no modes every entry of J is a float,
+        # so no array is formed
         domain = unit_domain()
         grid = pde.Grid3D(domain, 9)
-        calls = []
+        built = []
         entries = geometry._jacobian_entries
         monkeypatch.setattr(geometry, "_jacobian_entries",
-                            lambda *args: calls.append(args) or entries(*args))
-        for dmap, y, expect in ((cutoff_map(domain), np.array([0.5, -0.5]), 6),
-                                (identity_map(), None, 0)):
-            calls.clear()
+                            lambda *args: built.append(entries(*args)) or built[-1])
+        for dmap, y in ((cutoff_map(domain), np.array([0.5, -0.5])), (identity_map(), None)):
+            built.clear()
             pde.assemble_pulled_back_operator(domain, dmap, no_charge_coeffs(), y, grid)
-            assert len(calls) == expect
+            assert len(built) == 6
+        assert all(type(e) is float for J in built for row in J for e in row)
 
     def test_cutoff_evaluated_per_axis(self, monkeypatch):
         # every cutoff factor is taken on one lattice axis, n nodes or n - 1
@@ -349,7 +381,8 @@ class TestAssembly:
                 self.scale, self.off = scale, off
 
             def value(self, r):
-                return np.asarray(r, dtype=float)
+                r = np.asarray(r, dtype=float)
+                return [r[..., d] for d in range(3)]
 
             def jac(self, r):
                 r = np.asarray(r, dtype=float)
@@ -431,20 +464,48 @@ class TestRhs:
                      for c in charges)
         assert np.max(np.abs(rhs.flat - direct)) <= 1e-14 * np.max(np.abs(direct))
 
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_cutoff_matches_mapped_gaussian_sum(self, n):
+        # sum amp exp(-|F(x) - F(c)|^2 / 2 s^2) det J(x) at every node, with F
+        # and det J from the stacked oracles
+        domain = big_domain()
+        grid = pde.Grid3D(domain, n)
+        dmap = cutoff_map(domain)
+        charges = [pde.Charge([35.0, 35.0, 35.0], 2.0, 4.0),
+                   pde.Charge([31.3, 38.1, 42.7], -1.5, 3.5),
+                   pde.Charge([5.5, 20.0, 64.2], 0.75, 6.0)]
+        coeffs = pde.PBECoefficients([1, 1, 1], [0, 0, 0], charges, 0.0)
+        for y in (np.array([0.8, -0.6]), np.array([-1.0, 1.0])):
+            rhs = pde.assemble_rhs(domain, dmap, coeffs, y, grid)
+            mapped = geometry.map_forward(dmap, grid.points, y)
+            det = np.linalg.det(geometry.jacobian(dmap, grid.points, y))
+            direct = det * sum(
+                c.magnitude / (2.0 * math.pi * c.width**2) ** 1.5
+                * np.exp(-0.5 * np.sum((mapped - geometry.map_forward(dmap, c.position, y)) ** 2,
+                                       axis=-1) / c.width**2)
+                for c in charges)
+            # the map moves the third charge against the nodes
+            flat = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid).flat
+            assert np.max(np.abs(direct - flat)) > 1e-3 * np.max(np.abs(direct))
+            assert np.max(np.abs(rhs.flat - direct)) <= 1e-14 * np.max(np.abs(direct))
+
     def test_identity_reads_no_grid_points(self, monkeypatch):
+        # neither J = I nor the cutoff map forms the nodes' (n^3, 3) points
         domain = big_domain()
         grid = pde.Grid3D(domain, 17)
         coeffs = pde.PBECoefficients([1, 1, 1], [0, 0, 0],
                                      [pde.Charge([35.0, 35.0, 35.0], 1.0, 4.0),
                                       pde.Charge([30.0, 38.0, 41.0], -1.0, 4.0)], 0.0)
+        maps = ((identity_map(), None), (cutoff_map(domain), np.array([0.8, -0.6])))
 
         def forbidden(self):
-            raise AssertionError("the J = I rhs read grid.points")
+            raise AssertionError("the rhs read grid.points")
 
         # a property on the class takes precedence over the instance's array
         monkeypatch.setattr(pde.Grid3D, "points", property(forbidden), raising=False)
-        rhs = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid)
-        assert np.any(rhs.values)
+        for dmap, y in maps:
+            rhs = pde.assemble_rhs(domain, dmap, coeffs, y, grid)
+            assert np.any(rhs.values)
 
 
 def textbook_pcg(A, b, precond, tol):
