@@ -20,7 +20,11 @@ from .errors import HypothesisViolationError
 
 @dataclass(frozen=True)
 class BoundsInput:
-    """Norms and radii of the bounds; building one checks their two hypotheses."""
+    """Norms and radii of the bounds; building one checks their ranges and two hypotheses.
+
+    C_max must be positive and every other field nonnegative.  The norms,
+    C_max included, are inputs: no estimator in the package supplies them.
+    """
 
     b1: float            # ||B||_1
     binf: float          # ||B||_inf
@@ -37,6 +41,12 @@ class BoundsInput:
     mu_max: float = 0.0  # largest sqrt(mu_k)
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if not (value > 0.0 if name == "C_max" else value >= 0.0):  # also rejects nan
+                sign = "positive" if name == "C_max" else "nonnegative"
+                raise HypothesisViolationError(f"{name!r} must be {sign}, got {value}",
+                                               violated=name)
         if not self.b1 < 0.25:
             raise HypothesisViolationError(
                 f"||B||_1 = {self.b1} violates ||B||_1 < 1/4", violated="small-b"
@@ -46,16 +56,6 @@ class BoundsInput:
                 f"|y|_inf = {self.y_inf} violates |y|_inf < 1/(4||B||_1) - |y0|_inf",
                 violated="y-radius",
             )
-
-
-def gaussian_xi_norms(q: float, s: float) -> tuple[float, float]:
-    """L2 norms of the charge Gaussian q(2 pi s^2)^(-3/2) exp(-|x|^2/(2 s^2)).
-
-    Returns (||xi||_L2, max_j ||d xi / d x_j||_L2); the gradient components
-    all share the same norm ||xi|| / (s sqrt(2)).
-    """
-    l2 = abs(q) / (2.0 ** 1.5 * math.pi ** 0.75 * s ** 1.5)
-    return l2, l2 / (s * math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -141,76 +141,6 @@ def m_estimate(inp: BoundsInput) -> float:
         a_coeff(inp) * inp.u_norm + b_coeff(inp) * inp.u0_norm
     )
     return linear + nonlinear_term_bound(inp) + forcing_term_bound(inp)
-
-
-# ---------------------------------------------------------------------------
-# Discrete norm helpers
-# ---------------------------------------------------------------------------
-
-def h_norm(u) -> float:
-    """Discrete solution norm: H1 over the box plus subdomain H2 seminorms.
-
-    Gradients are central differences; second derivatives are computed per
-    subdomain so the interface jumps do not pollute the seminorms.
-    """
-    grid = u.grid
-    h = grid.h
-    v = u.values
-    w = grid.node_weights().reshape(grid.shape)
-    l2 = float(np.sum(w * v * v))
-    grads = np.gradient(v, h)
-    g2 = sum(float(np.sum(w * g * g)) for g in grads)
-    h1 = math.sqrt(l2 + g2)
-    tags = grid.subdomain_tag
-    h2_sum = 0.0
-    for k in range(3):
-        mask = tags == k
-        if not np.any(mask):
-            continue
-        acc = 0.0
-        for i in range(3):
-            for j in range(3):
-                d2 = np.gradient(np.gradient(v, h, axis=i), h, axis=j)
-                acc += float(np.sum(w[mask] * d2[mask] ** 2))
-        h2_sum += math.sqrt(acc)
-    return h1 + h2_sum
-
-
-def estimate_c_max(grid, trials: int = 16, seed: int = 0, waves: int = 3) -> float:
-    """Sampled lower estimate of the Banach-algebra constant of the H2 norm.
-
-    Draws random smooth field pairs and maximizes ||uv|| / (||u|| ||v||) in
-    the discrete norm of h_norm.
-    """
-    from .pde import GridField
-
-    rng = np.random.default_rng(seed)
-    lo = grid.domain.box_min
-    span = grid.domain.box_max - lo
-    mesh = [(ax - lo[d]) / span[d] for d, ax in enumerate(grid.axes)]
-
-    def smooth_field():
-        vals = np.zeros(grid.shape)
-        for _ in range(waves):
-            kvec = rng.integers(1, 4, size=3)
-            amp = rng.standard_normal()
-            vals += amp * np.multiply.outer(
-                np.sin(math.pi * kvec[0] * mesh[0]),
-                np.multiply.outer(np.sin(math.pi * kvec[1] * mesh[1]),
-                                  np.sin(math.pi * kvec[2] * mesh[2])),
-            )
-        return GridField(grid, vals)
-
-    best = 0.0
-    for _ in range(trials):
-        u = smooth_field()
-        v = smooth_field()
-        nu, nv = h_norm(u), h_norm(v)
-        if nu == 0.0 or nv == 0.0:
-            continue
-        uv = GridField(grid, u.values * v.values)
-        best = max(best, h_norm(uv) / (nu * nv))
-    return best
 
 
 # ---------------------------------------------------------------------------

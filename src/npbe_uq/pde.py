@@ -23,9 +23,10 @@ backtracking; from u = 0 its first residual is -b, formed without a matvec.
 Inner linear systems are solved by conjugate gradients preconditioned with a
 symmetric Galerkin multigrid V-cycle; CG tests each updated residual before
 preconditioning it, so it never preconditions the residual it stops on.
-Without an adjoint, Newton builds the hierarchy from its first Jacobian.
-An adjoint (solve_adjoint) carries the u = 0 Jacobian A + diag K and the
-V-cycle built from it, which then serve every Newton step of every knot.
+Every step is preconditioned by the V-cycle of the u = 0 Jacobian
+A + diag K, which a step from u = 0 also takes as its Jacobian.  An adjoint
+(solve_adjoint) carries that matrix and V-cycle, which then serve every
+Newton step of every knot; without one, Newton builds them on entry.
 
 Newton has two stopping rules.  Without an adjoint it stops on the l2
 residual.  With one (goal-oriented, for the QoI Q(u) = w.u) it reports the
@@ -467,6 +468,12 @@ def solve_linear_interface(op: AssembledOperator, reaction, rhs: GridField, g=0.
 # Newton solver for the NPBE
 # ---------------------------------------------------------------------------
 
+def _zero_jacobian(op: AssembledOperator, kd: np.ndarray):
+    """Newton's Jacobian A + diag K at u = 0, for interior K = kd, and its V-cycle."""
+    matrix = op.matrix + sp.diags(kd)
+    return matrix, VCycle(matrix, op.grid)
+
+
 @dataclass
 class Adjoint:
     """Adjoint solution z of (A + diag K) z = w for the QoI weights w.
@@ -493,8 +500,7 @@ def solve_adjoint(op: AssembledOperator, reaction: GridField) -> Adjoint:
     1e-12, since the adjoint's own error enters every corrected QoI.
     """
     grid = op.grid
-    matrix = op.matrix + sp.diags(reaction.flat[grid.interior_idx])
-    vcycle = VCycle(matrix, grid)
+    matrix, vcycle = _zero_jacobian(op, reaction.flat[grid.interior_idx])
     w = grid.node_weights()
     w_int = w[grid.interior_idx]
     z, cg = _pcg(matrix, w_int, vcycle, tol=_GOAL_QOI_TOL)
@@ -520,9 +526,9 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
 
     Each step solves the linearization with reaction kappa^2 cosh(u) det J and
     backtracks on the l2 residual (halving, floor 1e-3).  Every step's CG is
-    preconditioned by the adjoint's V-cycle, or, without an adjoint, by one
-    built from the first step's Jacobian.  With an adjoint, a step from u = 0
-    takes the adjoint's matrix as its Jacobian.
+    preconditioned by the V-cycle of the u = 0 Jacobian A + diag K, and a
+    step from u = 0 takes that matrix as its Jacobian.  The adjoint carries
+    both; without one, they are built on entry, from u = 0 whatever u0 is.
 
     Without an adjoint, CG runs to cg_tol (default 1e-12) and Newton
     terminates when the residual drops below tol * (1 + ||rhs||), tol
@@ -560,12 +566,13 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
             r = A @ v + kd * np.sinh(v) - b
         return r
 
-    qoi = qoi_error = vcycle = None
+    qoi = qoi_error = None
     if adjoint is None:
         target = tol * (1.0 + _norm(b))
+        J0, vcycle = _zero_jacobian(op, kd)
     else:
         cg_tol = _GOAL_CG_TOL
-        vcycle = adjoint.vcycle
+        J0, vcycle = adjoint.matrix, adjoint.vcycle
         w = adjoint.weights[ii]
         qoi_bnd = _dot(adjoint.weights[grid.boundary_idx], g_b)
         zk = np.abs(adjoint.z * kd)
@@ -598,12 +605,7 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
                 f"Newton failed to converge in {max_iter} iterations",
                 residual=rnorm, history=history,
             )
-        if adjoint is not None and not u.any():
-            Ait = adjoint.matrix  # the Jacobian at u = 0
-        else:
-            Ait = A + sp.diags(kd * np.cosh(u))
-        if vcycle is None:
-            vcycle = VCycle(Ait, grid)
+        Ait = J0 if not u.any() else A + sp.diags(kd * np.cosh(u))
         delta, cg = _pcg(Ait, -r, vcycle, tol=cg_tol)
         cg_iterations.append(cg.iterations)
         step = 1.0

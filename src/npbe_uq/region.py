@@ -84,13 +84,6 @@ def polyellipse_boundary(sigma: float, samples: int = 64) -> np.ndarray:
     return math.cosh(sigma) * np.cos(t) + 1j * math.sinh(sigma) * np.sin(t)
 
 
-def distance_to_segment(z) -> np.ndarray:
-    """Distance from complex points to the real segment [-1, 1]."""
-    z = np.asarray(z, dtype=complex)
-    x = np.clip(z.real, -1.0, 1.0)
-    return np.abs(z - x)
-
-
 def m_tilde(evaluator, sigma: float, N: int, samples: int = 64) -> float:
     """Sampled sup of |nu| over the distinguished boundary of the polyellipse.
 
@@ -159,6 +152,8 @@ def error_constants(sigma_star_value: float, N: int, M_tilde: float) -> ErrorBou
         raise DomainError("sigma_star must be positive")
     if N < 1:
         raise DomainError("N must be >= 1")
+    if not M_tilde >= 0.0:  # a zero function has a zero error
+        raise DomainError(f"'M_tilde' must be nonnegative, got {M_tilde}")
     sigma = sigma_star_value / 2.0
     c2t = 1.0 + math.sqrt(math.pi / (2.0 * sigma)) / LOG2
     delta = (math.e * LOG2 - 1.0) / c2t
@@ -193,25 +188,3 @@ def error_bound(sigma_star_value: float, N: int, M_tilde: float, w: int, eta: in
     regime = "subexponential" if w > N / LOG2 else "algebraic"
     return ErrorBound(c, w, eta, regime, subexp, algebraic)
 
-
-# ---------------------------------------------------------------------------
-# Discrete estimate of the inverse-linearization norm
-# ---------------------------------------------------------------------------
-
-def estimate_inverse_norm(matvec_solve, n: int, iters: int = 30, seed: int = 0) -> float:
-    """Inverse power iteration estimate of ||A^-1||_2 via repeated solves.
-
-    matvec_solve(b) must return an (approximate) solution of A x = b.  The
-    result is an h-dependent discrete proxy, not a continuum bound.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        x = matvec_solve(v)
-        lam = np.linalg.norm(x)
-        if lam == 0.0:
-            return 0.0
-        v = x / lam
-    return float(lam)

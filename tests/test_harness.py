@@ -748,9 +748,15 @@ class TestCli:
         ("bounds", "bounds:\n  b1: 0.1\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n"
                    "  yinf: 0.5\n", "yinf"),
         ("bounds", "bounds:\n  b1: small\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n", "b1"),
+        ("region", "region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  M_tilde: -2.0\n", "M_tilde"),
+        ("bounds", "bounds:\n  b1: 0.1\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n"
+                   "  C_max: 0\n", "C_max"),
+        ("bounds", "bounds:\n  b1: -0.1\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n", "b1"),
+        ("bounds", "bounds:\n  b1: 0.1\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: -0.5\n", "y_inf"),
     ], ids=["region-missing", "region-unknown", "region-non-numeric", "region-level",
             "region-rule", "region-fractional-N", "region-fractional-level", "bounds-missing",
-            "bounds-unknown", "bounds-non-numeric"])
+            "bounds-unknown", "bounds-non-numeric", "region-M_tilde-negative",
+            "bounds-C_max-zero", "bounds-b1-negative", "bounds-y_inf-negative"])
     def test_bad_block_key_named(self, tmp_path, capsys, command, block, key):
         rc = cli.main([command, "--config", self.write_config(tmp_path, block)])
         out, err = capsys.readouterr()

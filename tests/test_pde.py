@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid
 
-from npbe_uq import bounds, geometry, pde
+from npbe_uq import geometry, pde
 from npbe_uq.errors import AssemblyError, ConvergenceError, DomainError
 
 
@@ -789,8 +789,8 @@ class TestNewton:
         assert min(info.step_sizes) < 1.0
 
     def test_adjoint_carries_the_only_vcycle(self, monkeypatch):
-        # with an adjoint every step is preconditioned by its V-cycle;
-        # without one, Newton builds a hierarchy from its first Jacobian
+        # with an adjoint every step is preconditioned by its V-cycle; without
+        # one, each call builds one V-cycle, from u = 0 whatever it starts from
         domain = big_domain()
         grid = pde.Grid3D(domain, 17)
         coeffs = self.strong_coeffs()
@@ -800,17 +800,20 @@ class TestNewton:
         built = []
 
         class Counting(pde.VCycle):
-            def __init__(self, *args):
-                built.append(1)
-                super().__init__(*args)
+            def __init__(self, matrix, *args):
+                built.append(matrix)
+                super().__init__(matrix, *args)
 
         monkeypatch.setattr(pde, "VCycle", Counting)
-        _, goal = pde.newton_solve_npbe(domain, identity_map(), coeffs, None, grid, op=op,
+        u, goal = pde.newton_solve_npbe(domain, identity_map(), coeffs, None, grid, op=op,
                                         reaction=react, adjoint=adjoint)
         assert goal.iterations >= 2 and built == []
-        pde.newton_solve_npbe(domain, identity_map(), coeffs, None, grid, op=op,
-                              reaction=react)
-        assert len(built) == 1
+        for u0 in (None, pde.GridField(grid, 0.5 * u.values)):
+            built.clear()
+            _, info = pde.newton_solve_npbe(domain, identity_map(), coeffs, None, grid,
+                                            u0=u0, op=op, reaction=react)
+            assert info.iterations >= 2 and len(built) == 1
+            assert (built[0] != adjoint.matrix).nnz == 0  # the u = 0 Jacobian A + diag K
 
     @pytest.mark.parametrize("goal", [False, True])
     def test_first_residual_needs_no_matvec(self, monkeypatch, goal):
@@ -914,12 +917,3 @@ class TestOperatorResidual:
         r = np.linalg.norm(b - op.matrix @ u.flat[ii])
         assert abs(r - info.residual) <= 1e-12 * (1.0 + r)
 
-
-class TestHNormHelpers:
-    def test_h_norm_on_solution(self):
-        domain = big_domain()
-        grid = pde.Grid3D(domain, 13)
-        coeffs = pde.PBECoefficients([2, 2, 2], [0.5, 0.5, 0.5],
-                                     [pde.Charge([35, 35, 35], 100.0, 4.0)], 0.0)
-        u, _ = pde.newton_solve_npbe(domain, identity_map(), coeffs, None, grid)
-        assert bounds.h_norm(u) > 0.0

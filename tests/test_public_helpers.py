@@ -1,4 +1,4 @@
-"""Test-only helper guard: every public top-level function has a caller outside the tests.
+"""Test-only helper guard: each public top-level function or class has a non-test caller.
 
 A caller is a reference in another function or statement of the package
 (``__init__`` re-exports do not count) or in the benchmark's ``bench/*.py``.
@@ -10,19 +10,14 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "npbe_uq"
 
-# Public functions that no pipeline calls yet, each kept on purpose.
+# Public functions that no pipeline calls, each kept on purpose: oracles that
+# tests compare the pipeline against.
 ALLOWED = {
-    # oracles that tests compare the pipeline against
     "map_forward": "complex-y map evaluation, the analyticity probe's oracle",
     "solve_linear_interface": "linear interface solve, the manufactured-solution oracle",
     "operator_residual": "data -> solution -> data consistency oracle",
     "f_degree": "level budget of a polynomial degree, the index-set tests' oracle",
     "polynomial_index_set": "exactly integrated polynomials, the exactness tests' oracle",
-    # links of the a priori analyticity-radius chain, which no pipeline runs yet
-    "gaussian_xi_norms": "the charges' forcing norms xi_l2, xi_grad_l2 of BoundsInput",
-    "estimate_c_max": "the Banach-algebra constant C_max of BoundsInput",
-    "estimate_inverse_norm": "the coercivity proxy a of region_estimate",
-    "distance_to_segment": "distance of a complex y to [-1, 1], for the region ledger",
 }
 
 
@@ -38,15 +33,16 @@ def names(tree) -> set:
 
 
 def uncalled(modules: dict, extra: set) -> list:
-    """'module.function' for each public top-level function with no caller.
+    """'module.name' for each public top-level function or class with no caller.
 
     modules maps a module name to its parsed tree; extra holds the names
-    referenced outside them.  A function's own body does not count.
+    referenced outside them.  A definition's own body does not count.
     """
     out = []
     for mod, tree in modules.items():
         for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
                 continue
             used = set(extra)
             for other, other_tree in modules.items():
@@ -66,6 +62,12 @@ def test_guard_finds_uncalled_functions():
                "b": ast.parse("import a\nx = a.g()\n\ndef h():\n    pass\n")}
     assert uncalled(modules, set()) == ["a.f"]
     assert uncalled(modules, {"f"}) == []
+    # a class counts like a function: only a reference outside its own body is a caller
+    modules["c"] = ast.parse("class C:\n    def make(self):\n        return C()\n\n"
+                             "class D:\n    pass\n\nclass _Hidden:\n    pass\n")
+    modules["d"] = ast.parse("def use(x: a.D):\n    return x\n")
+    assert uncalled(modules, {"f", "use"}) == ["c.C"]
+    assert uncalled(modules, {"f", "use", "C"}) == []
 
 
 def test_no_test_only_public_functions():
@@ -74,5 +76,5 @@ def test_no_test_only_public_functions():
     bench = set().union(*(names(ast.parse(p.read_text()))
                           for p in sorted((ROOT / "bench").glob("*.py"))))
     found = {qual.split(".")[1] for qual in uncalled(modules, bench)}
-    assert found - ALLOWED.keys() == set(), "public functions only tests call"
+    assert found - ALLOWED.keys() == set(), "public functions or classes only tests call"
     assert ALLOWED.keys() - found == set(), "allow-listed functions that now have a caller"

@@ -97,13 +97,8 @@ class TestPolyellipse:
         for M, a, R in ((1.0, 1.0, 1.0), (2.0, 0.5, 3.0), (0.3, 4.0, 1.5)):
             est = region.region_estimate(M, a, R)
             z = region.polyellipse_boundary(est.sigma_star, 10000)
-            d = region.distance_to_segment(z)
+            d = np.abs(z - np.clip(z.real, -1.0, 1.0))  # distance to [-1, 1]
             assert np.max(d) <= est.theta + 1e-12
-
-    def test_distance_to_segment(self):
-        assert region.distance_to_segment(np.array([0.5 + 0.0j]))[0] == 0.0
-        assert abs(region.distance_to_segment(np.array([2.0 + 0.0j]))[0] - 1.0) <= 1e-15
-        assert abs(region.distance_to_segment(np.array([0.0 + 0.3j]))[0] - 0.3) <= 1e-15
 
 
 class TestMTilde:
@@ -142,6 +137,10 @@ class TestConstants:
             region.error_constants(0.0, 2, 1.0)
         with pytest.raises(DomainError):
             region.error_constants(0.5, 0, 1.0)
+        with pytest.raises(DomainError, match="'M_tilde'"):
+            region.error_constants(0.5, 2, -2.0)
+        # M_tilde = 0 is legal: a zero function has a zero error
+        assert region.error_bound(0.5, 2, 0.0, 3, 29).bound == 0.0
 
     def test_c1_near_one_is_finite(self):
         c0 = region.error_constants(0.5, 2, 1.0)
@@ -185,9 +184,3 @@ class TestErrorBoundConsistency:
                 assert eb.regime == ("subexponential" if w > N / math.log(2.0)
                                      else "algebraic")
 
-
-class TestInverseNormEstimate:
-    def test_diagonal_matrix(self):
-        d = np.array([2.0, 5.0, 10.0, 4.0])
-        got = region.estimate_inverse_norm(lambda b: b / d, 4, iters=100, seed=0)
-        assert abs(got - 0.5) <= 1e-10
