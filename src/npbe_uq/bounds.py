@@ -49,11 +49,12 @@ class BoundsInput:
                                                violated=name)
         if not self.b1 < 0.25:
             raise HypothesisViolationError(
-                f"||B||_1 = {self.b1} violates ||B||_1 < 1/4", violated="small-b"
+                f"'b1' = {self.b1} violates ||B||_1 < 1/4", violated="small-b"
             )
         if self.b1 > 0.0 and not self.y_inf < 1.0 / (4.0 * self.b1) - self.y0_inf:
             raise HypothesisViolationError(
-                f"|y|_inf = {self.y_inf} violates |y|_inf < 1/(4||B||_1) - |y0|_inf",
+                f"'y_inf' = {self.y_inf} violates |y|_inf < 1/(4||B||_1) - |y0|_inf "
+                f"with 'b1' = {self.b1} and 'y0_inf' = {self.y0_inf}",
                 violated="y-radius",
             )
 
@@ -108,18 +109,31 @@ def b_coeff(inp: BoundsInput) -> float:
     return bracket * b.jinv_y0 ** 2 * b.det_op_y0
 
 
+def _overflowing(f, x: float) -> float:
+    """math.cosh or math.sinh at x >= 0, +inf where math raises OverflowError."""
+    try:
+        return f(x)
+    except OverflowError:
+        return math.inf
+
+
+def _product(*factors: float) -> float:
+    """Product of nonnegative factors: 0 if one is 0, even when another is +inf."""
+    return 0.0 if 0.0 in factors else math.prod(factors)
+
+
 def nonlinear_term_bound(inp: BoundsInput) -> float:
-    """Difference bound for the sinh reaction term in L2."""
+    """Difference bound for the sinh reaction term in L2; +inf once cosh or sinh overflows."""
     b1, y0, y = inp.b1, inp.y0_inf, inp.y_inf
     t0 = b1 * y0
     t = b1 * (y0 + y)
     ratio3 = ((1.0 - t0) / (1.0 - t)) ** 3
     C = inp.C_max
     lead = math.sqrt(3.0) * inp.kappa2_max / (1.0 - t0) ** 3
-    term1 = 2.0 * math.cosh(C * (inp.u0_norm + 0.5 * inp.u_norm)) \
-        * math.sinh(C * 0.5 * inp.u_norm) * ratio3
-    term2 = math.sinh(C * inp.u_norm) / C * (ratio3 - 1.0)
-    return lead * (term1 + term2)
+    term1 = _product(2.0, _overflowing(math.cosh, C * (inp.u0_norm + 0.5 * inp.u_norm)),
+                     _overflowing(math.sinh, C * 0.5 * inp.u_norm), ratio3)
+    term2 = _product(_overflowing(math.sinh, C * inp.u_norm) / C, ratio3 - 1.0)
+    return _product(lead, term1 + term2)
 
 
 def forcing_term_bound(inp: BoundsInput) -> float:

@@ -5,17 +5,17 @@ are translated by sum_k alpha_k e_k Y_k with Y_k uniform on [-sqrt(3),
 sqrt(3)], and the expected quantity of interest on each sparse-grid level is
 compared against a higher-level reference.
 
-The shift moves only the charges (J = I, zero Dirichlet data), so the
-adjoint-corrected knot QoI splits exactly as Q(y) = z.b(y) + N(y): z is the
-study's one adjoint solution, b(y) the knot's interior forcing, and the
-remainder N = r_z.u + z.K(u - sinh u) holds the nonlinearity and the
-adjoint's residual r_z.  The linear part z.b needs no solve and is taken at
-every knot of the reference level in one batched contraction.  The NPBE is
-solved only at the knots of a nonlinear level w_N, raised from 1 until N's
-own estimate |E_{w_N}[N] - E_{w_N - 1}[N]| is at most
-max(0.01 x the finest study level's error, 1e-12 |E_ref[z.b]|); at the
-latest w_N is the reference level, where every knot is solved as in a
-plain collocation.  A level's mean is E_w[z.b] + E_{min(w, w_N)}[N] and the
+The shift moves only the charges (J = I), and the solver's Dirichlet data is
+zero by construction, so the adjoint-corrected knot QoI splits exactly as
+Q(y) = z.b(y) + N(y): z is the study's one adjoint solution, b(y) the knot's
+interior forcing, and the remainder N = r_z.u + z.K(u - sinh u) holds the
+nonlinearity and the adjoint's residual r_z.  The linear part z.b needs no
+solve and is taken at every knot of the reference level in one batched
+contraction.  The NPBE is solved only at the knots of a nonlinear level w_N,
+raised from 1 until N's own estimate |E_{w_N}[N] - E_{w_N - 1}[N]| is at
+most max(0.01 x the finest study level's error, 1e-12 |E_ref[z.b]|); at the
+latest w_N is the reference level, where every knot is solved as in a plain
+collocation.  A level's mean is E_w[z.b] + E_{min(w, w_N)}[N] and the
 reference is E_ref[z.b] + E_{w_N}[N], so the error column measures the
 linear part's sparse-grid error, plus N's for w < w_N.  The Clenshaw-Curtis
 family is nested, so the reference plan's knots cover every level and each
@@ -342,11 +342,11 @@ class KnotSolver:
     e ~ u* - u~ from one V-cycle (see the pde module docstring); Newton stops
     once the estimate is within 1e-12 relative.  The estimate is not a
     bound; it was checked against tight direct solves on the acceptance
-    study's knots and in the tests.  With zero Dirichlet data the corrected
-    QoI is z.b(y) + N(y) for the knot's interior forcing b(y); linear_parts
-    gives z.b for a whole batch of points without a solve.  A charge width
-    below the grid spacing h is warned about, since the grid then aliases
-    the charges.
+    study's knots and in the tests.  The solver's Dirichlet data is zero, so
+    the corrected QoI is z.b(y) + N(y) for the knot's interior forcing b(y);
+    linear_parts gives z.b for a whole batch of points without a solve.  A
+    charge width below the grid spacing h is warned about, since the grid
+    then aliases the charges.
     """
 
     def __init__(self, config: RunConfig):
@@ -361,7 +361,7 @@ class KnotSolver:
                           f"= {amplitude:.2g}")
         self.dmap = geometry.DomainMap([])
         self.coeffs = pde.PBECoefficients(np.array(config.eps), np.array(config.kappa2),
-                                          ingest_charges(config), 0.0)
+                                          ingest_charges(config))
         self.op = pde.assemble_pulled_back_operator(self.domain, self.dmap, self.coeffs,
                                                     None, self.grid)
         self.reaction = pde.reaction_profile(self.domain, self.dmap, self.coeffs, None,

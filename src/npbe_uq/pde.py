@@ -11,12 +11,14 @@ adjugate rows it reads, which are built from the entries of J that the map's
 fields return (see geometry): no stacked 3x3 matrix is formed.  Each
 midpoint set, like the nodes where the forcing and reaction take det J, is a
 tensor lattice and is passed to the fields as a ``geometry.Lattice``, so a
-separable field evaluates per axis.  The face coefficients go straight into
-the interior and boundary-coupling blocks, without a full-grid matrix.
-Every map takes this one path.  An entry that no mode touches stays a
-scalar, so with no modes (J = I) each mixed term is the float 0.0 and adds no
-faces, leaving the classic 7-point stencil, det J is the float 1.0, and each
-charge's Gaussian forcing is the outer product of three per-axis factors.
+separable field evaluates per axis.  The Dirichlet data is zero: no map
+moves the box boundary, and every solve takes u = 0 there.  So the face
+coefficients go straight into the interior block, without a full-grid
+matrix, and an entry towards a boundary node is not stored.  Every map
+takes this one path.  An entry that no mode touches stays a scalar, so with
+no modes (J = I) each mixed term is the float 0.0 and adds no faces, leaving
+the classic 7-point stencil, det J is the float 1.0, and each charge's
+Gaussian forcing is the outer product of three per-axis factors.
 
 The sinh nonlinearity is handled by damped Newton iteration with residual
 backtracking; from u = 0 its first residual is -b, formed without a matvec.
@@ -85,7 +87,6 @@ class Grid3D:
         interior = np.zeros(self.shape, dtype=bool)
         interior[1:-1, 1:-1, 1:-1] = True
         self.interior_idx = np.flatnonzero(interior)
-        self.boundary_idx = np.flatnonzero(~interior)
 
     @property
     def n_nodes(self) -> int:
@@ -133,9 +134,13 @@ class PBECoefficients:
     eps: np.ndarray      # dielectric per subdomain (U1, U2, U3)
     kappa2: np.ndarray   # modified Debye-Hueckel squared per subdomain
     charges: list = field(default_factory=list)
-    boundary: object = 0.0  # scalar or callable(points) -> values
+    # Dirichlet data: only 0 is accepted, since every solve takes zero data.  The
+    # field stays for positional callers; a later benchmark change may drop it.
+    boundary: float = 0.0
 
     def __post_init__(self):
+        if not (isinstance(self.boundary, (int, float)) and self.boundary == 0.0):
+            raise DomainError(f"'boundary' must be 0 (zero Dirichlet data), got {self.boundary!r}")
         self.eps = np.asarray(self.eps, dtype=float)
         self.kappa2 = np.asarray(self.kappa2, dtype=float)
         if self.eps.shape != (3,) or np.any(self.eps <= 0.0):
@@ -144,27 +149,19 @@ class PBECoefficients:
             raise DomainError("kappa2 must be 3 nonnegative values")
 
 
-def boundary_values(grid: Grid3D, g) -> np.ndarray:
-    """Dirichlet data sampled at the boundary nodes."""
-    if callable(g):
-        return np.asarray(g(grid.points[grid.boundary_idx]), dtype=float)
-    return np.full(len(grid.boundary_idx), float(g))
-
-
 # ---------------------------------------------------------------------------
 # Operator assembly
 # ---------------------------------------------------------------------------
 
 @dataclass
 class AssembledOperator:
-    """Interior diffusion matrix plus boundary coupling for Dirichlet data."""
+    """Interior diffusion matrix; with zero Dirichlet data no boundary block is needed.
+
+    The interior forcing of a GridField f is f.flat[grid.interior_idx].
+    """
 
     grid: Grid3D
-    matrix: sp.csr_matrix          # interior x interior, symmetric PSD
-    boundary_coupling: sp.csr_matrix  # interior x boundary
-
-    def rhs_interior(self, f_flat: np.ndarray, g_bnd: np.ndarray) -> np.ndarray:
-        return f_flat[self.grid.interior_idx] - self.boundary_coupling @ g_bnd
+    matrix: sp.csr_matrix  # interior x interior, symmetric PSD
 
 
 def _tensor_entry(dmap, y, mid, d: int, e: int, place: str) -> np.ndarray:
@@ -193,11 +190,12 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     face with coefficient c adds c to the diagonal at its two nodes and -c
     between them.  Each face family is one array over its midpoint lattice;
     its slices give every interior node's entry towards one stencil offset,
-    and the interior and boundary-coupling blocks are filled from these in
-    column order.  Mixed-term coefficients vanish exactly wherever the
-    modes' fields are flat (the cutoff plateau, and everywhere at y = 0);
-    zero entries are not stored, and a plane whose mixed term is the float
-    0.0 (as with no modes) adds no diagonal faces.
+    and the interior block is filled from these in column order.  The
+    Dirichlet data is zero, so an entry towards a boundary node is dropped.
+    Mixed-term coefficients vanish exactly wherever the modes' fields are
+    flat (the cutoff plateau, and everywhere at y = 0); zero entries are not
+    stored, and a plane whose mixed term is the float 0.0 (as with no modes)
+    adds no diagonal faces.
     """
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
     n, m = grid.shape[0], grid.shape[0] - 2
@@ -245,12 +243,7 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     cols = (np.arange(m**3, dtype=np.int32)[:, None]
             + np.array([np.dot(v, (m * m, m, 1)) for v in offsets], dtype=np.int32))
     matrix = sp.csr_matrix((vals[interior], cols[interior], indptr), shape=(m**3, m**3))
-    # the few entries towards boundary nodes, row by row
-    row, col = np.divmod(np.flatnonzero(keep & ~inside), len(offsets))
-    full = grid.interior_idx[row] + np.dot(offsets, (n * n, n, 1))[col]
-    coupling = sp.csr_matrix((vals[row, col], (row, np.searchsorted(grid.boundary_idx, full))),
-                             shape=(m**3, len(grid.boundary_idx)))
-    return AssembledOperator(grid, matrix, coupling)
+    return AssembledOperator(grid, matrix)
 
 
 def _amplitudes(charges: list):
@@ -259,17 +252,14 @@ def _amplitudes(charges: list):
     return np.array([c.magnitude for c in charges]) / (2.0 * math.pi * s2) ** 1.5, s2
 
 
-def gaussian_factors(axes, charges: list, positions=None):
+def gaussian_factors(axes, charges: list, positions):
     """Each charge's Gaussian on the lattice of axes as amp g_0 (x) g_1 (x) g_2.
 
     Returns (amp, [g_0, g_1, g_2]): amp = q / (2 pi s^2)^(3/2) per charge, shape
     (C,), and g_d = exp(-(a_d - c_d)^2 / (2 s^2)) on axes[d], shape (..., C,
-    len(axes[d])).  The centres c are positions, shape (..., C, 3), or the
-    charges' own positions; a leading batch of shifted centres gives one
-    factor set per shift.
+    len(axes[d])).  The centres c are positions, shape (..., C, 3); a leading
+    batch of shifted centres gives one factor set per shift.
     """
-    if positions is None:
-        positions = np.array([c.position for c in charges])
     amp, s2 = _amplitudes(charges)
     return amp, [np.exp(-0.5 * (a - positions[..., d, None]) ** 2 / s2[:, None])
                  for d, a in enumerate(axes)]
@@ -443,24 +433,22 @@ def _pcg(A, b, precond, tol=1e-10, maxiter=20000):
     return x, CGInfo(it, rnorm)
 
 
-def solve_linear_interface(op: AssembledOperator, reaction, rhs: GridField, g=0.0,
+def solve_linear_interface(op: AssembledOperator, reaction, rhs: GridField,
                            tol=1e-10, maxiter=20000):
-    """Solve (diffusion + reaction) u = rhs with Dirichlet data g.
+    """Solve (diffusion + reaction) u = rhs with zero Dirichlet data.
 
     reaction is a GridField of nonnegative nodal coefficients (or None);
-    returns the full-grid solution and the CG report.
+    returns the full-grid solution, zero on the boundary, and the CG report.
     """
     grid = op.grid
+    ii = grid.interior_idx
     react = np.zeros(grid.n_nodes) if reaction is None else reaction.flat
     if np.any(react < 0.0):
         raise DomainError("reaction coefficient must be nonnegative")
-    g_b = boundary_values(grid, g)
-    b = op.rhs_interior(rhs.flat, g_b)
-    A = op.matrix + sp.diags(react[grid.interior_idx])
-    u_int, info = _pcg(A, b, VCycle(A, grid), tol=tol, maxiter=maxiter)
-    full = np.empty(grid.n_nodes)
-    full[grid.interior_idx] = u_int
-    full[grid.boundary_idx] = g_b
+    A = op.matrix + sp.diags(react[ii])
+    u_int, info = _pcg(A, rhs.flat[ii], VCycle(A, grid), tol=tol, maxiter=maxiter)
+    full = np.zeros(grid.n_nodes)
+    full[ii] = u_int
     return GridField(grid, full), info
 
 
@@ -486,8 +474,9 @@ class Adjoint:
 
     matrix: object        # interior A + diag K
     vcycle: VCycle        # built from matrix
-    weights: np.ndarray   # QoI weights w on the full grid
+    weights: np.ndarray   # QoI weights w, interior
     z: np.ndarray         # interior
+    zk: np.ndarray        # |z K|, interior
     residual: np.ndarray  # r_z = w - (A + diag K) z, interior
     cg: CGInfo            # the CG solve that gave z
 
@@ -500,11 +489,11 @@ def solve_adjoint(op: AssembledOperator, reaction: GridField) -> Adjoint:
     1e-12, since the adjoint's own error enters every corrected QoI.
     """
     grid = op.grid
-    matrix, vcycle = _zero_jacobian(op, reaction.flat[grid.interior_idx])
-    w = grid.node_weights()
-    w_int = w[grid.interior_idx]
-    z, cg = _pcg(matrix, w_int, vcycle, tol=_GOAL_QOI_TOL)
-    return Adjoint(matrix, vcycle, w, z, w_int - matrix @ z, cg)
+    kd = reaction.flat[grid.interior_idx]
+    matrix, vcycle = _zero_jacobian(op, kd)
+    w = grid.node_weights()[grid.interior_idx]
+    z, cg = _pcg(matrix, w, vcycle, tol=_GOAL_QOI_TOL)
+    return Adjoint(matrix, vcycle, w, z, np.abs(z * kd), w - matrix @ z, cg)
 
 
 @dataclass
@@ -550,10 +539,9 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
         rhs = assemble_rhs(domain, dmap, coeffs, y, grid)
     if reaction is None:
         reaction = reaction_profile(domain, dmap, coeffs, y, grid)
-    g_b = boundary_values(grid, coeffs.boundary)
     ii = grid.interior_idx
     kd = reaction.flat[ii]
-    b = op.rhs_interior(rhs.flat, g_b)
+    b = rhs.flat[ii]
     A = op.matrix
 
     if u0 is None:
@@ -573,24 +561,22 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
     else:
         cg_tol = _GOAL_CG_TOL
         J0, vcycle = adjoint.matrix, adjoint.vcycle
-        w = adjoint.weights[ii]
-        qoi_bnd = _dot(adjoint.weights[grid.boundary_idx], g_b)
-        zk = np.abs(adjoint.z * kd)
+        w = adjoint.weights
 
     def converged():
         nonlocal qoi, qoi_error
         if adjoint is None:
             return rnorm <= target
         if rnorm == 0.0:  # u solves the discrete problem exactly
-            qoi, qoi_error = _dot(w, u) + qoi_bnd, 0.0
+            qoi, qoi_error = _dot(w, u), 0.0
             return True
         if it == 0:       # the estimate is only trusted near a Newton iterate
             return False
         # r = -R(u), so one V-cycle on it gives -e, e ~ u* - u
         e = vcycle(r)
-        qoi = _dot(w, u) + qoi_bnd - _dot(adjoint.z, r)
+        qoi = _dot(w, u) - _dot(adjoint.z, r)
         with np.errstate(over="ignore"):
-            remainder = _dot(zk, (np.cosh(np.abs(u) + np.abs(e)) - 1.0) * np.abs(e))
+            remainder = _dot(adjoint.zk, (np.cosh(np.abs(u) + np.abs(e)) - 1.0) * np.abs(e))
         qoi_error = abs(_dot(adjoint.residual, e)) + remainder
         return qoi_error <= _GOAL_QOI_TOL * max(abs(qoi), _dot(w, np.abs(u)))
 
@@ -624,9 +610,8 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
         history.append(rnorm)
         steps.append(step)
         it += 1
-    full = np.empty(grid.n_nodes)
+    full = np.zeros(grid.n_nodes)
     full[ii] = u
-    full[grid.boundary_idx] = g_b
     return GridField(grid, full), NewtonInfo(it, history, steps, cg_iterations, qoi, qoi_error)
 
 
@@ -655,9 +640,7 @@ def operator_residual(domain, dmap, coeffs: PBECoefficients, y, u: GridField,
     rhs = assemble_rhs(domain, dmap, coeffs, y, grid)
     reaction = reaction_profile(domain, dmap, coeffs, y, grid)
     ii = grid.interior_idx
-    g_b = boundary_values(grid, coeffs.boundary)
-    r_int = (op.matrix @ u.flat[ii] + reaction.flat[ii] * np.sinh(u.flat[ii])
-             - op.rhs_interior(rhs.flat, g_b))
+    r_int = op.matrix @ u.flat[ii] + reaction.flat[ii] * np.sinh(u.flat[ii]) - rhs.flat[ii]
     full = np.zeros(grid.n_nodes)
     full[ii] = r_int
     return GridField(grid, full)

@@ -123,13 +123,10 @@ class ErrorBoundConstants:
     C1: float
     Q: float
     N: int
-    M_tilde: float
-    c1_perturbed: bool  # C1 landed exactly on 1 and was nudged by 1e-12
 
 
 @dataclass(frozen=True)
 class ErrorBound:
-    constants: ErrorBoundConstants
     w: int
     eta: int
     regime: str            # "subexponential" or "algebraic"
@@ -168,12 +165,10 @@ def error_constants(sigma_star_value: float, N: int, M_tilde: float) -> ErrorBou
         )
     )
     C1 = 4.0 * M_tilde * c2t * a_ds / (math.e * delta * sigma)
-    perturbed = C1 == 1.0
-    if perturbed:
+    if C1 == 1.0:  # nudged off the pole of 1 / |1 - C1|
         C1 += 1e-12
     Q = (C1 / math.exp(sigma * delta * c2t)) * (max(1.0, C1) ** N / abs(1.0 - C1))
-    return ErrorBoundConstants(sigma, c2t, delta, mu1, mu2, mu3, a_ds, C1, Q, N,
-                               M_tilde, perturbed)
+    return ErrorBoundConstants(sigma, c2t, delta, mu1, mu2, mu3, a_ds, C1, Q, N)
 
 
 def error_bound(sigma_star_value: float, N: int, M_tilde: float, w: int, eta: int) -> ErrorBound:
@@ -186,5 +181,5 @@ def error_bound(sigma_star_value: float, N: int, M_tilde: float, w: int, eta: in
     subexp = c.Q * eta**c.mu3 * math.exp(-(N * c.sigma / 2 ** (1.0 / N)) * eta**c.mu2)
     algebraic = (c.C1 * max(1.0, c.C1) ** N / abs(1.0 - c.C1)) * eta ** (-c.mu1)
     regime = "subexponential" if w > N / LOG2 else "algebraic"
-    return ErrorBound(c, w, eta, regime, subexp, algebraic)
+    return ErrorBound(w, eta, regime, subexp, algebraic)
 

@@ -118,6 +118,15 @@ class TestTermBounds:
         inp = base_input(kappa2_max=0.0, C_max=2.0, u0_norm=1.0, u_norm=1.0)
         assert bounds.nonlinear_term_bound(inp) == 0.0
 
+    def test_nonlinear_overflow_is_inf_and_zero_factors_stay_zero(self):
+        # cosh and sinh overflow past ~710: the bound is +inf, but a zero
+        # factor (u_norm, kappa2_max, or ratio3 - 1 at y_inf = 0) never makes it nan
+        for kw, expect in ((dict(kappa2_max=1.0, u_norm=800.0), math.inf),
+                           (dict(kappa2_max=1.0, u_norm=800.0, y_inf=0.0), math.inf),
+                           (dict(kappa2_max=1.0, u0_norm=800.0, u_norm=0.0), 0.0),
+                           (dict(kappa2_max=0.0, u_norm=800.0), 0.0)):
+            assert bounds.nonlinear_term_bound(base_input(**kw)) == expect, kw
+
     def test_forcing_vanishes_without_charges(self):
         inp = base_input(N_f=0, xi_l2=1.0, xi_grad_l2=1.0, mu_max=1.0)
         assert bounds.forcing_term_bound(inp) == 0.0

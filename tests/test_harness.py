@@ -721,6 +721,17 @@ class TestCli:
         row = dict(line.split(",") for line in out.strip().splitlines()[1:])
         assert abs(float(row["a_coeff"]) - 40.70832485243234) <= 1e-9
 
+    def test_bounds_overflow_prints_inf(self, tmp_path, capsys):
+        # cosh and sinh of C_max u_norm = 800 overflow a float: the bound is +inf
+        extra = ("bounds:\n  b1: 0.1\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n"
+                 "  kappa2_max: 1.0\n  C_max: 1.0\n  u_norm: 800.0\n")
+        rc = cli.main(["bounds", "--config", self.write_config(tmp_path, extra)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        row = dict(line.split(",") for line in out.strip().splitlines()[1:])
+        assert row["nonlinear_term"] == "inf" and row["m_estimate_l2"] == "inf"
+        assert "nan" not in out
+
     def test_region(self, tmp_path, capsys):
         extra = "region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  N: 2\n"
         rc = cli.main(["region", "--config", self.write_config(tmp_path, extra)])
@@ -753,10 +764,13 @@ class TestCli:
                    "  C_max: 0\n", "C_max"),
         ("bounds", "bounds:\n  b1: -0.1\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n", "b1"),
         ("bounds", "bounds:\n  b1: 0.1\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: -0.5\n", "y_inf"),
+        ("bounds", "bounds:\n  b1: 0.3\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n", "b1"),
+        ("bounds", "bounds:\n  b1: 0.2\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n", "y_inf"),
     ], ids=["region-missing", "region-unknown", "region-non-numeric", "region-level",
             "region-rule", "region-fractional-N", "region-fractional-level", "bounds-missing",
             "bounds-unknown", "bounds-non-numeric", "region-M_tilde-negative",
-            "bounds-C_max-zero", "bounds-b1-negative", "bounds-y_inf-negative"])
+            "bounds-C_max-zero", "bounds-b1-negative", "bounds-y_inf-negative",
+            "bounds-small-b", "bounds-y-radius"])
     def test_bad_block_key_named(self, tmp_path, capsys, command, block, key):
         rc = cli.main([command, "--config", self.write_config(tmp_path, block)])
         out, err = capsys.readouterr()

@@ -33,9 +33,8 @@ def cutoff_map(domain, scales=(0.1, 0.05)):
     return geometry.DomainMap(sorted(modes, key=lambda m: -m[0]))
 
 
-def no_charge_coeffs(eps=(1, 1, 1), kappa2=(0, 0, 0), g=0.0):
-    return pde.PBECoefficients(np.array(eps, dtype=float),
-                               np.array(kappa2, dtype=float), [], g)
+def no_charge_coeffs(eps=(1, 1, 1), kappa2=(0, 0, 0)):
+    return pde.PBECoefficients(np.array(eps, dtype=float), np.array(kappa2, dtype=float), [])
 
 
 class TestGrid:
@@ -65,6 +64,15 @@ class TestGrid:
         vals[2, 2, 2] = np.nan
         with pytest.raises(DomainError):
             pde.GridField(grid, vals)
+
+
+class TestCoefficients:
+    def test_only_zero_dirichlet_data_accepted(self):
+        for g in (0.0, 0):
+            assert pde.PBECoefficients([1, 1, 1], [0, 0, 0], [], g).boundary == 0.0
+        for g in (3.25, lambda pts: np.zeros(len(pts))):
+            with pytest.raises(DomainError, match="'boundary'"):
+                pde.PBECoefficients([1, 1, 1], [0, 0, 0], [], g)
 
 
 class TestQoI:
@@ -173,12 +181,11 @@ class TestAssembly:
         op_g = pde.assemble_pulled_back_operator(domain, general, coeffs, y, grid)
         assert calls  # the general path really ran
         op_f = pde.assemble_pulled_back_operator(domain, fast, coeffs, None, grid)
-        for a, b in ((op_g.matrix, op_f.matrix),
-                     (op_g.boundary_coupling, op_f.boundary_coupling)):
-            assert np.array_equal(a.indptr, b.indptr)
-            assert np.array_equal(a.indices, b.indices)
-            a, b = a.toarray(), b.toarray()
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        a, b = op_g.matrix, op_f.matrix
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        a, b = a.toarray(), b.toarray()
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
         for build in (pde.assemble_rhs, pde.reaction_profile):
             g = build(domain, general, coeffs, y, grid).values
             f = build(domain, fast, coeffs, None, grid).values
@@ -206,10 +213,8 @@ class TestAssembly:
         zero = geometry.DomainMap([(0.3, Zero())])
         op_z = pde.assemble_pulled_back_operator(domain, zero, coeffs, np.array([0.7]), grid)
         op_i = pde.assemble_pulled_back_operator(domain, identity_map(), coeffs, None, grid)
-        for got, expect in ((op_z.matrix, op_i.matrix),
-                            (op_z.boundary_coupling, op_i.boundary_coupling)):
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, attr), getattr(expect, attr)), attr
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op_z.matrix, attr), getattr(op_i.matrix, attr)), attr
         for build in (pde.assemble_rhs, pde.reaction_profile):
             assert np.array_equal(build(domain, zero, coeffs, np.array([0.7]), grid).values,
                                   build(domain, identity_map(), coeffs, None, grid).values)
@@ -236,40 +241,33 @@ class TestAssembly:
         # independently coded dense assembly of the same flux scheme, at an
         # interior y and at a corner of Gamma
         domain, dmap, grid, coeffs = oracle_case()
-        ii, bb = grid.interior_idx, grid.boundary_idx
-        n = grid.shape[0]
+        ii = grid.interior_idx
         for y in ORACLE_YS:
             op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
-            A = dense_operator(dmap, coeffs, y, grid)
+            block = dense_operator(dmap, coeffs, y, grid)[np.ix_(ii, ii)]
             u = grid.points @ np.array([0.3, -0.2, 0.5])
-            r1 = op.matrix @ u[ii] + op.boundary_coupling @ u[bb]
-            r2 = A[np.ix_(ii, np.arange(n**3))] @ u
-            assert np.max(np.abs(r1 - r2)) <= 1e-8
-            # entry by entry: interior x interior and interior x boundary blocks
-            for got, block in ((op.matrix, A[np.ix_(ii, ii)]),
-                               (op.boundary_coupling, A[np.ix_(ii, bb)])):
-                assert np.max(np.abs(got.toarray() - block)) <= 1e-12 * np.max(np.abs(block))
+            assert np.max(np.abs(op.matrix @ u[ii] - block @ u[ii])) <= 1e-8
+            # entry by entry
+            assert (np.max(np.abs(op.matrix.toarray() - block))
+                    <= 1e-12 * np.max(np.abs(block)))
 
     def test_blocks_are_canonical_csr_with_the_oracle_pattern(self):
         # rows in column order without duplicates, int32 indices, and a
         # stored entry exactly where the dense oracle has a nonzero; at
         # y = 0 every mixed term is zero and the 7-point pattern is left
         domain, dmap, grid, coeffs = oracle_case()
-        ii, bb = grid.interior_idx, grid.boundary_idx
+        ii = grid.interior_idx
         m = grid.shape[0] - 2
         for y in ORACLE_YS + [np.zeros(2)]:
-            op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
-            A = dense_operator(dmap, coeffs, y, grid)
-            for got, block in ((op.matrix, A[np.ix_(ii, ii)]),
-                               (op.boundary_coupling, A[np.ix_(ii, bb)])):
-                assert got.indices.dtype == got.indptr.dtype == np.int32
-                for row in range(got.shape[0]):
-                    cols = got.indices[got.indptr[row]:got.indptr[row + 1]]
-                    assert np.all(np.diff(cols) > 0)
-                    assert np.array_equal(cols, np.flatnonzero(block[row]))
+            got = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid).matrix
+            block = dense_operator(dmap, coeffs, y, grid)[np.ix_(ii, ii)]
+            assert got.indices.dtype == got.indptr.dtype == np.int32
+            for row in range(got.shape[0]):
+                cols = got.indices[got.indptr[row]:got.indptr[row + 1]]
+                assert np.all(np.diff(cols) > 0)
+                assert np.array_equal(cols, np.flatnonzero(block[row]))
             if not y.any():
-                assert op.matrix.nnz == m**3 + 6 * m**2 * (m - 1)
-                assert op.boundary_coupling.nnz == 6 * m**2
+                assert got.nnz == m**3 + 6 * m**2 * (m - 1)
 
     def test_knot_path_forms_no_stacked_jacobian(self, monkeypatch):
         # operator, forcing and reaction of a J != I knot come from the
@@ -350,10 +348,8 @@ class TestAssembly:
         for y in (np.array([0.8, -0.6]), np.array([-1.0, 1.0])):
             op, ref = (pde.assemble_pulled_back_operator(domain, m, coeffs, y, grid)
                        for m in (dmap, wrapped))
-            for got, expect in ((op.matrix, ref.matrix),
-                                (op.boundary_coupling, ref.boundary_coupling)):
-                for attr in ("indptr", "indices", "data"):
-                    assert np.array_equal(getattr(got, attr), getattr(expect, attr)), attr
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(op.matrix, attr), getattr(ref.matrix, attr)), attr
             for fn in (pde.assemble_rhs, pde.reaction_profile):
                 assert np.array_equal(fn(domain, dmap, coeffs, y, grid).values,
                                       fn(domain, wrapped, coeffs, y, grid).values)
@@ -538,18 +534,9 @@ class TestLinearSolve:
         op = pde.assemble_pulled_back_operator(domain, identity_map(),
                                                no_charge_coeffs(), None, grid)
         zero = pde.GridField(grid, np.zeros(grid.shape))
-        u, info = pde.solve_linear_interface(op, None, zero, g=0.0)
+        u, info = pde.solve_linear_interface(op, None, zero)
         assert np.all(u.values == 0.0)
         assert info.iterations == 0
-
-    def test_constant_dirichlet_max_principle(self):
-        domain = unit_domain()
-        grid = pde.Grid3D(domain, 9)
-        op = pde.assemble_pulled_back_operator(domain, identity_map(),
-                                               no_charge_coeffs(eps=(5, 2, 1)), None, grid)
-        zero = pde.GridField(grid, np.zeros(grid.shape))
-        u, _ = pde.solve_linear_interface(op, None, zero, g=3.25, tol=1e-12)
-        assert np.max(np.abs(u.values - 3.25)) <= 1e-9
 
     def test_negative_reaction_rejected(self):
         domain = unit_domain()
@@ -584,7 +571,7 @@ class TestLinearSolve:
         rhs = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid)
         A = op.matrix + sp.diags(pde.reaction_profile(domain, identity_map(), coeffs, None,
                                                       grid).flat[grid.interior_idx])
-        b = op.rhs_interior(rhs.flat, np.zeros(len(grid.boundary_idx)))
+        b = rhs.flat[grid.interior_idx]
         vcycle = pde.VCycle(A, grid)
         applied = []
 
@@ -631,17 +618,28 @@ class TestLinearSolve:
             return np.interp(62.0, rr, H) - np.interp(r, rr, H)
 
         grid = pde.Grid3D(domain, 65)  # h = 70/64
-
-        def gfun(pts):
-            return oracle(np.linalg.norm(pts - 35.0, axis=-1))
-
-        coeffs = pde.PBECoefficients(eps3, [0, 0, 0], [pde.Charge([35, 35, 35], q, s)], gfun)
+        exact = oracle(np.linalg.norm(grid.points - 35.0, axis=-1)).reshape(grid.shape)
+        coeffs = pde.PBECoefficients(eps3, [0, 0, 0], [pde.Charge([35, 35, 35], q, s)])
         op = pde.assemble_pulled_back_operator(domain, identity_map(), coeffs, None, grid)
         rhs = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid)
-        u, _ = pde.solve_linear_interface(op, None, rhs, g=gfun, tol=1e-10)
-        exact = oracle(np.linalg.norm(grid.points - 35.0, axis=-1))
+        # the solver takes zero Dirichlet data, so the oracle's boundary values
+        # g are lifted: every face between an interior and a boundary node
+        # lies in U3 (eps = 1) and couples with -1/h^2, so g_nbr / h^2 joins
+        # the forcing of each interior neighbour, and g is added back after
+        tag = grid.subdomain_tag
+        assert all(np.all(np.moveaxis(tag, a, 0)[side] == 2)
+                   for a in range(3) for side in (slice(0, 2), slice(-2, None)))
+        g = exact.copy()
+        g[1:-1, 1:-1, 1:-1] = 0.0
+        inner = (slice(1, -1),) * 3
+        for a in range(3):
+            for side in (slice(0, -2), slice(2, None)):
+                nbr = tuple(side if t == a else inner[t] for t in range(3))
+                rhs.values[inner] += g[nbr] / grid.h**2
+        u, _ = pde.solve_linear_interface(op, None, rhs, tol=1e-10)
         w = grid.node_weights()
-        rel = math.sqrt(float(w @ (u.flat - exact) ** 2) / float(w @ exact**2))
+        err = (u.values + g - exact).ravel()
+        rel = math.sqrt(float(w @ err**2) / float(w @ exact.ravel() ** 2))
         assert rel <= 0.02
 
 
@@ -679,7 +677,7 @@ class TestVCycle:
             assert vcycle.coarse_inverse.shape == coarse.shape
             assert np.allclose(vcycle.coarse_inverse @ coarse.toarray(), np.eye(coarse.shape[0]))
         u, info = pde.solve_linear_interface(op, react, rhs, tol=1e-10)
-        b = op.rhs_interior(rhs.flat, np.zeros(len(grid.boundary_idx)))
+        b = rhs.flat[grid.interior_idx]
         assert np.linalg.norm(b - A @ u.flat[grid.interior_idx]) <= 1e-10 * np.linalg.norm(b)
         assert info.iterations <= 60
 
@@ -731,7 +729,7 @@ class TestVCycle:
         A = op.matrix.toarray()
         kd = pde.reaction_profile(domain, dmap, coeffs, y, grid).flat[ii]
         rhs = pde.assemble_rhs(domain, dmap, coeffs, y, grid)
-        b = op.rhs_interior(rhs.flat, np.zeros(len(grid.boundary_idx)))
+        b = rhs.flat[grid.interior_idx]
         v = np.zeros(len(ii))
         for _ in range(30):
             v -= np.linalg.solve(A + np.diag(kd * np.cosh(v)), A @ v + kd * np.sinh(v) - b)
@@ -913,7 +911,7 @@ class TestOperatorResidual:
         rhs = pde.GridField(grid, rng.standard_normal(grid.shape))
         u, info = pde.solve_linear_interface(op, None, rhs, tol=1e-10)
         ii = grid.interior_idx
-        b = op.rhs_interior(rhs.flat, np.zeros(len(grid.boundary_idx)))
+        b = rhs.flat[grid.interior_idx]
         r = np.linalg.norm(b - op.matrix @ u.flat[ii])
         assert abs(r - info.residual) <= 1e-12 * (1.0 + r)
 

@@ -1,7 +1,11 @@
-"""Test-only helper guard: each public top-level function or class has a non-test caller.
+"""Guards against dead public code, both name-based.
 
-A caller is a reference in another function or statement of the package
-(``__init__`` re-exports do not count) or in the benchmark's ``bench/*.py``.
+Each public top-level function or class has a non-test caller: a reference
+in another function or statement of the package (``__init__`` re-exports do
+not count) or in the benchmark's ``bench/*.py``.  Each public field of a
+package dataclass is read: an attribute access or keyword argument of its
+name in the package, in ``bench/*.py`` or in the tests.  The class's own
+``__post_init__``, which only validates and converts, does not count.
 """
 
 import ast
@@ -32,6 +36,23 @@ def names(tree) -> set:
     return out
 
 
+def reads(tree) -> set:
+    """Every Attribute attr and call keyword in the tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            out.add(node.arg)
+    return out
+
+
+def reads_outside(*dirs) -> set:
+    """reads() of every *.py file in the directories under ROOT."""
+    return set().union(*(reads(ast.parse(p.read_text()))
+                         for d in dirs for p in sorted((ROOT / d).glob("*.py"))))
+
+
 def uncalled(modules: dict, extra: set) -> list:
     """'module.name' for each public top-level function or class with no caller.
 
@@ -56,6 +77,33 @@ def uncalled(modules: dict, extra: set) -> list:
     return out
 
 
+def unread(modules: dict, extra: set) -> list:
+    """'module.Class.field' for each public field of a dataclass that nothing reads.
+
+    modules maps a module name to its parsed tree; extra holds the names
+    read outside them.  A read in the class's own __post_init__ does not count.
+    """
+    out = []
+    for mod, tree in modules.items():
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in names(d) for d in cls.decorator_list)):
+                continue
+            used = set(extra)
+            for other in modules.values():
+                for stmt in other.body:
+                    if stmt is not cls:
+                        used |= reads(stmt)
+            for stmt in cls.body:
+                if not (isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"):
+                    used |= reads(stmt)
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and not stmt.target.id.startswith("_") and stmt.target.id not in used):
+                    out.append(f"{mod}.{cls.name}.{stmt.target.id}")
+    return out
+
+
 def test_guard_finds_uncalled_functions():
     modules = {"a": ast.parse("def f():\n    return f()\n\ndef g():\n    return h()\n"
                               "def _private():\n    pass\n"),
@@ -68,6 +116,27 @@ def test_guard_finds_uncalled_functions():
     modules["d"] = ast.parse("def use(x: a.D):\n    return x\n")
     assert uncalled(modules, {"f", "use"}) == ["c.C"]
     assert uncalled(modules, {"f", "use", "C"}) == []
+
+
+def test_guard_finds_unread_fields():
+    modules = {"a": ast.parse("@dataclass\nclass P:\n    x: int\n    y: int = 0\n"
+                              "    _z: int = 0\n\n    def __post_init__(self):\n"
+                              "        self.y = abs(self.y)\n\n"
+                              "@dataclasses.dataclass(frozen=True)\nclass Q:\n    v: int\n"
+                              "    t: int\n\n    def total(self):\n        return self.t\n\n"
+                              "class Plain:\n    w: int\n"),
+               "b": ast.parse("import a\np = a.P(x=1)\n\ndef f(q):\n    return q.v\n")}
+    # x is read as a keyword, v as an attribute, t by a method of its class;
+    # y only by __post_init__, and Plain is no dataclass
+    assert unread(modules, set()) == ["a.P.y"]
+    assert unread(modules, {"y"}) == []
+    del modules["b"]
+    assert unread(modules, set()) == ["a.P.x", "a.P.y", "a.Q.v"]
+
+
+def test_no_unread_dataclass_fields():
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert unread(modules, reads_outside("bench", "tests")) == [], "dataclass fields nothing reads"
 
 
 def test_no_test_only_public_functions():
