@@ -173,12 +173,12 @@ class VerificationReport:
 
 
 def verify_bounds_by_sampling(dmap, domain, inp: BoundsInput, trials: int = 1000,
-                              seed: int = 0, bound_scale: float = 1.0) -> VerificationReport:
+                              seed: int = 0) -> VerificationReport:
     """Check the sampled pointwise quantities against the eight bounds.
 
     Pointwise spectral norms are one-sided witnesses for the operator-norm
     bounds; a violation indicates an implementation bug since the bounds are
-    estimates.  ``bound_scale`` is a self-test hook that shrinks every bound.
+    estimates.
     Each trial draws r, y0 and y in turn; the matrices of all trials are then
     formed at once by geometry.jacobian, with one y per sampled point.
     """
@@ -189,7 +189,6 @@ def verify_bounds_by_sampling(dmap, domain, inp: BoundsInput, trials: int = 1000
     y_cap = min(y_cap * 0.999, inp.y_inf) if inp.y_inf > 0 else 0.0
 
     def record(trial, name, actual, bound):
-        bound = bound * bound_scale
         ratio = actual / bound if bound > 0 else (0.0 if actual == 0.0 else math.inf)
         report.max_slack[name] = max(report.max_slack.get(name, 0.0), ratio)
         if actual > bound * (1.0 + 1e-12):

@@ -40,7 +40,9 @@ def cmd_solve(args) -> int:
     print(f"final residual: {info.residual_history[-1]:.3e}")
     print(f"qoi integral: {info.qoi:.12g}")
     print(f"qoi error estimate: {info.qoi_error:.3e}")
-    print(f"potential range: [{u.values.min():.6g}, {u.values.max():.6g}]")
+    # over the box: u holds the interior nodes, and the boundary value is 0
+    lo, hi = u.values.min(initial=0.0), u.values.max(initial=0.0)
+    print(f"potential range: [{lo:.6g}, {hi:.6g}]")
     return 0
 
 

@@ -381,21 +381,21 @@ class KnotSolver:
         """z.b(y) at each row y of ys (K, N), the charges shifted as in solve.
 
         z.b = sum_charges amp sum_ijk Z[i, j, k] gx[i] gy[j] gz[k] over the
-        interior nodes, with Z the adjoint on the interior lattice and the
-        per-axis factors of pde.gaussian_factors.  Every shifted charge is
-        checked against the box first.  The contraction is np.einsum, whose
-        sums never go to BLAS, so the bits do not depend on the thread count.
+        interior nodes, with Z the adjoint on the grid's interior lattice and
+        the per-axis factors of pde.gaussian_factors on its axes.  Every
+        shifted charge is checked against the box first.  The contraction is
+        np.einsum, whose sums never go to BLAS, so the bits do not depend on
+        the thread count.
         """
         charges = self.coeffs.charges
         positions = shifted_positions(np.array([c.position for c in charges]), self.config.alpha,
                                       SQRT3 * np.asarray(ys, dtype=float), self.domain)
-        m = self.grid.shape[0] - 2
-        Z = self.adjoint.z.reshape(m, m, m)
-        interior = [a[1:-1] for a in self.grid.axes]
-        step = max(1, _CHUNK_FLOATS // (len(charges) * m * m))
+        interior = self.grid.interior
+        Z = self.adjoint.z.reshape(interior.shape[:-1])
+        step = max(1, _CHUNK_FLOATS // (len(charges) * Z.shape[1] * Z.shape[2]))
         out = []
         for s in range(0, len(positions), step):
-            amp, (gx, gy, gz) = pde.gaussian_factors(interior, charges, positions[s:s + step])
+            amp, (gx, gy, gz) = pde.gaussian_factors(interior.axes, charges, positions[s:s + step])
             t = np.einsum("qcij,qcj->qci", np.einsum("ijk,qck->qcij", Z, gz), gy)
             out.append(np.einsum("qci,qci,c->q", t, gx, amp))
         return np.concatenate(out)
@@ -547,8 +547,9 @@ def fit_rate(records: list) -> RateFit:
     return RateFit(float(sol[0]), r2, excluded)
 
 
-def convergence_svg(records: list, width: int = 480, height: int = 360) -> str:
-    """Minimal standalone SVG of log10 error versus log10 knot count."""
+def convergence_svg(records: list) -> str:
+    """Minimal standalone 480 x 360 SVG of log10 error versus log10 knot count."""
+    width, height = 480, 360
     pts = [(math.log10(r.eta), math.log10(r.error))
            for r in records if r.error > 0.0 and math.isfinite(r.error)]
     body = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

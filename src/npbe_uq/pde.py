@@ -14,11 +14,13 @@ tensor lattice and is passed to the fields as a ``geometry.Lattice``, so a
 separable field evaluates per axis.  The Dirichlet data is zero: no map
 moves the box boundary, and every solve takes u = 0 there.  So the face
 coefficients go straight into the interior block, without a full-grid
-matrix, and an entry towards a boundary node is not stored.  Every map
-takes this one path.  An entry that no mode touches stays a scalar, so with
-no modes (J = I) each mixed term is the float 0.0 and adds no faces, leaving
-the classic 7-point stencil, det J is the float 1.0, and each charge's
-Gaussian forcing is the outer product of three per-axis factors.
+matrix, and an entry towards a boundary node is not stored.  The forcing,
+reaction, solution and residual are evaluated and held on the interior
+nodes only, in the block's row order.  Every map takes this one path.  An
+entry that no mode touches stays a scalar, so with no modes (J = I) each
+mixed term is the float 0.0 and adds no faces, leaving the classic 7-point
+stencil, det J is the float 1.0, and each charge's Gaussian forcing is the
+outer product of three per-axis factors.
 
 The sinh nonlinearity is handled by damped Newton iteration with residual
 backtracking; from u = 0 its first residual is -b, formed without a matvec.
@@ -31,10 +33,10 @@ A + diag K, which a step from u = 0 also takes as its Jacobian.  An adjoint
 Newton step of every knot; without one, Newton builds them on entry.
 
 Newton has two stopping rules.  Without an adjoint it stops on the l2
-residual.  With one (goal-oriented, for the QoI Q(u) = w.u) it reports the
-adjoint-corrected QoI Q(u~) + z.R(u~), where (A + diag K) z = w is solved
-once per operator and R(u) = b - Au - K sinh u, and it stops once the error
-estimate
+residual, at the fixed 1e-9 (1 + ||b||), with CG run to 1e-12.  With one
+(goal-oriented, for the QoI Q(u) = w.u) it reports the adjoint-corrected
+QoI Q(u~) + z.R(u~), where (A + diag K) z = w is solved once per operator
+and R(u) = b - Au - K sinh u, and it stops once the error estimate
 
     |r_z.e| + sum |z K| (cosh(|u~| + |e|) - 1) |e|,   e = V-cycle(R(u~)),
 
@@ -68,7 +70,13 @@ from .errors import AssemblyError, ConvergenceError, DomainError
 # ---------------------------------------------------------------------------
 
 class Grid3D:
-    """Uniform node-centered grid of n^3 nodes over the reference box with subdomain tags."""
+    """Uniform node-centered grid of n^3 nodes over the reference box with subdomain tags.
+
+    The Dirichlet data is zero, so the unknowns, and every field on the grid,
+    live on the (n - 2)^3 interior nodes, the lattice ``interior``.  The full
+    axes, points and tags stay for the assembly, whose face averages read the
+    dielectric at boundary nodes too.
+    """
 
     def __init__(self, domain: geometry.ReferenceDomain, n: int):
         n = int(n)
@@ -81,34 +89,24 @@ class Grid3D:
             raise DomainError("grid spacing must be equal along all axes")
         self.h = float(spacings[0])
         self.axes = [np.linspace(domain.box_min[d], domain.box_max[d], n) for d in range(3)]
-        self.lattice = geometry.Lattice(self.axes)
-        self.points = np.asarray(self.lattice).reshape(-1, 3)
+        self.points = np.asarray(geometry.Lattice(self.axes)).reshape(-1, 3)
         self.subdomain_tag = geometry.classify_point(domain, self.points).reshape(self.shape)
-        interior = np.zeros(self.shape, dtype=bool)
-        interior[1:-1, 1:-1, 1:-1] = True
-        self.interior_idx = np.flatnonzero(interior)
-
-    @property
-    def n_nodes(self) -> int:
-        return int(np.prod(self.shape))
-
-    def node_weights(self) -> np.ndarray:
-        """Node-centered cell volumes: h per axis, halved at the endpoints."""
-        w = np.full(self.shape[0], self.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return (w[:, None, None] * w[None, :, None] * w[None, None, :]).ravel()
+        self.interior = geometry.Lattice([a[1:-1] for a in self.axes])
 
 
 @dataclass
 class GridField:
-    """Scalar field on a Grid3D (solution, forcing, residuals)."""
+    """Scalar field on the interior nodes of a Grid3D (solution, forcing, residuals).
+
+    The values are shaped like the interior lattice, and ``flat`` is in the
+    row order of the assembled operator; the field is 0 on the boundary.
+    """
 
     grid: Grid3D
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(self.grid.shape)
+        self.values = np.asarray(self.values, dtype=float).reshape(self.grid.interior.shape[:-1])
         if not np.all(np.isfinite(self.values)):
             raise DomainError("grid field contains non-finite values")
 
@@ -157,7 +155,7 @@ class PBECoefficients:
 class AssembledOperator:
     """Interior diffusion matrix; with zero Dirichlet data no boundary block is needed.
 
-    The interior forcing of a GridField f is f.flat[grid.interior_idx].
+    Its rows are in the order of GridField.flat.
     """
 
     grid: Grid3D
@@ -266,7 +264,7 @@ def gaussian_factors(axes, charges: list, positions):
 
 
 def assemble_rhs(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> GridField:
-    """Nodal values of f*(r; y) det J(r; y) for the Gaussian charge model.
+    """Values of f*(r; y) det J(r; y) at the interior nodes for the Gaussian charge model.
 
     The charge centres ride along with the map: a charge at c gives node x
     amp g_0 g_1 g_2, g_d = exp(-delta_d^2 / (2 s^2)), for the offset
@@ -276,11 +274,11 @@ def assemble_rhs(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> Grid
     outer product of three per-axis factors; no (n^3, 3) array is formed.
     """
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
-    x = grid.lattice
+    x = grid.interior
     # the modes' displacements at the nodes do not depend on the charge
     shifts = [(math.sqrt(mu) * y[k], fld, fld.value(x)) for k, (mu, fld) in enumerate(dmap.modes)]
     axes = [x[..., d] for d in range(3)]
-    vals = np.zeros(grid.shape)
+    vals = np.zeros(x.shape[:-1])
     for c, amp, s2 in zip(coeffs.charges, *_amplitudes(coeffs.charges)):
         delta = [a - p for a, p in zip(axes, c.position)]
         # taking the displacement difference mode by mode makes translation
@@ -294,10 +292,10 @@ def assemble_rhs(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> Grid
 
 
 def reaction_profile(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> GridField:
-    """Nodal kappa^2(r) det J(r; y), the coefficient of sinh(u) in the residual."""
+    """kappa^2(r) det J(r; y) at the interior nodes, the coefficient of sinh(u) in the residual."""
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
-    return GridField(grid, coeffs.kappa2[grid.subdomain_tag]
-                     * geometry.det_jacobian(dmap, grid.lattice, y))
+    return GridField(grid, coeffs.kappa2[grid.subdomain_tag[1:-1, 1:-1, 1:-1]]
+                     * geometry.det_jacobian(dmap, grid.interior, y))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +312,12 @@ _OMEGA = 0.8           # damped-Jacobi weight of the V-cycle smoother
 _DENSE_NODES = 512     # a coarsest level this small is inverted, a larger one smoothed
 _GOAL_CG_TOL = 1e-3    # relative CG tolerance of a goal-oriented Newton step
 _GOAL_QOI_TOL = 1e-12  # relative QoI error at which goal-oriented Newton stops
+# l2 Newton stops once ||R(u)|| <= _L2_TOL (1 + ||b||); at n = 65 that leaves a
+# 1.25e-9 relative QoI bias on the cutoff map, which the benchmark's recorded
+# cutoff references carry, so a tighter stop moves them
+_L2_TOL = 1e-9
+_L2_CG_TOL = 1e-12     # relative CG tolerance of an l2 Newton step
+_MAX_NEWTON = 50       # Newton steps before ConvergenceError
 
 
 def _interpolation_1d(m: int) -> sp.csr_matrix:
@@ -438,18 +442,14 @@ def solve_linear_interface(op: AssembledOperator, reaction, rhs: GridField,
     """Solve (diffusion + reaction) u = rhs with zero Dirichlet data.
 
     reaction is a GridField of nonnegative nodal coefficients (or None);
-    returns the full-grid solution, zero on the boundary, and the CG report.
+    returns the solution and the CG report.
     """
-    grid = op.grid
-    ii = grid.interior_idx
-    react = np.zeros(grid.n_nodes) if reaction is None else reaction.flat
+    react = np.zeros(len(rhs.flat)) if reaction is None else reaction.flat
     if np.any(react < 0.0):
         raise DomainError("reaction coefficient must be nonnegative")
-    A = op.matrix + sp.diags(react[ii])
-    u_int, info = _pcg(A, rhs.flat[ii], VCycle(A, grid), tol=tol, maxiter=maxiter)
-    full = np.zeros(grid.n_nodes)
-    full[ii] = u_int
-    return GridField(grid, full), info
+    A = op.matrix + sp.diags(react)
+    u, info = _pcg(A, rhs.flat, VCycle(A, op.grid), tol=tol, maxiter=maxiter)
+    return GridField(op.grid, u), info
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +482,15 @@ class Adjoint:
 
 
 def solve_adjoint(op: AssembledOperator, reaction: GridField) -> Adjoint:
-    """Solve (A + diag K) z = w for the node weights w of qoi_integral.
+    """Solve (A + diag K) z = w for the weights w of qoi_integral.
 
     K is the reaction profile.  The u = 0 Jacobian A + diag K and its V-cycle
     are built here and carried by the Adjoint.  CG runs to the QoI tolerance
     1e-12, since the adjoint's own error enters every corrected QoI.
     """
-    grid = op.grid
-    kd = reaction.flat[grid.interior_idx]
+    kd = reaction.flat
     matrix, vcycle = _zero_jacobian(op, kd)
-    w = grid.node_weights()[grid.interior_idx]
+    w = _qoi_weights(op.grid)
     z, cg = _pcg(matrix, w, vcycle, tol=_GOAL_QOI_TOL)
     return Adjoint(matrix, vcycle, w, z, np.abs(z * kd), w - matrix @ z, cg)
 
@@ -507,47 +506,32 @@ class NewtonInfo:
 
 
 def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
-                      u0: GridField = None, tol=None, max_iter=50,
-                      cg_tol=None, op: AssembledOperator = None,
-                      rhs: GridField = None, reaction: GridField = None,
-                      adjoint: Adjoint = None):
-    """Damped Newton iteration for the pulled-back NPBE.
+                      op: AssembledOperator = None, rhs: GridField = None,
+                      reaction: GridField = None, adjoint: Adjoint = None):
+    """Damped Newton iteration for the pulled-back NPBE, from u = 0.
 
     Each step solves the linearization with reaction kappa^2 cosh(u) det J and
     backtracks on the l2 residual (halving, floor 1e-3).  Every step's CG is
     preconditioned by the V-cycle of the u = 0 Jacobian A + diag K, and a
     step from u = 0 takes that matrix as its Jacobian.  The adjoint carries
-    both; without one, they are built on entry, from u = 0 whatever u0 is.
+    both; without one, they are built on entry.
 
-    Without an adjoint, CG runs to cg_tol (default 1e-12) and Newton
-    terminates when the residual drops below tol * (1 + ||rhs||), tol
-    defaulting to 1e-9.  With one (see the module docstring), CG runs to a
-    relative 1e-3, Newton takes at least one step unless the residual is
-    exactly zero and terminates on the QoI error estimate, and NewtonInfo
-    carries the corrected QoI and the estimate; tol and cg_tol do not apply
-    and passing either is a TypeError.
+    Without an adjoint, CG runs to a relative 1e-12 and Newton terminates
+    when the residual drops below 1e-9 (1 + ||rhs||).  With one (see the
+    module docstring), CG runs to a relative 1e-3, Newton takes at least one
+    step unless the residual is exactly zero and terminates on the QoI error
+    estimate, and NewtonInfo carries the corrected QoI and the estimate.
+    Either way Newton raises ConvergenceError after 50 steps.  Returns the
+    interior solution and the NewtonInfo.
     """
-    if adjoint is None:
-        tol = 1e-9 if tol is None else tol
-        cg_tol = 1e-12 if cg_tol is None else cg_tol
-    elif tol is not None or cg_tol is not None:
-        raise TypeError("tol and cg_tol set the l2 stop; with an adjoint Newton "
-                        "stops on its QoI error estimate")
     if op is None:
         op = assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
     if rhs is None:
         rhs = assemble_rhs(domain, dmap, coeffs, y, grid)
     if reaction is None:
         reaction = reaction_profile(domain, dmap, coeffs, y, grid)
-    ii = grid.interior_idx
-    kd = reaction.flat[ii]
-    b = rhs.flat[ii]
-    A = op.matrix
-
-    if u0 is None:
-        u = np.zeros(len(ii))
-    else:
-        u = u0.flat[ii].copy()
+    kd, b, A = reaction.flat, rhs.flat, op.matrix
+    u = np.zeros(len(b))
 
     def residual(v):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -556,7 +540,8 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
 
     qoi = qoi_error = None
     if adjoint is None:
-        target = tol * (1.0 + _norm(b))
+        target = _L2_TOL * (1.0 + _norm(b))
+        cg_tol = _L2_CG_TOL
         J0, vcycle = _zero_jacobian(op, kd)
     else:
         cg_tol = _GOAL_CG_TOL
@@ -580,15 +565,15 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
         qoi_error = abs(_dot(adjoint.residual, e)) + remainder
         return qoi_error <= _GOAL_QOI_TOL * max(abs(qoi), _dot(w, np.abs(u)))
 
-    r = -b if u0 is None else residual(u)  # at u = 0, A u + K sinh u = 0
+    r = -b  # at u = 0, A u + K sinh u = 0
     rnorm = _norm(r)
     history = [rnorm]
     steps, cg_iterations = [], []
     it = 0
     while not converged():
-        if it == max_iter:
+        if it == _MAX_NEWTON:
             raise ConvergenceError(
-                f"Newton failed to converge in {max_iter} iterations",
+                f"Newton failed to converge in {_MAX_NEWTON} iterations",
                 residual=rnorm, history=history,
             )
         Ait = J0 if not u.any() else A + sp.diags(kd * np.cosh(u))
@@ -610,37 +595,38 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
         history.append(rnorm)
         steps.append(step)
         it += 1
-    full = np.zeros(grid.n_nodes)
-    full[ii] = u
-    return GridField(grid, full), NewtonInfo(it, history, steps, cg_iterations, qoi, qoi_error)
+    return GridField(grid, u), NewtonInfo(it, history, steps, cg_iterations, qoi, qoi_error)
 
 
 # ---------------------------------------------------------------------------
 # Quantity of interest and residual checks
 # ---------------------------------------------------------------------------
 
-def qoi_integral(u: GridField) -> float:
-    """Integral of u over the reference box: node values times node-centered cell volumes.
+def _qoi_weights(grid: Grid3D) -> np.ndarray:
+    """The trapezoid weight of each interior node: the cell volume (h*h)*h."""
+    return np.full(np.prod(grid.interior.shape[:-1]), (grid.h * grid.h) * grid.h)
 
-    Under a map with J != I that is the pulled-back potential's integral, without det J.
+
+def qoi_integral(u: GridField) -> float:
+    """Integral of u over the reference box by the trapezoid rule.
+
+    u vanishes on the boundary, so only the interior nodes count, each with
+    the cell volume h^3.  Under a map with J != I that is the pulled-back
+    potential's integral, without det J.
     """
-    return _dot(u.grid.node_weights(), u.flat)
+    return _dot(_qoi_weights(u.grid), u.flat)
 
 
 def operator_residual(domain, dmap, coeffs: PBECoefficients, y, u: GridField,
                       op: AssembledOperator = None) -> GridField:
     """Apply the assembled nonlinear operator to u and subtract the forcing.
 
-    Acts as the data -> solution -> data consistency check; boundary nodes
-    carry zero residual by convention.
+    Acts as the data -> solution -> data consistency check, on the interior
+    nodes where the unknowns live.
     """
     grid = u.grid
     if op is None:
         op = assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
     rhs = assemble_rhs(domain, dmap, coeffs, y, grid)
     reaction = reaction_profile(domain, dmap, coeffs, y, grid)
-    ii = grid.interior_idx
-    r_int = op.matrix @ u.flat[ii] + reaction.flat[ii] * np.sinh(u.flat[ii]) - rhs.flat[ii]
-    full = np.zeros(grid.n_nodes)
-    full[ii] = r_int
-    return GridField(grid, full)
+    return GridField(grid, op.matrix @ u.flat + reaction.flat * np.sinh(u.flat) - rhs.flat)

@@ -33,6 +33,13 @@ def gaussian_norms_by_quadrature(q, s):
     return math.sqrt(val), math.sqrt(gval)
 
 
+def shrink_bounds(monkeypatch, factor):
+    """Scale each of the eight closed-form bounds by factor where the sampling reads them."""
+    closed_form = bounds.prop_a_bounds
+    monkeypatch.setattr(bounds, "prop_a_bounds", lambda inp: bounds.PropABounds(
+        **{k: v * factor for k, v in closed_form(inp).as_dict().items()}))
+
+
 def scaled_cutoff_map(domain, scales, margin=7.0):
     modes = []
     for k, s in enumerate(scales):
@@ -183,19 +190,20 @@ class TestSamplingVerification:
         assert rep.ok, rep.violations[:3]
         assert all(v <= 1.0 for v in rep.max_slack.values())
 
-    def test_self_test_hook_detects(self):
+    def test_self_test_hook_detects(self, monkeypatch):
+        # bounds shrunk tenfold must be violated
         domain = big_domain()
         dmap = scaled_cutoff_map(domain, (0.1, 0.1))
         prof = geometry.b_norms(dmap, domain, p=1.0, n=32)
         inp = bounds.BoundsInput(b1=prof.b_norm_1 * 1.02, binf=prof.b_norm_inf * 1.02,
                                  y0_inf=0.5, y_inf=0.5)
-        rep = bounds.verify_bounds_by_sampling(dmap, domain, inp, trials=100,
-                                               seed=1, bound_scale=0.1)
+        shrink_bounds(monkeypatch, 0.1)
+        rep = bounds.verify_bounds_by_sampling(dmap, domain, inp, trials=100, seed=1)
         assert not rep.ok
         assert len(rep.violations) > 0
 
 
-def per_trial_report(dmap, domain, inp, trials, seed, bound_scale):
+def per_trial_report(dmap, domain, inp, trials, seed):
     """verify_bounds_by_sampling one trial at a time: the oracle of its batched form."""
     report = bounds.VerificationReport(trials=trials)
     N = dmap.n_modes
@@ -204,7 +212,6 @@ def per_trial_report(dmap, domain, inp, trials, seed, bound_scale):
     y_cap = min(y_cap * 0.999, inp.y_inf) if inp.y_inf > 0 else 0.0
 
     def record(trial, name, actual, bound):
-        bound = bound * bound_scale
         ratio = actual / bound if bound > 0 else (0.0 if actual == 0.0 else math.inf)
         report.max_slack[name] = max(report.max_slack.get(name, 0.0), ratio)
         if actual > bound * (1.0 + 1e-12):
@@ -246,22 +253,23 @@ class TestBatchedSampling:
                                                 binf=prof.b_norm_inf * 1.02,
                                                 y0_inf=0.5, y_inf=0.5)
 
-    @pytest.mark.parametrize("seed, bound_scale", [(0, 1.0), (1, 1.0), (1, 0.1)])
-    def test_report_equals_per_trial_loop(self, seed, bound_scale):
+    @pytest.mark.parametrize("seed, shrink", [(0, 1.0), (1, 1.0), (1, 0.1)])
+    def test_report_equals_per_trial_loop(self, seed, shrink, monkeypatch):
         domain, dmap, inp = self.cutoff_case()
-        rep = bounds.verify_bounds_by_sampling(dmap, domain, inp, trials=300, seed=seed,
-                                               bound_scale=bound_scale)
-        ref = per_trial_report(dmap, domain, inp, 300, seed, bound_scale)
+        if shrink < 1.0:
+            shrink_bounds(monkeypatch, shrink)
+        rep = bounds.verify_bounds_by_sampling(dmap, domain, inp, trials=300, seed=seed)
+        ref = per_trial_report(dmap, domain, inp, 300, seed)
         assert rep.trials == ref.trials
         assert rep.violations == ref.violations
         assert rep.max_slack == ref.max_slack
-        assert (len(rep.violations) > 0) == (bound_scale < 1.0)
+        assert (len(rep.violations) > 0) == (shrink < 1.0)
 
     def test_identity_map_equals_per_trial_loop(self):
         domain = big_domain()
         inp = bounds.BoundsInput(b1=0.0, binf=0.0, y0_inf=1.0, y_inf=0.5)
         rep = bounds.verify_bounds_by_sampling(geometry.DomainMap([]), domain, inp, trials=50)
-        ref = per_trial_report(geometry.DomainMap([]), domain, inp, 50, 0, 1.0)
+        ref = per_trial_report(geometry.DomainMap([]), domain, inp, 50, 0)
         assert (rep.violations, rep.max_slack) == (ref.violations, ref.max_slack)
 
     def test_each_mode_field_evaluated_on_the_batch(self, monkeypatch):
@@ -283,17 +291,33 @@ class TestMonteCarloTermOracles:
         grid = pde.Grid3D(domain, 17)
         q, s = 1.0, 3.0
         xi_l2, xi_grad = gaussian_norms_by_quadrature(q, s)
-        coeffs = pde.PBECoefficients([1, 1, 1], [0, 0, 0],
-                                     [pde.Charge([5.0, 35, 35], q, s)], 0.0)
-        w = grid.node_weights()
+        charge = pde.Charge([5.0, 35, 35], q, s)
+        coeffs = pde.PBECoefficients([1, 1, 1], [0, 0, 0], [charge], 0.0)
+        # the trapezoid rule over the whole grid: h per axis, halved at the ends
+        w1 = np.full(grid.shape[0], grid.h)
+        w1[[0, -1]] *= 0.5
+        w = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).ravel()
         rng = np.random.default_rng(3)
         mu_max = math.sqrt(dmap.modes[0][0])
+
+        def forcing(y):
+            # f*(x; y) det J(x; y) at every node: the charge is 5 A from a face,
+            # so the boundary layer carries part of the difference
+            offset = (geometry.map_forward(dmap, grid.points, y)
+                      - geometry.map_forward(dmap, charge.position, y))
+            f = (geometry.det3(geometry.jacobian(dmap, grid.points, y))
+                 * q * (2.0 * math.pi * s * s) ** -1.5
+                 * np.exp(-0.5 * np.sum(offset**2, axis=-1) / (s * s)))
+            # the solver's forcing is f on the interior nodes
+            inner = f.reshape(grid.shape)[1:-1, 1:-1, 1:-1]
+            rhs = pde.assemble_rhs(domain, dmap, coeffs, y, grid)
+            assert np.max(np.abs(rhs.values - inner)) <= 1e-14 * np.max(np.abs(f))
+            return f
+
         for _ in range(100):
             y0 = rng.uniform(-0.5, 0.5, size=1)
             dy = rng.uniform(-0.3, 0.3, size=1)
-            r0 = pde.assemble_rhs(domain, dmap, coeffs, y0, grid)
-            r1 = pde.assemble_rhs(domain, dmap, coeffs, y0 + dy, grid)
-            diff = math.sqrt(float(w @ (r1.flat - r0.flat) ** 2))
+            diff = math.sqrt(float(w @ (forcing(y0 + dy) - forcing(y0)) ** 2))
             inp = bounds.BoundsInput(b1=prof.b_norm_1, binf=prof.b_norm_inf,
                                      y0_inf=float(abs(y0[0])), y_inf=float(abs(dy[0])),
                                      N_f=1, xi_l2=xi_l2, xi_grad_l2=xi_grad,
@@ -306,11 +330,12 @@ class TestMonteCarloTermOracles:
         grid = pde.Grid3D(domain, 17)
         kap = 0.8
         rng = np.random.default_rng(4)
-        mesh = grid.axes
-        w = grid.node_weights()
+        # sin(pi k x) vanishes on the boundary, so the interior nodes carry the norm
+        mesh = grid.interior.axes
+        w = grid.h**3
 
         def smooth(scale):
-            vals = np.zeros(grid.shape)
+            vals = np.zeros((15, 15, 15))
             for _ in range(3):
                 k = rng.integers(1, 4, size=3)
                 vals += rng.standard_normal() * np.multiply.outer(
@@ -322,8 +347,7 @@ class TestMonteCarloTermOracles:
         for _ in range(100):
             u0, n0 = smooth(rng.uniform(0.2, 1.0))
             du, nu = smooth(rng.uniform(0.1, 0.5))
-            diff = math.sqrt(float(
-                w @ (kap * (np.sinh(u0 + du) - np.sinh(u0))).ravel() ** 2))
+            diff = math.sqrt(w * float(np.sum((kap * (np.sinh(u0 + du) - np.sinh(u0))) ** 2)))
             inp = bounds.BoundsInput(b1=0.0, binf=0.0, y0_inf=0.0, y_inf=0.0,
                                      kappa2_max=kap, C_max=1.0,
                                      u0_norm=n0, u_norm=nu)

@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 import yaml
 
 from npbe_uq import cli, geometry, harness, pde, smolyak
@@ -274,7 +273,7 @@ class TestRunStudy:
         assert result.reference_eta == 5
         assert all(math.isfinite(r.error) for r in result.records)
 
-    def test_w0_mean_is_center_solve(self):
+    def test_w0_mean_is_center_solve(self, tight_solve):
         config = small_config(levels=(0,), reference_level=1)
         result = harness.run_study(config)
         domain = config.domain
@@ -282,8 +281,8 @@ class TestRunStudy:
         charges = harness.ingest_charges(config)
         coeffs = pde.PBECoefficients(np.array(config.eps), np.array(config.kappa2),
                                      charges, 0.0)
-        u, _ = pde.newton_solve_npbe(domain, geometry.DomainMap([]), coeffs, None, grid,
-                                     tol=1e-13, cg_tol=1e-13)
+        # rtol 1e-13: eps = 70 puts the rounding floor of ||R|| near 2e-14 ||b||
+        u = tight_solve(domain, geometry.DomainMap([]), coeffs, None, grid, rtol=1e-13)
         ref = pde.qoi_integral(u)
         assert abs(result.records[0].qoi_mean - ref) <= 1e-12 * abs(ref)
 
@@ -487,13 +486,12 @@ class TestRunStudy:
                               grid_n=17, kappa2=(0.0, 0.0, 0.5))
         solver = harness.KnotSolver(config)
         ys = np.array([[0.0, 0.0], [0.5, -1.0], [-0.7, 0.3], [1.0, 1.0]])
-        ii = solver.grid.interior_idx
         for y, value in zip(ys, solver.linear_parts(ys)):
             charges = harness.shifted_charges(solver.coeffs.charges, config.alpha,
                                               harness.SQRT3 * y, solver.domain)
             rhs = pde.assemble_rhs(solver.domain, solver.dmap,
                                    replace(solver.coeffs, charges=charges), None, solver.grid)
-            ref = solver.adjoint.z @ rhs.flat[ii]
+            ref = solver.adjoint.z @ rhs.flat
             assert abs(value - ref) <= 1e-14 * abs(ref)
 
     def test_charge_out_of_box_raises_before_any_solve(self, monkeypatch):
@@ -512,26 +510,26 @@ class TestRunStudy:
 
 
 class TestKnotSolver:
-    def tight_qoi(self, solver, y):
-        """QoI of a direct Newton solve with a tight l2 stop."""
+    def tight_qoi(self, tight_solve, solver, y, rtol=1e-14):
+        """QoI of the knot's direct sparse Newton solve, run to ||R|| <= rtol ||b||."""
         charges = harness.shifted_charges(solver.coeffs.charges, solver.config.alpha,
                                           harness.SQRT3 * np.asarray(y), solver.domain)
-        u, _ = pde.newton_solve_npbe(solver.domain, solver.dmap,
-                                     replace(solver.coeffs, charges=charges), None,
-                                     solver.grid, tol=1e-13, cg_tol=1e-13)
-        return pde.qoi_integral(u)
+        return pde.qoi_integral(tight_solve(solver.domain, solver.dmap,
+                                            replace(solver.coeffs, charges=charges), None,
+                                            solver.grid, rtol))
 
     @pytest.mark.parametrize("q, min_steps", [(20.0, 1), (2000.0, 2)])
-    def test_nonlinear_knot_matches_tight_solve(self, q, min_steps):
+    def test_nonlinear_knot_matches_tight_solve(self, q, min_steps, tight_solve):
         config = small_config(kappa2=(0.0, 0.0, 0.5), charges_inline=[[35.0, 35.0, 35.0, q]])
         solver = harness.KnotSolver(config)
         _, info = solver.solve([0.5])
-        ref = self.tight_qoi(solver, [0.5])
+        # rtol 1e-13: eps = 70 puts the rounding floor of ||R|| near 2e-14 ||b||
+        ref = self.tight_qoi(tight_solve, solver, [0.5], rtol=1e-13)
         assert abs(info.qoi - ref) <= 1e-12 * abs(ref)
         assert 0.0 <= info.qoi_error <= 1e-12 * abs(info.qoi)
         assert info.iterations >= min_steps
 
-    def test_coarse_grid_knots_match_direct_newton(self, monkeypatch):
+    def test_coarse_grid_knots_match_direct_newton(self, monkeypatch, tight_solve):
         # N = 3, n = 9, default width 2h: the V-cycle is not the exact
         # inverse, so e = V-cycle(R(u~)) in the stop rule is only approximate
         config = harness.RunConfig(charges_inline=ACCEPTANCE_CHARGES, N=3, alpha=(3.0,) * 3,
@@ -547,21 +545,7 @@ class TestKnotSolver:
         result = harness.run_study(config)
         assert result.nonlinear_level == 2 and len(knots) == result.knot_solves == 25
         for solver, y, info in knots:
-            # Newton whose steps are direct sparse solves, run to a tight residual
-            charges = harness.shifted_charges(solver.coeffs.charges, config.alpha,
-                                              harness.SQRT3 * np.asarray(y), solver.domain)
-            rhs = pde.assemble_rhs(solver.domain, solver.dmap,
-                                   replace(solver.coeffs, charges=charges), None, solver.grid)
-            ii = solver.grid.interior_idx
-            A, kd, b = solver.op.matrix, solver.reaction.flat[ii], rhs.flat[ii]
-            v = np.zeros(len(ii))
-            for _ in range(20):
-                r = A @ v + kd * np.sinh(v) - b
-                if np.linalg.norm(r) <= 1e-14 * np.linalg.norm(b):
-                    break
-                v -= spsolve((A + sp.diags(kd * np.cosh(v))).tocsc(), r)
-            assert np.linalg.norm(A @ v + kd * np.sinh(v) - b) <= 1e-14 * np.linalg.norm(b)
-            ref = solver.grid.node_weights()[ii] @ v
+            ref = self.tight_qoi(tight_solve, solver, y)
             assert abs(info.qoi - ref) <= 1e-12 * abs(ref)
 
     def test_knot_vcycles_are_cg_iterations_plus_estimates(self, monkeypatch):
@@ -591,16 +575,16 @@ class TestKnotSolver:
         result = harness.run_study(config)
         assert [r.qoi_mean for r in result.records] == [0.0, 0.0]
 
-    def test_centred_dipole_knot_converges(self):
+    def test_centred_dipole_knot_converges(self, tight_solve):
         # u is odd about the centre, so Q cancels to rounding and only the
         # scale w.|u| makes the stopping test reachable
         config = small_config(kappa2=(0.0, 0.0, 0.5), levels=(0, 1), reference_level=2,
                               charges_inline=[[30.0, 35.0, 35.0, 1.0], [40.0, 35.0, 35.0, -1.0]])
         solver = harness.KnotSolver(config)
         u, info = solver.solve([0.0])
-        scale = solver.grid.node_weights() @ np.abs(u.flat)
+        scale = pde.qoi_integral(pde.GridField(solver.grid, np.abs(u.values)))
         assert abs(info.qoi) <= 1e-12 * scale
-        assert abs(info.qoi - self.tight_qoi(solver, [0.0])) <= 1e-12 * scale
+        assert abs(info.qoi - self.tight_qoi(tight_solve, solver, [0.0])) <= 1e-12 * scale
         assert 0.0 <= info.qoi_error <= 1e-12 * scale
         result = harness.run_study(config)
         assert not any(r.failed for r in result.records)
@@ -679,6 +663,9 @@ class TestCli:
         assert all(1 <= c <= 25 for c in cg)
         qoi, estimate = float(fields["qoi integral"]), float(fields["qoi error estimate"])
         assert 0.0 <= estimate <= 1e-12 * abs(qoi)
+        # over the box: a positive unit charge gives u > 0 inside and 0 on the boundary
+        lo, hi = (float(v) for v in fields["potential range"].strip("[]").split(","))
+        assert lo == 0.0 and hi > 0.0
 
     def test_solve_with_y(self, tmp_path, capsys):
         rc = cli.main(["solve", "--config", self.write_config(tmp_path), "--y", "0.5"])

@@ -1,14 +1,17 @@
-"""Guards against dead public code, both name-based.
+"""Guards against dead public code, all name-based.
 
 Each public top-level function or class has a non-test caller: a reference
 in another function or statement of the package (``__init__`` re-exports do
-not count) or in the benchmark's ``bench/*.py``.  Each public field of a
-package dataclass is read: an attribute access or keyword argument of its
-name in the package, in ``bench/*.py`` or in the tests.  The class's own
+not count) or in the benchmark's ``bench/*.py``.  Each defaulted parameter
+of a public top-level function is passed, by position or keyword, by some
+call in the package or in ``bench/*.py``.  Each public field of a package
+dataclass is read: an attribute access or keyword argument of its name in
+the package, in ``bench/*.py`` or in the tests.  The class's own
 ``__post_init__``, which only validates and converts, does not count.
 """
 
 import ast
+import math
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -22,6 +25,16 @@ ALLOWED = {
     "operator_residual": "data -> solution -> data consistency oracle",
     "f_degree": "level budget of a polynomial degree, the index-set tests' oracle",
     "polynomial_index_set": "exactly integrated polynomials, the exactness tests' oracle",
+}
+
+
+# Defaulted parameters that no pipeline passes, each kept on purpose.
+ALLOWED_DEFAULTS = {
+    "pde.solve_linear_interface(tol)": "the linear oracle's CG tolerance, set per test",
+    "pde.solve_linear_interface(maxiter)": "the linear oracle's CG cap, which a test lowers",
+    "pde.operator_residual(op)": "the residual oracle reuses an operator a test already has",
+    "region.m_tilde(samples)": "tests lower it to keep N = 3 rings fast, and raise it "
+                               "for an accuracy case",
 }
 
 
@@ -104,6 +117,48 @@ def unread(modules: dict, extra: set) -> list:
     return out
 
 
+def callee(call) -> str:
+    """The called name: f of f(...) and of obj.f(...), else None."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def unpassed(modules: dict, extra: list) -> list:
+    """'module.function(param)' for each defaulted parameter no call passes.
+
+    Covers the public top-level functions of modules, which maps a module
+    name to its parsed tree; extra holds the parsed trees of other callers.
+    A call is one whose callee's name (or attribute) is the function's; it
+    passes a parameter by keyword, or by position when it has more
+    positional arguments than precede it, and a call with *args or **kwargs
+    passes them all.  Calls in the function's own body do not count.
+    """
+    out = []
+    for mod, tree in modules.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = {p.arg: i for i, p in enumerate(positional) if i >= first}
+            defaulted.update({p.arg: math.inf for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None})
+            sources = [stmt for other in modules.values() for stmt in other.body
+                       if stmt is not fn] + extra
+            passed = set()
+            for node in (n for src in sources for n in ast.walk(src)):
+                if not (isinstance(node, ast.Call) and fn.name == callee(node)):
+                    continue
+                if (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords)):
+                    passed |= defaulted.keys()
+                passed |= {p for p, i in defaulted.items() if i < len(node.args)}
+                passed |= {k.arg for k in node.keywords}
+            out += [f"{mod}.{fn.name}({p})" for p in defaulted if p not in passed]
+    return out
+
+
 def test_guard_finds_uncalled_functions():
     modules = {"a": ast.parse("def f():\n    return f()\n\ndef g():\n    return h()\n"
                               "def _private():\n    pass\n"),
@@ -132,6 +187,27 @@ def test_guard_finds_unread_fields():
     assert unread(modules, {"y"}) == []
     del modules["b"]
     assert unread(modules, set()) == ["a.P.x", "a.P.y", "a.Q.v"]
+
+
+def test_guard_finds_unpassed_parameters():
+    modules = {"a": ast.parse("def f(x, y=1, z=2, *, k=3):\n    return f(x, y, z, k=k)\n\n"
+                              "def g(v=0):\n    return v\n\ndef _h(w=0):\n    return w\n"),
+               "b": ast.parse("import a\nx = a.f(1, 2)\n")}
+    # y is passed by position; f's own recursive call does not count, and
+    # private functions are not checked
+    assert unpassed(modules, []) == ["a.f(z)", "a.f(k)", "a.g(v)"]
+    extra = [ast.parse("a.f(0, k=1)\ng(*vals)\n")]
+    assert unpassed(modules, extra) == ["a.f(z)"]
+    assert unpassed(modules, extra + [ast.parse("f(**opts)\n")]) == []
+
+
+def test_no_test_only_parameters():
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))
+               if p.name != "__init__.py"}
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
+    found = set(unpassed(modules, bench))
+    assert found - ALLOWED_DEFAULTS.keys() == set(), "defaulted parameters only tests pass"
+    assert ALLOWED_DEFAULTS.keys() - found == set(), "allow-listed parameters that are now passed"
 
 
 def test_no_unread_dataclass_fields():
