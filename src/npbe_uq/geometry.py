@@ -62,28 +62,30 @@ class ReferenceDomain:
             raise DomainError("outer sphere not compactly contained in box")
 
     def levels(self, r):
-        """Signed distances to the two sphere interfaces, vectorized."""
-        r = np.asarray(r, dtype=float)
-        d = np.linalg.norm(r - self.sphere_center, axis=-1)
+        """Signed distances to the two sphere interfaces, vectorized; r may be a Lattice."""
+        r = _points(r)
+        d = np.sqrt(sum((r[..., k] - self.sphere_center[k]) ** 2 for k in range(3)))
         return d - self.radii[0], d - self.radii[1]
 
     def contains(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.all((r >= self.box_min) & (r <= self.box_max), axis=-1)
+        """Whether each point lies in the closed box; r may be a Lattice."""
+        r = _points(r)
+        x, y, z = ((r[..., d] >= self.box_min[d]) & (r[..., d] <= self.box_max[d])
+                   for d in range(3))
+        return x & y & z
 
 
 def classify_point(domain: ReferenceDomain, r):
-    """Classify a point (or array of points) into U1/U2/U3.
+    """Classify a point (or array of points, or a Lattice) into U1/U2/U3.
 
     Returns the label for a single point, or an integer array with values
-    0/1/2 for stacked points.
+    0/1/2 of the points' leading shape.
     """
-    r = np.asarray(r, dtype=float)
     if not np.all(domain.contains(r)):
         raise DomainError("point outside reference box")
     phi1, phi2 = domain.levels(r)
     tag = np.where(phi1 <= 0.0, 0, np.where(phi2 <= 0.0, 1, 2))
-    if r.ndim == 1:
+    if tag.ndim == 0:
         return (U1, U2, U3)[int(tag)]
     return tag
 
@@ -300,7 +302,6 @@ class MapBoundsProfile:
     b_norm_1: float
     b_norm_inf: float
     b_norm_p: float
-    p: float
 
 
 def mode_c1_norm(fld, domain: ReferenceDomain, n: int = 64) -> float:
@@ -331,7 +332,7 @@ def b_norms(dmap: DomainMap, domain: ReferenceDomain, p: float = 2.0, n: int = 6
     norm_1 = sum(terms, 0.0)
     norm_inf = max(terms, default=0.0)
     norm_p = sum(t**p for t in terms) ** (1.0 / p)
-    return MapBoundsProfile(norm_1, norm_inf, norm_p, p)
+    return MapBoundsProfile(norm_1, norm_inf, norm_p)
 
 
 @dataclass(frozen=True)

@@ -217,21 +217,22 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def parse_pqr(text: str) -> list:
-    """Parse ATOM lines of a PQR-subset file into (position, charge) pairs.
+    """Parse the ATOM lines of a PQR file into (position, charge) pairs.
 
-    Expected layout per line: ATOM id name res x y z charge radius; extra
-    trailing fields are ignored.  Malformed ATOM lines raise with the
-    1-based line number.
+    Fields are whitespace-delimited, as APBS and pdb2pqr write them: x, y, z,
+    charge and radius are the last five, so a line may carry a chain ID and a
+    residue number or neither (ATOM id name res [chain] [resnum] x y z q r).
+    Malformed ATOM lines raise with the 1-based line number.
     """
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip().startswith("ATOM"):
             continue
         tok = line.split()
-        if len(tok) < 8:
-            raise ParseError(f"line {lineno}: ATOM record has {len(tok)} fields, need 8")
+        if len(tok) < 9:
+            raise ParseError(f"line {lineno}: ATOM record has {len(tok)} fields, need 9")
         try:
-            x, y, z, q = (float(t) for t in tok[4:8])
+            x, y, z, q = (float(t) for t in tok[-5:-1])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: non-numeric coordinate or charge ({exc})")
         out.append((np.array([x, y, z]), q))
@@ -239,7 +240,7 @@ def parse_pqr(text: str) -> list:
 
 
 def ingest_charges(config: RunConfig) -> list:
-    """Charge list from the config: inline entries or a PQR-subset file.
+    """Charge list from the config: inline entries or a PQR file.
 
     Every charge gets config.width().  Positions are recentred so their
     centroid sits at the sphere center; charges still landing outside the
@@ -279,7 +280,7 @@ def shifted_positions(positions: np.ndarray, alpha, ys, domain: geometry.Referen
     shift[:, :ys.shape[1]] = np.asarray(alpha) * ys
     out = shift[:, None, :] + positions
     if not np.all(domain.contains(out)):
-        raise ConfigError("shifted charge leaves the box; reduce alpha")
+        raise ConfigError(f"{_AT['alpha']}: shifted charge leaves the box; reduce alpha")
     return out
 
 
@@ -300,16 +301,18 @@ class ConvergenceRecord:
     qoi_mean: float
     error: float
     wall_time: float
-    failed: bool = False
-    failed_at: tuple = None  # y of the first failing knot, when failed
+    failed_at: tuple = None  # y of the study's failed knot, if it fails this level
     reason: str = ""         # its ConvergenceError message
+
+    @property
+    def failed(self) -> bool:
+        return self.failed_at is not None
 
 
 @dataclass
 class StudyResult:
     records: list
     reference_qoi: float
-    reference_level: int
     reference_eta: int
     csv_text: str
     nonlinear_level: int       # w_N, the level whose knots were solved
@@ -424,12 +427,16 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
     and the reference is E_ref[z.b] + E_{w_N}[N].
 
     A knot whose Newton iteration raises ConvergenceError stops the
-    escalation at its level: it fails the reference and the levels whose N
-    mean uses it, whose means are NaN and whose records keep its y and
-    message; any other error propagates.  progress(done, total) ticks once
-    per solve, total being the knot count of the level being solved.  A
-    level's wall time is its share of the batched z.b time, plus the solve
-    time of the knots its N mean uses, plus its z.b integration.
+    escalation at once, so a study has at most one failed knot, and it is
+    new at level w_N.  Every record then holds the knot's y and message, and
+    the reference and every error are NaN.  A level w >= w_N, whose N mean
+    uses that knot, has a NaN mean too; a level w < w_N keeps its mean, and
+    its message is prefixed with "reference level <r>:", since only the
+    reference uses the knot.  Any other error propagates.
+    progress(done, total) ticks once per solve, total being the knot count
+    of the level being solved.  A level's wall time is its share of the
+    batched z.b time, plus the solve time of the knots its N mean uses, plus
+    its z.b integration.
     """
     solver = KnotSolver(config)
     plans = {}
@@ -450,59 +457,49 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
     target = max(_REMAINDER_FRACTION * finest_error, pde._GOAL_QOI_TOL * abs(ref_linear))
 
     remainder = smolyak.SurplusStore()
-    seconds, errors = {}, {}  # per solved knot: solve time, ConvergenceError message
-    means = []                # E_w[N] for w = 0, 1, ..., w_N
+    seconds = {}  # solve time per solved knot
+    means = []    # E_w[N] for w = 0, 1, ..., w_N, or up to w_N - 1 if a knot failed
 
-    def solve_new_knots(p) -> bool:
-        """Solve the knots of plan p not solved yet; False once one fails."""
+    def solve_new_knots(p):
+        """Solve the knots of plan p not solved yet; (y, message) of one that fails, or None."""
         for key, y in zip(p.knots, p.knot_values):
             if key in seconds:
                 continue
             t0 = time.perf_counter()
+            failure = None
             try:
                 remainder.set(key, solver.solve(y)[1].qoi - linear.get(key))
             except ConvergenceError as exc:
-                errors[key] = str(exc)
+                failure = tuple(float(v) for v in y), str(exc)
             seconds[key] = time.perf_counter() - t0
             if progress is not None:
                 progress(len(seconds), p.n_knots)
-            if errors:
-                return False
-        return True
+            if failure:
+                return failure
+        return None
 
     for w_n in range(config.reference_level + 1):
-        if not solve_new_knots(plan(w_n)):
+        failure = solve_new_knots(plan(w_n))
+        if failure:
             break
         means.append(smolyak.integrate(plan(w_n), remainder))
         if w_n and abs(means[-1] - means[-2]) <= target:
             break
-    failed = bool(errors)  # at a knot of level w_n
-    estimate = abs(means[-1] - means[-2]) if w_n and not failed else math.nan
-
-    def first_failure(w):
-        """(y, message) of the first knot of level w whose solve failed, or None."""
-        for key, y in zip(plan(w).knots, plan(w).knot_values):
-            if key in errors:
-                return tuple(float(v) for v in y), errors[key]
-        return None
-
-    ref_failure = first_failure(w_n)
-    ref_qoi = math.nan if ref_failure else ref_linear + means[w_n]
+    estimate = abs(means[-1] - means[-2]) if w_n and not failure else math.nan
+    ref_qoi = math.nan if failure else ref_linear + means[w_n]
     records = []
     for w in config.levels:
         t0 = time.perf_counter()
         w_mean = min(w, w_n)
-        failure = first_failure(w_mean)
-        mean = math.nan if failure else smolyak.integrate(plan(w), linear) + means[w_mean]
+        lost = failure is not None and w >= w_n  # the level's N mean uses the failed knot
+        mean = math.nan if lost else smolyak.integrate(plan(w), linear) + means[w_mean]
         wall = (time.perf_counter() - t0 + linear_s * plan(w).n_knots / ref_plan.n_knots
                 + sum(seconds.get(k, 0.0) for k in plan(w_mean).knots))
-        if failure is None and ref_failure is not None:
-            y, message = ref_failure
-            failure = (y, f"reference level {config.reference_level}: {message}")
-        err = math.nan if failure else abs(mean - ref_qoi)
         y, reason = failure or (None, "")
-        records.append(ConvergenceRecord(w, plan(w).n_knots, mean, err, wall,
-                                         failure is not None, y, reason))
+        if failure and not lost:
+            reason = f"reference level {config.reference_level}: {reason}"
+        records.append(ConvergenceRecord(w, plan(w).n_knots, mean, abs(mean - ref_qoi), wall,
+                                         y, reason))
     csv = _csv_text(records, config.deterministic_csv)
     if config.csv_path:
         with open(config.csv_path, "w") as fh:
@@ -510,9 +507,9 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
     if config.svg_path:
         with open(config.svg_path, "w") as fh:
             fh.write(convergence_svg(records))
-    return StudyResult(records, ref_qoi, config.reference_level, ref_plan.n_knots, csv,
-                       w_n, math.nan if failed else means[w_n], estimate, target,
-                       len(seconds), solver.adjoint.cg)
+    return StudyResult(records, ref_qoi, ref_plan.n_knots, csv, w_n,
+                       math.nan if failure else means[w_n], estimate, target, len(seconds),
+                       solver.adjoint.cg)
 
 
 # ---------------------------------------------------------------------------

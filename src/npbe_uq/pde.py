@@ -74,7 +74,7 @@ class Grid3D:
 
     The Dirichlet data is zero, so the unknowns, and every field on the grid,
     live on the (n - 2)^3 interior nodes, the lattice ``interior``.  The full
-    axes, points and tags stay for the assembly, whose face averages read the
+    axes and tags stay for the assembly, whose face averages read the
     dielectric at boundary nodes too.
     """
 
@@ -89,8 +89,7 @@ class Grid3D:
             raise DomainError("grid spacing must be equal along all axes")
         self.h = float(spacings[0])
         self.axes = [np.linspace(domain.box_min[d], domain.box_max[d], n) for d in range(3)]
-        self.points = np.asarray(geometry.Lattice(self.axes)).reshape(-1, 3)
-        self.subdomain_tag = geometry.classify_point(domain, self.points).reshape(self.shape)
+        self.subdomain_tag = geometry.classify_point(domain, geometry.Lattice(self.axes))
         self.interior = geometry.Lattice([a[1:-1] for a in self.axes])
 
 

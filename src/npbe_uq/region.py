@@ -53,9 +53,6 @@ def sigma_star(theta_value: float) -> float:
 
 @dataclass(frozen=True)
 class RegionEstimate:
-    M: float
-    a: float
-    R: float
     theta: float
     xi: float
     sigma_star: float
@@ -63,7 +60,7 @@ class RegionEstimate:
 
 def region_estimate(M: float, a: float, R: float) -> RegionEstimate:
     t = theta(M, a, R)
-    return RegionEstimate(M, a, R, t, xi(M, a, R), sigma_star(t))
+    return RegionEstimate(t, xi(M, a, R), sigma_star(t))
 
 
 def _require_positive(**kwargs):

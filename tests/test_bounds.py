@@ -297,15 +297,16 @@ class TestMonteCarloTermOracles:
         w1 = np.full(grid.shape[0], grid.h)
         w1[[0, -1]] *= 0.5
         w = (w1[:, None, None] * w1[None, :, None] * w1[None, None, :]).ravel()
+        points = np.asarray(geometry.Lattice(grid.axes)).reshape(-1, 3)
         rng = np.random.default_rng(3)
         mu_max = math.sqrt(dmap.modes[0][0])
 
         def forcing(y):
             # f*(x; y) det J(x; y) at every node: the charge is 5 A from a face,
             # so the boundary layer carries part of the difference
-            offset = (geometry.map_forward(dmap, grid.points, y)
+            offset = (geometry.map_forward(dmap, points, y)
                       - geometry.map_forward(dmap, charge.position, y))
-            f = (geometry.det3(geometry.jacobian(dmap, grid.points, y))
+            f = (geometry.det3(geometry.jacobian(dmap, points, y))
                  * q * (2.0 * math.pi * s * s) ** -1.5
                  * np.exp(-0.5 * np.sum(offset**2, axis=-1) / (s * s)))
             # the solver's forcing is f on the interior nodes

@@ -54,6 +54,20 @@ class TestReferenceDomain:
         expect = np.where(d <= 15.0, 0, np.where(d <= 25.0, 1, 2))
         assert np.array_equal(tags, expect)
 
+    def test_lattice_matches_its_points(self):
+        # a lattice is read by axis, and gives the bits of its (n0, n1, n2, 3) points
+        domain = make_domain()
+        lattice = geometry.Lattice([np.linspace(0, 70, 9), np.linspace(5, 65, 7),
+                                    np.linspace(0, 70, 11)])
+        pts = np.asarray(lattice)
+        for got, ref in zip(domain.levels(lattice), domain.levels(pts)):
+            assert got.shape == (9, 7, 11) and np.array_equal(got, ref)
+        assert np.array_equal(domain.contains(lattice), np.ones((9, 7, 11), dtype=bool))
+        assert np.array_equal(geometry.classify_point(domain, lattice),
+                              geometry.classify_point(domain, pts))
+        with pytest.raises(DomainError):
+            geometry.classify_point(domain, geometry.Lattice([[0, 80], [0], [0]]))
+
     def test_level_set_gradient_nonzero_on_shell(self):
         # |d/dr of (|r-c| - radius)| = 1 on a sampled shell away from the center
         domain = make_domain()

@@ -60,6 +60,15 @@ class TestParsePqr:
         assert np.allclose(pos, [40.0, 35.0, 35.0], atol=0)
         assert q == -0.5
 
+    def test_chain_id_and_residue_number_are_optional(self):
+        # one atom in the subset layout, with a residue number, and with a chain ID too
+        lines = ["ATOM      1  N   ILE         -8.155   9.648  20.365  0.1010 2.0000",
+                 "ATOM      1  N   ILE    16   -8.155   9.648  20.365  0.1010 2.0000",
+                 "ATOM      1  N   ILE A  16   -8.155   9.648  20.365  0.1010 2.0000"]
+        for line in lines:
+            (pos, q), = harness.parse_pqr(line)
+            assert np.array_equal(pos, [-8.155, 9.648, 20.365]) and q == 0.1010
+
     def test_non_numeric_coordinate(self):
         bad = "ATOM 1 N ALA 1 abc 35.0 35.0 1.0 1.5\n"
         with pytest.raises(ParseError, match="line 1"):
@@ -409,6 +418,41 @@ class TestRunStudy:
         assert rec.failed_at == (-1.0,)
         assert rec.reason == "reference level 1: stalled off centre"
 
+    def test_failure_between_study_levels(self, monkeypatch):
+        # kT/e charges raise w_N past 1, and the knots new at level 2 fail:
+        # levels 0 and 1 lie below the failed knot, levels 2 and 3 use it
+        solve = harness.KnotSolver.solve
+        failed = []
+
+        def fail_at_level_2(self, y):
+            if 0.0 < abs(y[0]) < 1.0:
+                failed.append(tuple(float(v) for v in y))
+                raise ConvergenceError("stalled at level 2")
+            return solve(self, y)
+
+        monkeypatch.setattr(harness.KnotSolver, "solve", fail_at_level_2)
+        charges = [c[:3] + [7046.0 * c[3]] for c in ACCEPTANCE_CHARGES]
+        config = harness.RunConfig(charges_inline=charges, grid_n=17, N=1, alpha=(3.0,),
+                                   levels=(0, 1, 2, 3), reference_level=4)
+        result = harness.run_study(config)
+        plans = [smolyak.build_plan(config.rule, w, 1) for w in range(3)]
+        first = next(tuple(float(v) for v in y) for y in plans[2].knot_values
+                     if 0.0 < abs(y[0]) < 1.0)
+        assert failed == [first] and abs(abs(first[0]) - math.sqrt(0.5)) <= 1e-15
+        assert result.knot_solves == 4 and result.nonlinear_level == 2
+        assert math.isnan(result.nonlinear_mean) and math.isnan(result.nonlinear_estimate)
+        assert math.isnan(result.reference_qoi)
+        assert all(r.failed and r.failed_at == first and math.isnan(r.error)
+                   for r in result.records)
+        below, above = result.records[:2], result.records[2:]
+        solver = harness.KnotSolver(config)
+        store = smolyak.evaluate_plan(plans[1], lambda y: solve(solver, y)[1].qoi)
+        for r, p in zip(below, plans):
+            mean = smolyak.integrate(p, store)
+            assert abs(r.qoi_mean - mean) <= 1e-12 * abs(mean)
+            assert r.reason == "reference level 4: stalled at level 2"
+        assert all(math.isnan(r.qoi_mean) and r.reason == "stalled at level 2" for r in above)
+
     def test_wall_time_covers_knot_solves(self):
         result = harness.run_study(small_config(levels=(0, 1), reference_level=2,
                                                 grid_n=21, deterministic_csv=False))
@@ -504,12 +548,22 @@ class TestRunStudy:
 
         monkeypatch.setattr(pde, "newton_solve_npbe", counting)
         # sqrt(3) * 25 > 35: the knots y = +-1 push the charge out of the box
-        with pytest.raises(ConfigError, match="leaves the box"):
+        with pytest.raises(ConfigError, match="key 'alpha' in block 'stochastic': .*leaves the box"):
             harness.run_study(small_config(alpha=(25.0,), levels=(0, 1), reference_level=2))
         assert calls == []
 
 
 class TestKnotSolver:
+    def test_forms_no_point_array(self, monkeypatch):
+        # the grid's tags and a knot solve read the lattices' axes, never their points
+        def forbidden(self, dtype=None, copy=None):
+            raise AssertionError("a lattice's points were formed")
+
+        monkeypatch.setattr(geometry.Lattice, "__array__", forbidden)
+        solver = harness.KnotSolver(small_config(grid_n=9))
+        _, info = solver.solve([0.5])
+        assert math.isfinite(info.qoi) and info.qoi != 0.0
+
     def tight_qoi(self, tight_solve, solver, y, rtol=1e-14):
         """QoI of the knot's direct sparse Newton solve, run to ||R|| <= rtol ||b||."""
         charges = harness.shifted_charges(solver.coeffs.charges, solver.config.alpha,
