@@ -12,7 +12,7 @@ from .pde import (Charge, Grid3D, GridField, PBECoefficients,
                   newton_solve_npbe, qoi_integral, solve_linear_interface)
 from .region import (error_bound, error_constants, region_estimate,
                      sigma_star, theta, xi)
-from .smolyak import SparseGridPlan, SurplusStore, build_plan, integrate, interpolate
+from .smolyak import SparseGridPlan, build_plan, integrate, interpolate
 
 __version__ = "0.1.0"
 
@@ -25,5 +25,5 @@ __all__ = [
     "assemble_pulled_back_operator", "assemble_rhs", "newton_solve_npbe",
     "qoi_integral", "solve_linear_interface", "error_bound", "error_constants",
     "region_estimate", "sigma_star", "theta", "xi", "SparseGridPlan",
-    "SurplusStore", "build_plan", "integrate", "interpolate",
+    "build_plan", "integrate", "interpolate",
 ]

@@ -20,14 +20,13 @@ class AssemblyError(NpbeUqError):
 class ConvergenceError(NpbeUqError):
     """An iterative solver failed to converge."""
 
-    def __init__(self, message, residual=None, history=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.history = history or []
 
 
 class IncompleteStoreError(NpbeUqError):
-    """A sparse-grid evaluation store is missing knots."""
+    """Knot values lack a knot that a sparse-grid plan reads."""
 
 
 class HypothesisViolationError(NpbeUqError):

@@ -32,9 +32,6 @@ import numpy as np
 
 from .errors import DomainError, MapOrientationError
 
-U1, U2, U3 = "U1", "U2", "U3"
-
-
 # ---------------------------------------------------------------------------
 # Reference domain
 # ---------------------------------------------------------------------------
@@ -75,19 +72,15 @@ class ReferenceDomain:
         return x & y & z
 
 
-def classify_point(domain: ReferenceDomain, r):
-    """Classify a point (or array of points, or a Lattice) into U1/U2/U3.
+def classify_point(domain: ReferenceDomain, r) -> np.ndarray:
+    """Region tags of points r (..., 3) or a Lattice: 0, 1, 2 for U1, U2, U3.
 
-    Returns the label for a single point, or an integer array with values
-    0/1/2 of the points' leading shape.
+    The integer array has the points' leading shape, 0-d for a single point.
     """
     if not np.all(domain.contains(r)):
         raise DomainError("point outside reference box")
     phi1, phi2 = domain.levels(r)
-    tag = np.where(phi1 <= 0.0, 0, np.where(phi2 <= 0.0, 1, 2))
-    if tag.ndim == 0:
-        return (U1, U2, U3)[int(tag)]
-    return tag
+    return np.where(phi1 <= 0.0, 0, np.where(phi2 <= 0.0, 1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -217,20 +217,22 @@ def load_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def parse_pqr(text: str) -> list:
-    """Parse the ATOM lines of a PQR file into (position, charge) pairs.
+    """Parse the ATOM and HETATM records of a PQR file into (position, charge) pairs.
 
+    A record is a line whose first field is ATOM or HETATM, so the ions,
+    cofactors and ligands that pdb2pqr writes as HETATM keep their charges.
     Fields are whitespace-delimited, as APBS and pdb2pqr write them: x, y, z,
     charge and radius are the last five, so a line may carry a chain ID and a
     residue number or neither (ATOM id name res [chain] [resnum] x y z q r).
-    Malformed ATOM lines raise with the 1-based line number.
+    Malformed records raise with the 1-based line number.
     """
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip().startswith("ATOM"):
-            continue
         tok = line.split()
+        if not tok or tok[0] not in ("ATOM", "HETATM"):
+            continue
         if len(tok) < 9:
-            raise ParseError(f"line {lineno}: ATOM record has {len(tok)} fields, need 9")
+            raise ParseError(f"line {lineno}: {tok[0]} record has {len(tok)} fields, need 9")
         try:
             x, y, z, q = (float(t) for t in tok[-5:-1])
         except ValueError as exc:
@@ -249,7 +251,7 @@ def ingest_charges(config: RunConfig) -> list:
     width = config.width()
     if config.charges_path:
         with open(config.charges_path) as fh:
-            pairs = [(p, q) for p, q in parse_pqr(fh.read())]
+            pairs = parse_pqr(fh.read())
     else:
         pairs = [(np.array(c[:3], dtype=float), float(c[3])) for c in config.charges_inline]
     if not pairs:
@@ -448,15 +450,13 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
 
     ref_plan = plan(config.reference_level)
     t0 = time.perf_counter()
-    linear = smolyak.SurplusStore()
-    for key, value in zip(ref_plan.knots, solver.linear_parts(ref_plan.knot_values)):
-        linear.set(key, value)
+    linear = dict(zip(ref_plan.knots, solver.linear_parts(ref_plan.knot_values)))
     linear_s = time.perf_counter() - t0
     ref_linear = smolyak.integrate(ref_plan, linear)
     finest_error = abs(smolyak.integrate(plan(max(config.levels)), linear) - ref_linear)
     target = max(_REMAINDER_FRACTION * finest_error, pde._GOAL_QOI_TOL * abs(ref_linear))
 
-    remainder = smolyak.SurplusStore()
+    remainder = {}
     seconds = {}  # solve time per solved knot
     means = []    # E_w[N] for w = 0, 1, ..., w_N, or up to w_N - 1 if a knot failed
 
@@ -468,7 +468,7 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
             t0 = time.perf_counter()
             failure = None
             try:
-                remainder.set(key, solver.solve(y)[1].qoi - linear.get(key))
+                remainder[key] = solver.solve(y)[1].qoi - linear[key]
             except ConvergenceError as exc:
                 failure = tuple(float(v) for v in y), str(exc)
             seconds[key] = time.perf_counter() - t0

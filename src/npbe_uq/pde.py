@@ -75,7 +75,9 @@ class Grid3D:
     The Dirichlet data is zero, so the unknowns, and every field on the grid,
     live on the (n - 2)^3 interior nodes, the lattice ``interior``.  The full
     axes and tags stay for the assembly, whose face averages read the
-    dielectric at boundary nodes too.
+    dielectric at boundary nodes too; ``subdomain_tag`` is the (n, n, n)
+    array of region tags 0, 1, 2 (U1, U2, U3) that ``classify_point`` gives
+    for the axes' lattice.
     """
 
     def __init__(self, domain: geometry.ReferenceDomain, n: int):
@@ -83,7 +85,6 @@ class Grid3D:
         if n < 2:
             raise DomainError("grid needs at least 2 nodes per axis")
         self.shape = (n, n, n)
-        self.domain = domain
         spacings = (domain.box_max - domain.box_min) / (n - 1)
         if not np.allclose(spacings, spacings[0], rtol=1e-12):
             raise DomainError("grid spacing must be equal along all axes")
@@ -572,9 +573,7 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
     while not converged():
         if it == _MAX_NEWTON:
             raise ConvergenceError(
-                f"Newton failed to converge in {_MAX_NEWTON} iterations",
-                residual=rnorm, history=history,
-            )
+                f"Newton failed to converge in {_MAX_NEWTON} iterations", residual=rnorm)
         Ait = J0 if not u.any() else A + sp.diags(kd * np.cosh(u))
         delta, cg = _pcg(Ait, -r, vcycle, tol=cg_tol)
         cg_iterations.append(cg.iterations)
@@ -586,9 +585,7 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
             if tnorm < rnorm:
                 break
             if step <= 1e-3:
-                raise ConvergenceError(
-                    "Newton line search stagnated", residual=rnorm, history=history
-                )
+                raise ConvergenceError("Newton line search stagnated", residual=rnorm)
             step *= 0.5
         u, r, rnorm = trial, rt, tnorm
         history.append(rnorm)

@@ -119,13 +119,10 @@ class ErrorBoundConstants:
     a_delta_sigma: float
     C1: float
     Q: float
-    N: int
 
 
 @dataclass(frozen=True)
 class ErrorBound:
-    w: int
-    eta: int
     regime: str            # "subexponential" or "algebraic"
     subexp_bound: float
     algebraic_bound: float
@@ -165,7 +162,7 @@ def error_constants(sigma_star_value: float, N: int, M_tilde: float) -> ErrorBou
     if C1 == 1.0:  # nudged off the pole of 1 / |1 - C1|
         C1 += 1e-12
     Q = (C1 / math.exp(sigma * delta * c2t)) * (max(1.0, C1) ** N / abs(1.0 - C1))
-    return ErrorBoundConstants(sigma, c2t, delta, mu1, mu2, mu3, a_ds, C1, Q, N)
+    return ErrorBoundConstants(sigma, c2t, delta, mu1, mu2, mu3, a_ds, C1, Q)
 
 
 def error_bound(sigma_star_value: float, N: int, M_tilde: float, w: int, eta: int) -> ErrorBound:
@@ -178,5 +175,5 @@ def error_bound(sigma_star_value: float, N: int, M_tilde: float, w: int, eta: in
     subexp = c.Q * eta**c.mu3 * math.exp(-(N * c.sigma / 2 ** (1.0 / N)) * eta**c.mu2)
     algebraic = (c.C1 * max(1.0, c.C1) ** N / abs(1.0 - c.C1)) * eta ** (-c.mu1)
     regime = "subexponential" if w > N / LOG2 else "algebraic"
-    return ErrorBound(w, eta, regime, subexp, algebraic)
+    return ErrorBound(regime, subexp, algebraic)
 

@@ -181,8 +181,6 @@ def polynomial_index_set(rule: str, w: int, N: int) -> set[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class SparseGridPlan:
-    rule: str
-    w: int
     N: int
     terms: tuple            # ((level multi-index, combination coefficient), ...)
     knots: tuple            # canonical knot keys: tuples of N dyadic float keys, one per axis
@@ -215,44 +213,31 @@ def build_plan(rule: str, w: int, N: int) -> SparseGridPlan:
         knots.update(_tensor_keys(i))
     knots = tuple(sorted(knots))
     values = np.array([[node_value(k) for k in knot] for knot in knots]).reshape(len(knots), N)
-    return SparseGridPlan(rule, w, N, tuple(terms), knots, values)
+    return SparseGridPlan(N, tuple(terms), knots, values)
 
 
-class SurplusStore:
-    """Map from canonical knot key to an evaluated scalar."""
-
-    def __init__(self):
-        self._data = {}
-
-    def set(self, key, value):
-        self._data[key] = value
-
-    def get(self, key):
-        if key not in self._data:
-            raise IncompleteStoreError(f"knot {key} has not been evaluated")
-        return self._data[key]
+def evaluate_plan(plan: SparseGridPlan, func) -> dict:
+    """Knot values {knot key: func(y)} at every knot of the plan."""
+    return {key: func(y) for key, y in zip(plan.knots, plan.knot_values)}
 
 
-def evaluate_plan(plan: SparseGridPlan, func) -> SurplusStore:
-    """A store holding func(y) at every knot of the plan."""
-    store = SurplusStore()
-    for key, y in zip(plan.knots, plan.knot_values):
-        store.set(key, func(y))
-    return store
-
-
-def _term_values(plan: SparseGridPlan, store: SurplusStore, i: tuple[int, ...]) -> np.ndarray:
+def _term_values(values, i: tuple[int, ...]) -> np.ndarray:
     ms = [growth(ik) for ik in i]
     vals = np.empty(ms)
     for idx, key in zip(itertools.product(*[range(m) for m in ms]), _tensor_keys(i)):
-        vals[idx] = store.get(key)
+        try:
+            vals[idx] = values[key]
+        except KeyError:
+            raise IncompleteStoreError(f"knot {key} has not been evaluated") from None
     return vals
 
 
-def interpolate(plan: SparseGridPlan, store: SurplusStore, y) -> np.ndarray:
+def interpolate(plan: SparseGridPlan, values, y) -> np.ndarray:
     """Evaluate the sparse interpolant at one point (N,) or a batch (Q, N).
 
-    Complex coordinates are supported componentwise for polyellipse sampling.
+    values maps each knot key of the plan to its value, as evaluate_plan
+    returns them; a missing knot raises IncompleteStoreError.  Complex
+    coordinates are supported componentwise for polyellipse sampling.
     """
     y = np.asarray(y)
     single = y.ndim == 1
@@ -262,7 +247,7 @@ def interpolate(plan: SparseGridPlan, store: SurplusStore, y) -> np.ndarray:
     dtype = complex if np.iscomplexobj(pts) else float
     total = np.zeros(pts.shape[0], dtype=dtype)
     for i, coeff in plan.terms:
-        vals = _term_values(plan, store, i).astype(dtype)
+        vals = _term_values(values, i).astype(dtype)
         acc = np.broadcast_to(vals, (pts.shape[0],) + vals.shape)
         for n in range(plan.N):
             L = lagrange_eval_matrix(growth(i[n]), pts[:, n].astype(dtype))
@@ -271,11 +256,12 @@ def interpolate(plan: SparseGridPlan, store: SurplusStore, y) -> np.ndarray:
     return total[0] if single else total
 
 
-def integrate(plan: SparseGridPlan, store: SurplusStore) -> float:
-    """Integral of the sparse interpolant against the uniform probability density."""
+def integrate(plan: SparseGridPlan, values) -> float:
+    """Integral of the sparse interpolant of values (as for interpolate)
+    against the uniform probability density."""
     total = 0.0
     for i, coeff in plan.terms:
-        vals = _term_values(plan, store, i)
+        vals = _term_values(values, i)
         acc = vals
         for n in range(plan.N):
             acc = np.tensordot(_quadrature_weights(growth(i[n])), acc, axes=(0, 0))

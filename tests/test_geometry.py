@@ -30,14 +30,14 @@ class TestReferenceDomain:
             geometry.ReferenceDomain([0, 0, 0], [70, 70, 70], [35, 35, 35], (15.0, 40.0))
 
     def test_classify_center_is_u1(self):
-        assert geometry.classify_point(make_domain(), [35, 35, 35]) == "U1"
+        assert geometry.classify_point(make_domain(), [35, 35, 35]) == 0
 
     def test_classify_corner_is_u3(self):
-        assert geometry.classify_point(make_domain(), [0, 0, 0]) == "U3"
+        assert geometry.classify_point(make_domain(), [0, 0, 0]) == 2
 
     def test_classify_shell_is_u2(self):
         # radius 20 sits between the sphere radii 15 and 25
-        assert geometry.classify_point(make_domain(), [55, 35, 35]) == "U2"
+        assert geometry.classify_point(make_domain(), [55, 35, 35]) == 1
 
     def test_classify_outside_raises(self):
         with pytest.raises(DomainError):

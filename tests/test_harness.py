@@ -54,11 +54,14 @@ def all_knot_study(config):
 
 class TestParsePqr:
     def test_atom_lines_parsed(self):
+        # the HETATM record (a ligand's charge) is read in file order too
         pairs = harness.parse_pqr(PQR_OK)
-        assert len(pairs) == 3
+        assert len(pairs) == 4
         pos, q = pairs[1]
         assert np.allclose(pos, [40.0, 35.0, 35.0], atol=0)
         assert q == -0.5
+        pos, q = pairs[2]
+        assert np.array_equal(pos, [0.0, 0.0, 0.0]) and q == 9.0
 
     def test_chain_id_and_residue_number_are_optional(self):
         # one atom in the subset layout, with a residue number, and with a chain ID too
@@ -75,11 +78,14 @@ class TestParsePqr:
             harness.parse_pqr(bad)
 
     def test_short_atom_line(self):
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError, match="line 2: ATOM record has 6 fields"):
             harness.parse_pqr("REMARK x\nATOM 1 N ALA 1 2\n")
+        with pytest.raises(ParseError, match="line 1: HETATM record has 5 fields"):
+            harness.parse_pqr("HETATM 1 NA NA 301\n")
 
     def test_non_atom_lines_skipped(self):
-        assert harness.parse_pqr("REMARK only\nTER\nEND\n") == []
+        # a record is named by its whole first field
+        assert harness.parse_pqr("REMARK only\nATOMS 1 N ALA 1 2\nTER\nEND\n") == []
 
 
 class TestIngest:
@@ -113,8 +119,7 @@ class TestIngest:
         path.write_text(PQR_OK)
         config = small_config(charges_inline=[], charges_path=str(path))
         charges = harness.ingest_charges(config)
-        assert len(charges) == 3
-        assert charges[2].magnitude == 0.7
+        assert [c.magnitude for c in charges] == [1.0, -0.5, 9.0, 0.7]
 
     def test_default_width_two_h(self):
         # bit-equal to the spacing of the grid the solver builds
@@ -472,10 +477,8 @@ class TestRunStudy:
         assert result.nonlinear_estimate <= result.nonlinear_target
         # here 1% of the finest level's z.b error sets the target, not the floor
         ref_plan, finest_plan = (smolyak.build_plan(config.rule, w, config.N) for w in (5, 3))
-        linear = smolyak.SurplusStore()
-        for key, value in zip(ref_plan.knots,
-                              harness.KnotSolver(config).linear_parts(ref_plan.knot_values)):
-            linear.set(key, value)
+        linear = dict(zip(ref_plan.knots,
+                          harness.KnotSolver(config).linear_parts(ref_plan.knot_values)))
         ref_linear = smolyak.integrate(ref_plan, linear)
         finest_error = abs(smolyak.integrate(finest_plan, linear) - ref_linear)
         assert result.nonlinear_target == 0.01 * finest_error > 1e-12 * abs(ref_linear)
@@ -492,11 +495,11 @@ class TestRunStudy:
         result = harness.run_study(config)
         solver = harness.KnotSolver(config)
         plans = [smolyak.build_plan(config.rule, w, config.N) for w in range(6)]
-        linear, remainder = smolyak.SurplusStore(), smolyak.SurplusStore()
+        linear, remainder = {}, {}
         for key, y, value in zip(plans[5].knots, plans[5].knot_values,
                                  solver.linear_parts(plans[5].knot_values)):
-            linear.set(key, value)
-            remainder.set(key, solver.solve(y)[1].qoi - value)
+            linear[key] = value
+            remainder[key] = solver.solve(y)[1].qoi - value
         ref_linear = smolyak.integrate(plans[5], linear)
         finest_error = abs(smolyak.integrate(plans[3], linear) - ref_linear)
         assert 0.01 * finest_error < 1e-12 * abs(ref_linear) == result.nonlinear_target

@@ -1,4 +1,5 @@
-"""Dead-import guard: every name a package module imports is used in that module."""
+"""Import guards: every name a package module imports is used in that module,
+and every name the package exports exists."""
 
 import ast
 import pathlib
@@ -46,3 +47,10 @@ def test_guard_finds_unused_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_export_exists():
+    # unused_imports counts a listed name as used, so a stale __all__ entry
+    # would otherwise fail only on `from npbe_uq import *`
+    import npbe_uq
+    assert [name for name in npbe_uq.__all__ if not hasattr(npbe_uq, name)] == []

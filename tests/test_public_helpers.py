@@ -5,9 +5,12 @@ in another function or statement of the package (``__init__`` re-exports do
 not count) or in the benchmark's ``bench/*.py``.  Each defaulted parameter
 of a public top-level function is passed, by position or keyword, by some
 call in the package or in ``bench/*.py``.  Each public field of a package
-dataclass is read: an attribute access or keyword argument of its name in
-the package, in ``bench/*.py`` or in the tests.  The class's own
-``__post_init__``, which only validates and converts, does not count.
+dataclass is read: an attribute access of its name, or a keyword of its
+name in a call to its class or to ``replace``, in the package, in
+``bench/*.py`` or in the tests.  The class's own ``__post_init__``, which
+only validates and converts, does not count.  Attribute names still
+collide: ``config.N`` or ``record.w`` counts as a read of every field named
+N or w, so a field that only echoes an input can pass unseen.
 """
 
 import ast
@@ -50,13 +53,13 @@ def names(tree) -> set:
 
 
 def reads(tree) -> set:
-    """Every Attribute attr and call keyword in the tree."""
+    """Every Attribute attr in the tree, and 'f(k)' for each keyword k of a call to f."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.keyword) and node.arg is not None:
-            out.add(node.arg)
+        elif isinstance(node, ast.Call):
+            out |= {f"{callee(node)}({k.arg})" for k in node.keywords if k.arg is not None}
     return out
 
 
@@ -93,8 +96,10 @@ def uncalled(modules: dict, extra: set) -> list:
 def unread(modules: dict, extra: set) -> list:
     """'module.Class.field' for each public field of a dataclass that nothing reads.
 
-    modules maps a module name to its parsed tree; extra holds the names
-    read outside them.  A read in the class's own __post_init__ does not count.
+    modules maps a module name to its parsed tree; extra holds the reads()
+    outside them.  A field is read by an attribute of its name or by a
+    keyword of its name in a call to its class or to replace.  A read in the
+    class's own __post_init__ does not count.
     """
     out = []
     for mod, tree in modules.items():
@@ -111,9 +116,12 @@ def unread(modules: dict, extra: set) -> list:
                 if not (isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"):
                     used |= reads(stmt)
             for stmt in cls.body:
-                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                        and not stmt.target.id.startswith("_") and stmt.target.id not in used):
-                    out.append(f"{mod}.{cls.name}.{stmt.target.id}")
+                if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                    continue
+                field = stmt.target.id
+                if not (field.startswith("_") or field in used
+                        or {f"{cls.name}({field})", f"replace({field})"} & used):
+                    out.append(f"{mod}.{cls.name}.{field}")
     return out
 
 
@@ -180,11 +188,14 @@ def test_guard_finds_unread_fields():
                               "@dataclasses.dataclass(frozen=True)\nclass Q:\n    v: int\n"
                               "    t: int\n\n    def total(self):\n        return self.t\n\n"
                               "class Plain:\n    w: int\n"),
-               "b": ast.parse("import a\np = a.P(x=1)\n\ndef f(q):\n    return q.v\n")}
-    # x is read as a keyword, v as an attribute, t by a method of its class;
-    # y only by __post_init__, and Plain is no dataclass
+               "b": ast.parse("import a\np = a.P(x=1)\n\ndef f(q):\n    return q.v\n\n"
+                              "g(y=1)\n")}
+    # x is read as a keyword of a call to P, v as an attribute, t by a method
+    # of its class; y only by __post_init__ and by a keyword of a call to g,
+    # and Plain is no dataclass
     assert unread(modules, set()) == ["a.P.y"]
-    assert unread(modules, {"y"}) == []
+    assert unread(modules, {"y"}) == [] == unread(modules, {"P(y)"})
+    assert unread(modules, {"replace(y)"}) == [] and unread(modules, {"Q(y)"}) == ["a.P.y"]
     del modules["b"]
     assert unread(modules, set()) == ["a.P.x", "a.P.y", "a.Q.v"]
 

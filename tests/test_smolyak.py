@@ -158,19 +158,18 @@ class TestInterpolation:
         rng = np.random.default_rng(0)
         for N, w in ((1, 3), (2, 2), (3, 1)):
             plan = smolyak.build_plan("SM", w, N)
-            store = smolyak.SurplusStore()
             vals = rng.standard_normal(plan.n_knots)
-            for key, v in zip(plan.knots, vals):
-                store.set(key, float(v))
+            store = {key: float(v) for key, v in zip(plan.knots, vals)}
             got = smolyak.interpolate(plan, store, plan.knot_values)
             assert np.max(np.abs(got - vals) / np.maximum(1e-30, np.abs(vals))) <= 1e-12
 
     def test_missing_knot_raises(self):
         plan = smolyak.build_plan("SM", 1, 2)
-        store = smolyak.SurplusStore()
-        store.set(plan.knots[0], 1.0)
+        store = {plan.knots[0]: 1.0}
         with pytest.raises(IncompleteStoreError):
             smolyak.interpolate(plan, store, np.array([0.3, 0.3]))
+        with pytest.raises(IncompleteStoreError):
+            smolyak.integrate(plan, store)
 
     def test_td_exactness_for_y1sq_y2sq(self):
         plan = smolyak.build_plan("TD", 4, 2)
