@@ -20,6 +20,10 @@ broadcasting over that shape, and an entry that vanishes everywhere is the
 float 0.0.  J is formed entry by entry, so an entry no mode touches stays a
 scalar (with no modes, J = I in floats); ``jacobian`` and ``map_forward``
 stack for callers that need arrays, and ``jac_deriv`` returns dB stacked.
+An entry that is exactly the float 0.0 or 1.0 passes through the adjugate
+rows and det J without an array operation: a product with 0.0 is dropped and
+one with 1.0 is not multiplied (a cutoff map's untouched row (0.0, 0.0, 1.0)
+costs nothing), which can change only the sign of a zero.
 """
 
 from __future__ import annotations
@@ -269,13 +273,35 @@ def _adjugate_row(J, d: int):
     adj(J)[d, j] is the cofactor of J[j, d], written with cyclic indices.
     """
     a, b = (d + 1) % 3, (d + 2) % 3
-    return [J[(j + 1) % 3][a] * J[(j + 2) % 3][b] - J[(j + 1) % 3][b] * J[(j + 2) % 3][a]
+    return [_sum_of_products((1, J[(j + 1) % 3][a], J[(j + 2) % 3][b]),
+                             (-1, J[(j + 1) % 3][b], J[(j + 2) % 3][a]))
             for j in range(3)]
 
 
 def _det(J, adj_d, d: int):
     """det J = sum_j adj(J)[d, j] J[j, d], from row d of the adjugate."""
-    return adj_d[0] * J[0][d] + adj_d[1] * J[1][d] + adj_d[2] * J[2][d]
+    return _sum_of_products(*((1, adj_d[j], J[j][d]) for j in range(3)))
+
+
+def _sum_of_products(*terms):
+    """The sum of sign * a * b over the (sign, a, b) terms, left to right, sign +-1.
+
+    A factor that is the float 0.0 drops its term and one that is the float
+    1.0 is not multiplied, so an exact entry of J costs no array operation;
+    with every term dropped the sum is the float 0.0.  Only the sign of a
+    zero can differ from the plain sum.
+    """
+    total = None
+    for sign, a, b in terms:
+        if any(isinstance(f, float) and f == 0.0 for f in (a, b)):
+            continue
+        p = b if isinstance(a, float) and a == 1.0 else a if isinstance(b, float) and b == 1.0 \
+            else a * b
+        if total is None:
+            total = p if sign > 0 else -p
+        else:
+            total = total + p if sign > 0 else total - p
+    return 0.0 if total is None else total
 
 
 def det_jacobian(dmap: DomainMap, r, y):

@@ -128,8 +128,8 @@ class RunConfig:
     def __post_init__(self):
         self.box_min = np.asarray(self.box_min, dtype=float)
         self.box_max = np.asarray(self.box_max, dtype=float)
-        if not (isinstance(self.grid_n, int) and self.grid_n >= 2):
-            raise ConfigError(f"{_AT['grid_n']}: grid n must be an integer >= 2, "
+        if not (isinstance(self.grid_n, int) and self.grid_n >= 3):
+            raise ConfigError(f"{_AT['grid_n']}: grid n must be an integer >= 3, "
                               f"got {self.grid_n!r}")
         if not 0.0 < self.radii[0] < self.radii[1]:
             raise ConfigError(f"{_AT['radii']}: sphere radii must satisfy 0 < r1 < r2, "
@@ -333,7 +333,7 @@ def _csv_text(records, deterministic: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CHUNK_FLOATS = 2**16  # bound on the (knots, charges, m, m) floats linear_parts holds at once
+_CHUNK_FLOATS = 2**16  # bound on the floats of each array linear_parts holds at once
 
 
 class KnotSolver:
@@ -388,22 +388,45 @@ class KnotSolver:
         z.b = sum_charges amp sum_ijk Z[i, j, k] gx[i] gy[j] gz[k] over the
         interior nodes, with Z the adjoint on the grid's interior lattice and
         the per-axis factors of pde.gaussian_factors on its axes.  Every
-        shifted charge is checked against the box first.  The contraction is
-        np.einsum, whose sums never go to BLAS, so the bits do not depend on
-        the thread count.
+        shifted charge is checked against the box first.  No y component
+        moves the axes from N on, so Z is contracted with their factors once
+        per charge (z when N = 2, then y when N = 1) and only the shifted
+        axes are contracted per knot; N = 3 contracts all three per knot.
+        The once-per-charge array, C m^2 floats for N = 2, is bounded by
+        taking the charges in chunks of at most 2^16 / m^2; with one chunk
+        the bits are those of contracting every axis per knot, and each
+        further chunk adds its partial sum.  The contraction is np.einsum,
+        whose sums never go to BLAS, so the bits do not depend on the
+        thread count.
         """
-        charges = self.coeffs.charges
+        charges, N = self.coeffs.charges, self.config.N
         positions = shifted_positions(np.array([c.position for c in charges]), self.config.alpha,
                                       SQRT3 * np.asarray(ys, dtype=float), self.domain)
         interior = self.grid.interior
         Z = self.adjoint.z.reshape(interior.shape[:-1])
-        step = max(1, _CHUNK_FLOATS // (len(charges) * Z.shape[1] * Z.shape[2]))
-        out = []
-        for s in range(0, len(positions), step):
-            amp, (gx, gy, gz) = pde.gaussian_factors(interior.axes, charges, positions[s:s + step])
-            t = np.einsum("qcij,qcj->qci", np.einsum("ijk,qck->qcij", Z, gz), gy)
-            out.append(np.einsum("qci,qci,c->q", t, gx, amp))
-        return np.concatenate(out)
+        m = Z.shape[0]
+        out = np.zeros(len(positions))
+        per_chunk = max(1, _CHUNK_FLOATS // m**2)
+        for c in range(0, len(charges), per_chunk):
+            chunk = slice(c, c + per_chunk)
+            amp, fixed = pde.gaussian_factors(interior.axes[N:], charges[chunk],
+                                              positions[0, chunk, N:])
+            if N < 3:
+                W = np.einsum("ijk,ck->cij", Z, fixed[-1])
+            if N < 2:
+                W = np.einsum("cij,cj->ci", W, fixed[0])
+            step = max(1, _CHUNK_FLOATS // (len(amp) * m ** (2 if N == 3 else 1)))
+            for s in range(0, len(positions), step):
+                _, g = pde.gaussian_factors(interior.axes[:N], charges[chunk],
+                                            positions[s:s + step, chunk, :N])
+                if N == 3:
+                    t = np.einsum("qcij,qcj->qci", np.einsum("ijk,qck->qcij", Z, g[2]), g[1])
+                elif N == 2:
+                    t = np.einsum("cij,qcj->qci", W, g[1])
+                else:
+                    t = np.broadcast_to(W, g[0].shape)
+                out[s:s + step] += np.einsum("qci,qci,c->q", t, g[0], amp)
+        return out
 
 
 # The nonlinear level stops rising once N's estimate is at most this fraction

@@ -14,7 +14,10 @@ tensor lattice and is passed to the fields as a ``geometry.Lattice``, so a
 separable field evaluates per axis.  The Dirichlet data is zero: no map
 moves the box boundary, and every solve takes u = 0 there.  So the face
 coefficients go straight into the interior block, without a full-grid
-matrix, and an entry towards a boundary node is not stored.  The forcing,
+matrix, and an entry towards a boundary node is not stored: each stencil
+offset fills one diagonal of a DIA-layout array, which scipy turns into the
+CSR block, dropping zero entries (for n <= 4, offsets that share a flat
+offset of the block share one diagonal).  The forcing,
 reaction, solution and residual are evaluated and held on the interior
 nodes only, in the block's row order.  Every map takes this one path.  An
 entry that no mode touches stays a scalar, so with no modes (J = I) each
@@ -82,8 +85,9 @@ class Grid3D:
 
     def __init__(self, domain: geometry.ReferenceDomain, n: int):
         n = int(n)
-        if n < 2:
-            raise DomainError("grid needs at least 2 nodes per axis")
+        if n < 3:
+            raise DomainError(f"grid needs at least 3 nodes per axis, one of them interior, "
+                              f"got {n}")
         self.shape = (n, n, n)
         spacings = (domain.box_max - domain.box_min) / (n - 1)
         if not np.allclose(spacings, spacings[0], rtol=1e-12):
@@ -176,7 +180,7 @@ def _tensor_entry(dmap, y, mid, d: int, e: int, place: str) -> np.ndarray:
     if np.any(det <= 0.0):
         raise AssemblyError(f"det J <= 0 at the {place} midpoints (min det {np.min(det):.6g})")
     row_e = row_d if e == d else geometry._adjugate_row(J, e)
-    return (row_d[0] * row_e[0] + row_d[1] * row_e[1] + row_d[2] * row_e[2]) / det
+    return geometry._sum_of_products(*((1, a, b) for a, b in zip(row_d, row_e))) / det
 
 
 def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
@@ -187,13 +191,18 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     flux continuity holds weakly across the interfaces where eps jumps.  A
     face with coefficient c adds c to the diagonal at its two nodes and -c
     between them.  Each face family is one array over its midpoint lattice;
-    its slices give every interior node's entry towards one stencil offset,
-    and the interior block is filled from these in column order.  The
-    Dirichlet data is zero, so an entry towards a boundary node is dropped.
-    Mixed-term coefficients vanish exactly wherever the modes' fields are
-    flat (the cutoff plateau, and everywhere at y = 0); zero entries are not
-    stored, and a plane whose mixed term is the float 0.0 (as with no modes)
-    adds no diagonal faces.
+    its slices give every interior node's entry towards one stencil offset.
+    The entries go into one (S, m, m, m) array of diagonals in DIA layout,
+    m = n - 2: row p's entry towards p + v sits at column p + v of the
+    diagonal of v's flat offset, and the DIA-to-CSR conversion keeps each
+    row's columns in order.  The Dirichlet data is zero, so an entry towards
+    a boundary node is never written and stays 0.  For m <= 2 distinct
+    offsets share a flat offset; their entries never share a column, so
+    they are summed into one diagonal exactly.  Mixed-term coefficients
+    vanish exactly wherever the modes' fields are flat (the cutoff plateau,
+    and everywhere at y = 0); the conversion drops zero entries, and a plane
+    whose mixed term is the float 0.0 (as with no modes) adds no diagonal
+    faces.
     """
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
     n, m = grid.shape[0], grid.shape[0] - 2
@@ -227,20 +236,16 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
             add_faces((d, e), zero, unit[d] + unit[e], 1, T_de)
             add_faces((d, e), unit[e], unit[d], -1, T_de)
     stencil[(0, 0, 0)] = -sum(stencil.values())
-    offsets = sorted(stencil, key=lambda v: np.dot(v, (n * n, n, 1)))
-    vals = np.stack([stencil[v] for v in offsets]).reshape(len(offsets), -1).T  # row by row
-    keep = vals != 0.0
-    # the neighbour along an offset is interior where each shifted coordinate is
-    shifted = np.arange(m)[:, None] + np.array(offsets).T[:, None, :]
-    ok = (shifted >= 0) & (shifted < m)
-    inside = (ok[0][:, None, None] & ok[1][None, :, None]
-              & ok[2][None, None, :]).reshape(keep.shape)
-    interior = keep & inside
-    indptr = np.zeros(m**3 + 1, dtype=np.int32)
-    np.cumsum(interior.sum(axis=1), out=indptr[1:])
-    cols = (np.arange(m**3, dtype=np.int32)[:, None]
-            + np.array([np.dot(v, (m * m, m, 1)) for v in offsets], dtype=np.int32))
-    matrix = sp.csr_matrix((vals[interior], cols[interior], indptr), shape=(m**3, m**3))
+    # for m <= 2 distinct offsets share a flat offset; their entries never
+    # share a column, so summing them into one diagonal is exact
+    flat = {v: int(np.dot(v, (m * m, m, 1))) for v in stencil}
+    offsets = sorted(set(flat.values()))
+    diagonals = np.zeros((len(offsets), m, m, m))
+    for v, vals in stencil.items():
+        diagonals[offsets.index(flat[v])][tuple(slice(max(t, 0), m + min(t, 0)) for t in v)] \
+            += vals[tuple(slice(max(-t, 0), m - max(t, 0)) for t in v)]
+    matrix = sp.dia_matrix((diagonals.reshape(len(offsets), -1), offsets),
+                           shape=(m**3, m**3)).tocsr()
     return AssembledOperator(grid, matrix)
 
 

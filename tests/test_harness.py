@@ -188,10 +188,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.RunConfig(N=4)
 
-    @pytest.mark.parametrize("grid_n", [1, 33.5, "33"])
+    @pytest.mark.parametrize("grid_n", [1, 2, 33.5, "33"])
     def test_bad_grid_n(self, grid_n):
-        # width() reads h from grid_n, so grid_n must be the grid's own node count
-        with pytest.raises(ConfigError, match="grid n"):
+        # width() reads h from grid_n, so grid_n must be the grid's own node
+        # count, and n = 2 leaves no interior node to solve for
+        with pytest.raises(ConfigError, match="key 'n' in block 'grid': grid n"):
             harness.RunConfig(grid_n=grid_n)
 
     def test_alpha_length_mismatch(self):
@@ -540,6 +541,40 @@ class TestRunStudy:
                                    replace(solver.coeffs, charges=charges), None, solver.grid)
             ref = solver.adjoint.z @ rhs.flat
             assert abs(value - ref) <= 1e-14 * abs(ref)
+
+    @staticmethod
+    def every_axis_per_knot(solver, ys):
+        """z.b with all three axes contracted per knot, in 2^16-float knot chunks."""
+        charges = solver.coeffs.charges
+        positions = harness.shifted_positions(np.array([c.position for c in charges]),
+                                              solver.config.alpha,
+                                              harness.SQRT3 * np.asarray(ys, dtype=float),
+                                              solver.domain)
+        interior = solver.grid.interior
+        Z = solver.adjoint.z.reshape(interior.shape[:-1])
+        step = max(1, 2**16 // (len(charges) * Z.shape[1] * Z.shape[2]))
+        out = []
+        for s in range(0, len(positions), step):
+            amp, (gx, gy, gz) = pde.gaussian_factors(interior.axes, charges, positions[s:s + step])
+            t = np.einsum("qcij,qcj->qci", np.einsum("ijk,qck->qcij", Z, gz), gy)
+            out.append(np.einsum("qci,qci,c->q", t, gx, amp))
+        return np.concatenate(out)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_linear_parts_bits_with_unshifted_axes_contracted_once(self, N, monkeypatch):
+        # 50 charges fit one chunk of 2^16 / 15^2 = 291, so contracting the
+        # unshifted axes once per charge must leave every bit as it was;
+        # in chunks of 7 charges the partial sums may move the last bits
+        rng = np.random.default_rng(11)
+        charges = np.column_stack([rng.uniform(20.0, 50.0, (50, 3)), rng.uniform(-1, 1, 50)])
+        config = small_config(charges_inline=charges.tolist(), N=N, alpha=(2.0,) * N,
+                              grid_n=17, kappa2=(0.0, 0.0, 0.5))
+        solver = harness.KnotSolver(config)
+        ys = rng.uniform(-1.0, 1.0, (40, N))
+        ref = self.every_axis_per_knot(solver, ys)
+        assert np.array_equal(solver.linear_parts(ys), ref)
+        monkeypatch.setattr(harness, "_CHUNK_FLOATS", 7 * 15**2)
+        assert np.max(np.abs(solver.linear_parts(ys) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_charge_out_of_box_raises_before_any_solve(self, monkeypatch):
         calls = []

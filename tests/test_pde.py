@@ -64,8 +64,10 @@ class TestGrid:
         assert np.array_equal(grid.subdomain_tag.ravel(), expect)
 
     def test_too_small_grid_rejected(self):
-        with pytest.raises(DomainError):
-            pde.Grid3D(big_domain(), 1)
+        # n = 2 has no interior node, so no unknown
+        for n in (1, 2):
+            with pytest.raises(DomainError, match="at least 3 nodes"):
+                pde.Grid3D(big_domain(), n)
 
     def test_gridfield_rejects_nan(self):
         grid = pde.Grid3D(big_domain(), 5)
@@ -107,9 +109,14 @@ class TestQoI:
 ORACLE_YS = [np.array([0.6, -0.4]), np.array([1.0, -1.0])]
 
 
-def oracle_case():
+# n = 3 and 4 leave m = n - 2 <= 2 interior nodes per axis, where distinct
+# stencil offsets share a flat offset of the interior block
+ORACLE_NS = [3, 4, 5, 9]
+
+
+def oracle_case(n=9):
     domain = unit_domain()
-    grid = pde.Grid3D(domain, 9)
+    grid = pde.Grid3D(domain, n)
     coeffs = no_charge_coeffs(eps=(3.0, 2.0, 1.0))
     return domain, cutoff_map(domain, scales=(0.1, 0.05)), grid, coeffs
 
@@ -249,10 +256,11 @@ class TestAssembly:
         expect = -2.0 * 70.0 * 1.0 / 71.0 / grid.h**2
         assert abs(op.matrix[pi, qi] - expect) <= 1e-12
 
-    def test_dense_oracle_on_cutoff_map(self):
+    @pytest.mark.parametrize("n", ORACLE_NS)
+    def test_dense_oracle_on_cutoff_map(self, n):
         # independently coded dense assembly of the same flux scheme, at an
         # interior y and at a corner of Gamma
-        domain, dmap, grid, coeffs = oracle_case()
+        domain, dmap, grid, coeffs = oracle_case(n)
         ii = interior_index(grid)
         for y in ORACLE_YS:
             op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
@@ -263,14 +271,20 @@ class TestAssembly:
             assert (np.max(np.abs(op.matrix.toarray() - block))
                     <= 1e-12 * np.max(np.abs(block)))
 
-    def test_blocks_are_canonical_csr_with_the_oracle_pattern(self):
+    @pytest.mark.parametrize("mapping", ["identity", "cutoff"])
+    @pytest.mark.parametrize("n", ORACLE_NS)
+    def test_blocks_are_canonical_csr_with_the_oracle_pattern(self, n, mapping):
         # rows in column order without duplicates, int32 indices, and a
         # stored entry exactly where the dense oracle has a nonzero; at
-        # y = 0 every mixed term is zero and the 7-point pattern is left
-        domain, dmap, grid, coeffs = oracle_case()
+        # y = 0 every mixed term is zero and the 7-point pattern is left.
+        # At n = 3 and 4 offsets that share a flat offset must merge
+        domain, dmap, grid, coeffs = oracle_case(n)
+        ys = ORACLE_YS + [np.zeros(2)]
+        if mapping == "identity":
+            dmap, ys = identity_map(), [np.zeros(0)]
         ii = interior_index(grid)
         m = grid.shape[0] - 2
-        for y in ORACLE_YS + [np.zeros(2)]:
+        for y in ys:
             got = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid).matrix
             block = dense_operator(dmap, coeffs, y, grid)[np.ix_(ii, ii)]
             assert got.indices.dtype == got.indptr.dtype == np.int32
