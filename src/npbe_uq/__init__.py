@@ -9,7 +9,7 @@ from .harness import (RunConfig, fit_rate, ingest_charges, load_config,
                       run_study, shifted_charges)
 from .pde import (Charge, Grid3D, GridField, PBECoefficients,
                   assemble_pulled_back_operator, assemble_rhs,
-                  newton_solve_npbe, qoi_integral, solve_linear_interface)
+                  newton_solve_npbe, qoi_integral)
 from .region import (error_bound, error_constants, region_estimate,
                      sigma_star, theta, xi)
 from .smolyak import SparseGridPlan, build_plan, integrate, interpolate
@@ -23,7 +23,7 @@ __all__ = [
     "fit_rate", "ingest_charges", "load_config", "run_study", "shifted_charges",
     "Charge", "Grid3D", "GridField", "PBECoefficients",
     "assemble_pulled_back_operator", "assemble_rhs", "newton_solve_npbe",
-    "qoi_integral", "solve_linear_interface", "error_bound", "error_constants",
+    "qoi_integral", "error_bound", "error_constants",
     "region_estimate", "sigma_star", "theta", "xi", "SparseGridPlan",
     "build_plan", "integrate", "interpolate",
 ]

@@ -18,8 +18,8 @@ have the points' leading shape, (n0, n1, n2) for a lattice.  ``value``
 returns b as 3 entries and ``jac`` B as a 3x3 nested list of entries, each
 broadcasting over that shape, and an entry that vanishes everywhere is the
 float 0.0.  J is formed entry by entry, so an entry no mode touches stays a
-scalar (with no modes, J = I in floats); ``jacobian`` and ``map_forward``
-stack for callers that need arrays, and ``jac_deriv`` returns dB stacked.
+scalar (with no modes, J = I in floats); ``jacobian`` stacks J for callers
+that need arrays, and ``jac_deriv`` returns dB stacked.
 An entry that is exactly the float 0.0 or 1.0 passes through the adjugate
 rows and det J without an array operation: a product with 0.0 is dropped and
 one with 1.0 is not multiplied (a cutoff map's untouched row (0.0, 0.0, 1.0)
@@ -217,17 +217,6 @@ class DomainMap:
 
 def _box_grid(domain: ReferenceDomain, n: int) -> Lattice:
     return Lattice([np.linspace(domain.box_min[d], domain.box_max[d], n) for d in range(3)])
-
-
-def map_forward(dmap: DomainMap, r, y):
-    """Evaluate F(r; y).  Complex y is allowed for analyticity probes."""
-    r = np.asarray(r, dtype=float)
-    y = np.asarray(y)
-    out = r.astype(complex) if np.iscomplexobj(y) else r.copy()
-    for k, (mu, fld) in enumerate(dmap.modes):
-        for d, b in enumerate(fld.value(r)):
-            out[..., d] += math.sqrt(mu) * y[k] * b
-    return out
 
 
 def _jacobian_entries(dmap: DomainMap, r, y):

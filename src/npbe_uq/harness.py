@@ -161,6 +161,9 @@ class RunConfig:
             raise ConfigError(f"{_AT['rule']}: unknown sparse-grid rule {self.rule!r}")
         if any(len(c) != 4 for c in self.charges_inline):
             raise ConfigError(f"{_AT['charges_inline']}: each charge needs [x, y, z, q]")
+        if self.charges_path and self.charges_inline:
+            raise ConfigError(f"{_AT['charges_path']}: 'inline' is set too; give the charges "
+                              f"one way")
         if self.charges_path and not os.path.isfile(self.charges_path):
             raise ConfigError(f"{_AT['charges_path']}: no file {self.charges_path!r}")
         for name, path in (("csv_path", self.csv_path), ("svg_path", self.svg_path)):
@@ -242,7 +245,7 @@ def parse_pqr(text: str) -> list:
 
 
 def ingest_charges(config: RunConfig) -> list:
-    """Charge list from the config: inline entries or a PQR file.
+    """Charge list from the config: inline entries or a PQR file, never both.
 
     Every charge gets config.width().  Positions are recentred so their
     centroid sits at the sphere center; charges still landing outside the
@@ -555,7 +558,8 @@ def fit_rate(records: list) -> RateFit:
         else:
             excluded.append(r.w)
     if len(pts) < 2:
-        raise ConfigError("need at least 2 positive errors to fit a rate")
+        why = f"; levels {excluded} have an error that is not positive" if excluded else ""
+        raise ConfigError(f"need at least 2 positive errors to fit a rate, got {len(pts)}{why}")
     x = np.array([p[0] for p in pts])
     yv = np.array([p[1] for p in pts])
     A = np.stack([x, np.ones_like(x)], axis=-1)

@@ -172,7 +172,8 @@ def _tensor_entry(dmap, y, mid, d: int, e: int, place: str) -> np.ndarray:
     The tensor is adj(J) adj(J)^T / det J, so one entry needs only rows d and
     e of the adjugate, formed from the entries of J, and det J is
     sum_j adj(J)[d, j] J[j, d].  Like those entries, it broadcasts over the
-    lattice.  Raises AssemblyError naming ``place`` where det J <= 0.
+    lattice; an entry whose every product has a factor 0.0 is the float 0.0.
+    Raises AssemblyError naming ``place`` where det J <= 0.
     """
     J = geometry._jacobian_entries(dmap, mid, y)
     row_d = geometry._adjugate_row(J, d)
@@ -180,7 +181,8 @@ def _tensor_entry(dmap, y, mid, d: int, e: int, place: str) -> np.ndarray:
     if np.any(det <= 0.0):
         raise AssemblyError(f"det J <= 0 at the {place} midpoints (min det {np.min(det):.6g})")
     row_e = row_d if e == d else geometry._adjugate_row(J, e)
-    return geometry._sum_of_products(*((1, a, b) for a, b in zip(row_d, row_e))) / det
+    entry = geometry._sum_of_products(*((1, a, b) for a, b in zip(row_d, row_e)))
+    return 0.0 if isinstance(entry, float) and entry == 0.0 else entry / det
 
 
 def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
@@ -201,8 +203,8 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     they are summed into one diagonal exactly.  Mixed-term coefficients
     vanish exactly wherever the modes' fields are flat (the cutoff plateau,
     and everywhere at y = 0); the conversion drops zero entries, and a plane
-    whose mixed term is the float 0.0 (as with no modes) adds no diagonal
-    faces.
+    whose mixed term is the float 0.0 (every plane with no modes, and the
+    plane of two axes that no mode moves) adds no diagonal faces.
     """
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
     n, m = grid.shape[0], grid.shape[0] - 2
@@ -442,21 +444,6 @@ def _pcg(A, b, precond, tol=1e-10, maxiter=20000):
     return x, CGInfo(it, rnorm)
 
 
-def solve_linear_interface(op: AssembledOperator, reaction, rhs: GridField,
-                           tol=1e-10, maxiter=20000):
-    """Solve (diffusion + reaction) u = rhs with zero Dirichlet data.
-
-    reaction is a GridField of nonnegative nodal coefficients (or None);
-    returns the solution and the CG report.
-    """
-    react = np.zeros(len(rhs.flat)) if reaction is None else reaction.flat
-    if np.any(react < 0.0):
-        raise DomainError("reaction coefficient must be nonnegative")
-    A = op.matrix + sp.diags(react)
-    u, info = _pcg(A, rhs.flat, VCycle(A, op.grid), tol=tol, maxiter=maxiter)
-    return GridField(op.grid, u), info
-
-
 # ---------------------------------------------------------------------------
 # Newton solver for the NPBE
 # ---------------------------------------------------------------------------
@@ -600,7 +587,7 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
 
 
 # ---------------------------------------------------------------------------
-# Quantity of interest and residual checks
+# Quantity of interest
 # ---------------------------------------------------------------------------
 
 def _qoi_weights(grid: Grid3D) -> np.ndarray:
@@ -617,17 +604,3 @@ def qoi_integral(u: GridField) -> float:
     """
     return _dot(_qoi_weights(u.grid), u.flat)
 
-
-def operator_residual(domain, dmap, coeffs: PBECoefficients, y, u: GridField,
-                      op: AssembledOperator = None) -> GridField:
-    """Apply the assembled nonlinear operator to u and subtract the forcing.
-
-    Acts as the data -> solution -> data consistency check, on the interior
-    nodes where the unknowns live.
-    """
-    grid = u.grid
-    if op is None:
-        op = assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
-    rhs = assemble_rhs(domain, dmap, coeffs, y, grid)
-    reaction = reaction_profile(domain, dmap, coeffs, y, grid)
-    return GridField(grid, op.matrix @ u.flat + reaction.flat * np.sinh(u.flat) - rhs.flat)

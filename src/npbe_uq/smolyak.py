@@ -37,15 +37,6 @@ def growth(i: int) -> int:
     return 2 ** (i - 1) + 1
 
 
-def f_degree(p: int) -> int:
-    """Level budget consumed by polynomial degree p in the Smolyak index set."""
-    if p < 0:
-        raise DomainError("degree must be nonnegative")
-    if p <= 1:
-        return p
-    return math.ceil(math.log2(p))
-
-
 def node_keys(m: int) -> tuple[float, ...]:
     """Exact angle-fraction keys of the m closed CC nodes, sorted ascending.
 
@@ -160,19 +151,6 @@ def index_set(rule: str, w: int, N: int) -> list[tuple[int, ...]]:
 
     rec([])
     return sorted(out)
-
-
-def polynomial_index_set(rule: str, w: int, N: int) -> set[tuple[int, ...]]:
-    """Degree multi-indices spanned exactly by the sparse interpolant.
-
-    For SM this is the set with sum_n f(p_n) <= w; for TD total degree <= w;
-    for HC product (p_n + 1) <= w + 1.
-    """
-    degs = set()
-    for i in index_set(rule, w, N):
-        ranges = [range(growth(ik)) for ik in i]
-        degs.update(itertools.product(*ranges))
-    return degs
 
 
 # ---------------------------------------------------------------------------

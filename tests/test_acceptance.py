@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 
 from npbe_uq import bounds, geometry, harness, pde, region, smolyak
+from conftest import linear_solve, polynomial_index_set
 
 
 def report(name, ok):
@@ -75,7 +76,7 @@ class TestAcceptance:
             exact = np.prod(np.sin(math.pi * np.asarray(grid.interior)), axis=-1).ravel()
             op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, None, grid)
             rhs = pde.GridField(grid, 3.0 * math.pi**2 * exact)
-            u, _ = pde.solve_linear_interface(op, None, rhs, tol=1e-11)
+            u, _ = linear_solve(op, None, rhs, tol=1e-11)
             # exact is 0 on the boundary, where u is 0 too
             errs.append(math.sqrt(pde.qoi_integral(pde.GridField(grid, (u.flat - exact) ** 2))))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -102,7 +103,7 @@ class TestAcceptance:
         u, li = pde.newton_solve_npbe(domain, dmap, linear, None, grid)
         op = pde.assemble_pulled_back_operator(domain, dmap, linear, None, grid)
         rhs = pde.assemble_rhs(domain, dmap, linear, None, grid)
-        ulin, _ = pde.solve_linear_interface(op, None, rhs, tol=1e-12)
+        ulin, _ = linear_solve(op, None, rhs, tol=1e-12)
         rel = (np.max(np.abs(u.values - ulin.values))
                / max(1e-30, float(np.max(np.abs(ulin.values)))))
         report("newton quadratic decay and linear one-step",
@@ -115,7 +116,7 @@ class TestAcceptance:
             pts = rng.uniform(-1, 1, size=(20, N))
             for w in range(5):
                 plan = smolyak.build_plan("SM", w, N)
-                for p in sorted(smolyak.polynomial_index_set("SM", w, N)):
+                for p in sorted(polynomial_index_set("SM", w, N)):
                     store = smolyak.evaluate_plan(
                         plan, lambda y, p=p: float(np.prod(np.asarray(y) ** p)))
                     got = smolyak.interpolate(plan, store, pts)

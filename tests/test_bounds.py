@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from npbe_uq import bounds, geometry, pde
 from npbe_uq.errors import HypothesisViolationError
+from conftest import map_forward
 
 
 def base_input(**kw):
@@ -304,8 +305,8 @@ class TestMonteCarloTermOracles:
         def forcing(y):
             # f*(x; y) det J(x; y) at every node: the charge is 5 A from a face,
             # so the boundary layer carries part of the difference
-            offset = (geometry.map_forward(dmap, points, y)
-                      - geometry.map_forward(dmap, charge.position, y))
+            offset = (map_forward(dmap, points, y)
+                      - map_forward(dmap, charge.position, y))
             f = (geometry.det3(geometry.jacobian(dmap, points, y))
                  * q * (2.0 * math.pi * s * s) ** -1.5
                  * np.exp(-0.5 * np.sum(offset**2, axis=-1) / (s * s)))

