@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import harness, region, smolyak
-from .errors import ConfigError, NpbeUqError
+from .errors import ConfigError, NpbeUqError, RateFitError
 
 
 def cmd_solve(args) -> int:
@@ -68,7 +68,7 @@ def cmd_study(args) -> int:
     if len(ok) >= 2:
         try:
             fit = harness.fit_rate(ok)
-        except ConfigError as exc:  # a correct study, e.g. of zero charges, can have no rate
+        except RateFitError as exc:  # a correct study, e.g. of zero charges, can have no rate
             print(f"# no rate fit: {exc}")
         else:
             left_out = (f", levels {fit.excluded} left out (error not positive)"

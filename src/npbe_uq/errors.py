@@ -43,3 +43,7 @@ class ConfigError(NpbeUqError):
 
 class ParseError(NpbeUqError):
     """Charge-file parsing failed."""
+
+
+class RateFitError(NpbeUqError):
+    """Study records hold too few positive errors to fit a convergence rate."""

@@ -37,7 +37,7 @@ import numpy as np
 import yaml
 
 from . import geometry, pde, smolyak
-from .errors import ConfigError, ConvergenceError, ParseError
+from .errors import ConfigError, ConvergenceError, ParseError, RateFitError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -550,7 +550,10 @@ class RateFit:
 
 
 def fit_rate(records: list) -> RateFit:
-    """Least-squares slope of log error versus log knot count."""
+    """Least-squares slope of log error versus log knot count.
+
+    Raises RateFitError when fewer than two records have a positive error.
+    """
     pts, excluded = [], []
     for r in records:
         if r.error > 0.0 and math.isfinite(r.error):
@@ -559,7 +562,7 @@ def fit_rate(records: list) -> RateFit:
             excluded.append(r.w)
     if len(pts) < 2:
         why = f"; levels {excluded} have an error that is not positive" if excluded else ""
-        raise ConfigError(f"need at least 2 positive errors to fit a rate, got {len(pts)}{why}")
+        raise RateFitError(f"need at least 2 positive errors to fit a rate, got {len(pts)}{why}")
     x = np.array([p[0] for p in pts])
     yv = np.array([p[1] for p in pts])
     A = np.stack([x, np.ones_like(x)], axis=-1)

@@ -37,6 +37,7 @@ def growth(i: int) -> int:
     return 2 ** (i - 1) + 1
 
 
+@lru_cache(maxsize=None)
 def node_keys(m: int) -> tuple[float, ...]:
     """Exact angle-fraction keys of the m closed CC nodes, sorted ascending.
 
@@ -163,6 +164,7 @@ class SparseGridPlan:
     terms: tuple            # ((level multi-index, combination coefficient), ...)
     knots: tuple            # canonical knot keys: tuples of N dyadic float keys, one per axis
     knot_values: np.ndarray  # (eta, N) float abscissas, same order as knots
+    term_knots: tuple       # per term, the knot row of each tensor point, shaped like the term
 
     @property
     def n_knots(self) -> int:
@@ -174,24 +176,42 @@ def _tensor_keys(i: tuple[int, ...]):
     return itertools.product(*per_dim)
 
 
+def _combination_coefficients(levels: list) -> dict:
+    """c_i = sum over e in {0,1}^N of (-1)^|e| [i + e in L], for i in L.
+
+    That is the N-fold forward difference of the indicator of the
+    downward-closed set L, taken one axis at a time: O(N |L|) work.
+    """
+    c = dict.fromkeys(levels, 1)
+    for d in range(len(levels[0])):
+        c = {i: ci - c.get(i[:d] + (i[d] + 1,) + i[d + 1:], 0) for i, ci in c.items()}
+    return c
+
+
 def build_plan(rule: str, w: int, N: int) -> SparseGridPlan:
-    """Combination-technique plan: terms with nonzero coefficient plus the knot union."""
-    levels = set(index_set(rule, w, N))
-    terms = []
-    for i in sorted(levels):
-        coeff = 0
-        for e in itertools.product((0, 1), repeat=N):
-            j = tuple(ik + ek for ik, ek in zip(i, e))
-            if j in levels:
-                coeff += (-1) ** sum(e)
-        if coeff != 0:
-            terms.append((i, coeff))
-    knots = set()
-    for i, _ in terms:
-        knots.update(_tensor_keys(i))
-    knots = tuple(sorted(knots))
-    values = np.array([[node_value(k) for k in knot] for knot in knots]).reshape(len(knots), N)
-    return SparseGridPlan(N, tuple(terms), knots, values)
+    """Combination-technique plan: terms with nonzero coefficient plus the knot union.
+
+    Costs O(N |L|) for the coefficients plus one pass over the terms'
+    tensor points, which gives each point its row in the sorted knots.
+    """
+    levels = index_set(rule, w, N)
+    coeffs = _combination_coefficients(levels)
+    terms = tuple((i, coeffs[i]) for i in levels if coeffs[i] != 0)
+    ids = {}
+    rows = [np.array([ids.setdefault(key, len(ids)) for key in _tensor_keys(i)], dtype=np.intp)
+            for i, _ in terms]
+    keys = list(ids)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[order] = np.arange(len(keys))
+    knots = tuple(keys[j] for j in order)
+    term_knots = tuple(rank[row].reshape([growth(ik) for ik in i])
+                       for row, (i, _) in zip(rows, terms))
+    # one node_value call per distinct axis key
+    axis_keys, at = np.unique(np.array(knots), return_inverse=True)
+    table = np.array([node_value(k) for k in axis_keys.tolist()])
+    values = table[at].reshape(len(knots), N)
+    return SparseGridPlan(N, terms, knots, values, term_knots)
 
 
 def evaluate_plan(plan: SparseGridPlan, func) -> dict:
@@ -199,15 +219,12 @@ def evaluate_plan(plan: SparseGridPlan, func) -> dict:
     return {key: func(y) for key, y in zip(plan.knots, plan.knot_values)}
 
 
-def _term_values(values, i: tuple[int, ...]) -> np.ndarray:
-    ms = [growth(ik) for ik in i]
-    vals = np.empty(ms)
-    for idx, key in zip(itertools.product(*[range(m) for m in ms]), _tensor_keys(i)):
-        try:
-            vals[idx] = values[key]
-        except KeyError:
-            raise IncompleteStoreError(f"knot {key} has not been evaluated") from None
-    return vals
+def _knot_array(plan: SparseGridPlan, values) -> np.ndarray:
+    """values read once, in plan.knots order; IncompleteStoreError names the first missing knot."""
+    try:
+        return np.array([values[key] for key in plan.knots], dtype=float)
+    except KeyError as exc:
+        raise IncompleteStoreError(f"knot {exc.args[0]} has not been evaluated") from None
 
 
 def interpolate(plan: SparseGridPlan, values, y) -> np.ndarray:
@@ -223,9 +240,10 @@ def interpolate(plan: SparseGridPlan, values, y) -> np.ndarray:
     if pts.shape[-1] != plan.N:
         raise DomainError(f"point dimension {pts.shape[-1]} != plan N {plan.N}")
     dtype = complex if np.iscomplexobj(pts) else float
+    arr = _knot_array(plan, values).astype(dtype, copy=False)
     total = np.zeros(pts.shape[0], dtype=dtype)
-    for i, coeff in plan.terms:
-        vals = _term_values(values, i).astype(dtype)
+    for (i, coeff), rows in zip(plan.terms, plan.term_knots):
+        vals = arr[rows]
         acc = np.broadcast_to(vals, (pts.shape[0],) + vals.shape)
         for n in range(plan.N):
             L = lagrange_eval_matrix(growth(i[n]), pts[:, n].astype(dtype))
@@ -237,12 +255,13 @@ def interpolate(plan: SparseGridPlan, values, y) -> np.ndarray:
 def integrate(plan: SparseGridPlan, values) -> float:
     """Integral of the sparse interpolant of values (as for interpolate)
     against the uniform probability density."""
+    arr = _knot_array(plan, values)
     total = 0.0
-    for i, coeff in plan.terms:
-        vals = _term_values(values, i)
-        acc = vals
-        for n in range(plan.N):
-            acc = np.tensordot(_quadrature_weights(growth(i[n])), acc, axes=(0, 0))
-        total += coeff * float(acc)
+    for (i, coeff), rows in zip(plan.terms, plan.term_knots):
+        acc = arr[rows]
+        for ik in i:
+            # the one call np.tensordot(w, acc, axes=(0, 0)) makes, without its overhead
+            m = growth(ik)
+            acc = np.dot(_quadrature_weights(m).reshape(1, m), acc.reshape(m, -1))
+        total += coeff * float(acc[0, 0])
     return total
-

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 import yaml
 
 from npbe_uq import cli, geometry, harness, pde, smolyak
-from npbe_uq.errors import ConfigError, ConvergenceError, ParseError
+from npbe_uq.errors import ConfigError, ConvergenceError, ParseError, RateFitError
 
 PQR_OK = """\
 REMARK  minimal pqr subset
@@ -275,7 +275,7 @@ class TestFitRate:
         assert fit.excluded == [2]
 
     def test_too_few_points(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(RateFitError):
             harness.fit_rate([harness.ConvergenceRecord(1, 5, 0.0, 1e-3, 0.0)])
 
 
@@ -839,6 +839,25 @@ class TestCli:
                    if line.count(",") == 1)
         assert abs(float(row["theta"]) - 0.14644660940672619) <= 1e-12
         assert "w,eta,regime,bound" in out
+
+    def test_region_at_high_dimension(self, tmp_path, capsys):
+        # nested CC on a downward-closed L: eta = sum over i in L of prod_d dm(i_d), with
+        # dm(1) = 1, dm(2) = 2, dm(k) = 2^(k-2); for SM that is the sum of the coefficients
+        # of x^s, s <= w, in g(x)^N, g = dm(1) + dm(2) x + dm(3) x^2 + ...
+        N, levels = 16, [1, 2, 3]
+        top = max(levels)
+        g = [1, 2] + [2 ** (k - 2) for k in range(3, top + 2)]
+        power = [1] + [0] * top
+        for _ in range(N):
+            power = [sum(power[j] * g[s - j] for j in range(s + 1)) for s in range(top + 1)]
+        extra = f"region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  N: {N}\n  levels: {levels}\n"
+        rc = cli.main(["region", "--config", self.write_config(tmp_path, extra)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        rows = out.strip().splitlines()
+        table = [line.split(",") for line in rows[rows.index("w,eta,regime,bound") + 1:]]
+        assert [(int(w), int(eta)) for w, eta, *_ in table] == \
+            [(w, sum(power[:w + 1])) for w in levels]
 
     def test_missing_bounds_block(self, tmp_path, capsys):
         rc = cli.main(["bounds", "--config", self.write_config(tmp_path)])

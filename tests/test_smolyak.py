@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -36,6 +37,52 @@ def brute_force_knots(rule, w, N):
         for combo in itertools.product(*grids):
             pts.add(tuple(round(c, 12) for c in combo))
     return pts
+
+
+def corner_scan_terms(rule, w, N):
+    """Combination coefficients by the 2^N-corner scan of every index."""
+    levels = set(smolyak.index_set(rule, w, N))
+    terms = []
+    for i in sorted(levels):
+        coeff = sum((-1) ** sum(e) for e in itertools.product((0, 1), repeat=N)
+                    if tuple(ik + ek for ik, ek in zip(i, e)) in levels)
+        if coeff != 0:
+            terms.append((i, coeff))
+    return tuple(terms)
+
+
+def term_values(values, i):
+    """A term's tensor of knot values, looked up point by point."""
+    ms = [smolyak.growth(ik) for ik in i]
+    vals = np.empty(ms)
+    keys = itertools.product(*[smolyak.node_keys(m) for m in ms])
+    for idx, key in zip(itertools.product(*[range(m) for m in ms]), keys):
+        vals[idx] = values[key]
+    return vals
+
+
+def per_point_integrate(plan, values):
+    total = 0.0
+    for i, coeff in plan.terms:
+        acc = term_values(values, i)
+        for ik in i:
+            acc = np.tensordot(smolyak._quadrature_weights(smolyak.growth(ik)), acc,
+                               axes=(0, 0))
+        total += coeff * float(acc)
+    return total
+
+
+def per_point_interpolate(plan, values, pts):
+    dtype = complex if np.iscomplexobj(pts) else float
+    total = np.zeros(pts.shape[0], dtype=dtype)
+    for i, coeff in plan.terms:
+        vals = term_values(values, i).astype(dtype)
+        acc = np.broadcast_to(vals, (pts.shape[0],) + vals.shape)
+        for n, ik in enumerate(i):
+            L = smolyak.lagrange_eval_matrix(smolyak.growth(ik), pts[:, n].astype(dtype))
+            acc = np.einsum("qm...,qm->q...", acc, L)
+        total += coeff * acc
+    return total
 
 
 class TestGrowthAndDegrees:
@@ -146,6 +193,27 @@ class TestPlans:
                 hi = set(smolyak.build_plan("SM", w + 1, N).knots)
                 assert lo <= hi
 
+    @pytest.mark.parametrize("rule", smolyak.RULES)
+    def test_coefficients_match_corner_scan(self, rule):
+        for N in range(1, 6):
+            for w in range(6):
+                assert smolyak.build_plan(rule, w, N).terms == corner_scan_terms(rule, w, N)
+
+    def test_sm_coefficients_closed_form(self):
+        N, w = 8, 3
+        terms = smolyak.build_plan("SM", w, N).terms
+        # w - |i - 1| <= w < N, so every index of L has a nonzero coefficient
+        expect = [(i, (-1) ** (w - sum(i) + N) * math.comb(N - 1, w - sum(i) + N))
+                  for i in smolyak.index_set("SM", w, N)]
+        assert list(terms) == expect and len(terms) == math.comb(N + w, w)
+
+    def test_term_knots_index_the_tensor_points(self):
+        plan = smolyak.build_plan("HC", 5, 2)
+        for (i, _), rows in zip(plan.terms, plan.term_knots):
+            assert rows.shape == tuple(smolyak.growth(ik) for ik in i)
+            keys = itertools.product(*[smolyak.node_keys(smolyak.growth(ik)) for ik in i])
+            assert [plan.knots[r] for r in rows.ravel()] == list(keys)
+
     def test_combination_coefficients_sum_to_one(self):
         for rule in smolyak.RULES:
             for N in (1, 2, 3):
@@ -166,11 +234,26 @@ class TestInterpolation:
 
     def test_missing_knot_raises(self):
         plan = smolyak.build_plan("SM", 1, 2)
-        store = {plan.knots[0]: 1.0}
-        with pytest.raises(IncompleteStoreError):
+        store = {plan.knots[0]: 1.0, plan.knots[2]: 1.0}
+        named = re.escape(f"knot {plan.knots[1]} has not been evaluated")
+        with pytest.raises(IncompleteStoreError, match=named):
             smolyak.interpolate(plan, store, np.array([0.3, 0.3]))
-        with pytest.raises(IncompleteStoreError):
+        with pytest.raises(IncompleteStoreError, match=named):
             smolyak.integrate(plan, store)
+
+    @pytest.mark.parametrize("rule", smolyak.RULES)
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_readers_match_per_point_lookup_bits(self, rule, N):
+        rng = np.random.default_rng(5)
+        for w in range(5):
+            plan = smolyak.build_plan(rule, w, N)
+            vals = rng.standard_normal(plan.n_knots)
+            store = {key: float(v) for key, v in zip(plan.knots, vals)}
+            assert smolyak.integrate(plan, store) == per_point_integrate(plan, store)
+            pts = rng.uniform(-1, 1, size=(9, N))
+            for y in (pts, pts + 0.2j * rng.uniform(-1, 1, size=pts.shape)):
+                assert np.array_equal(smolyak.interpolate(plan, store, y),
+                                      per_point_interpolate(plan, store, y))
 
     def test_td_exactness_for_y1sq_y2sq(self):
         plan = smolyak.build_plan("TD", 4, 2)
