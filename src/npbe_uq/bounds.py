@@ -220,11 +220,9 @@ def verify_bounds_by_sampling(dmap, domain, inp: BoundsInput, trials: int = 1000
         "det_ratio": np.abs(geometry.det3(step) - 1.0),
     }
     for trial in range(trials):
-        sub = BoundsInput(
-            b1=inp.b1, binf=inp.binf,
-            y0_inf=float(np.max(np.abs(y0[trial]))) if N else 0.0,
-            y_inf=float(np.max(np.abs(y[trial]))) if N else 0.0,
-        )
+        sub = BoundsInput(b1=inp.b1, binf=inp.binf,
+                          y0_inf=float(np.max(np.abs(y0[trial]), initial=0.0)),
+                          y_inf=float(np.max(np.abs(y[trial]), initial=0.0)))
         for name, bound in prop_a_bounds(sub).as_dict().items():
             record(trial, name, float(sampled[name][trial]), bound)
     return report

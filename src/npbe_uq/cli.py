@@ -108,6 +108,11 @@ def cmd_region(args) -> int:
     N, levels, rule = blk.get("N", 1), blk.get("levels", (1, 2, 3, 4, 5)), blk.get("rule", "SM")
     if rule not in smolyak.RULES:
         raise ConfigError(f"key 'rule' in block 'region': {rule!r} is not one of {smolyak.RULES}")
+    if N < 1:
+        raise ConfigError(f"key 'N' in block 'region': must be >= 1, got {N}")
+    if not levels or min(levels) < 0:
+        raise ConfigError(f"key 'levels' in block 'region': needs at least one level, each "
+                          f">= 0, got {list(levels)}")
     est = region.region_estimate(blk["M"], blk["a"], blk["R"])
     # the solution-norm bound doubles as the polyellipse sup estimate
     m_tilde = blk.get("M_tilde", est.xi)

@@ -60,7 +60,7 @@ class ReferenceDomain:
         if np.any(self.sphere_center - r2 <= self.box_min) or np.any(
             self.sphere_center + r2 >= self.box_max
         ):
-            raise DomainError("outer sphere not compactly contained in box")
+            raise DomainError(f"outer sphere of radius {r2:g} not compactly contained in box")
 
     def levels(self, r):
         """Signed distances to the two sphere interfaces, vectorized; r may be a Lattice."""

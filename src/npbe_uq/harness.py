@@ -37,7 +37,7 @@ import numpy as np
 import yaml
 
 from . import geometry, pde, smolyak
-from .errors import ConfigError, ConvergenceError, ParseError, RateFitError
+from .errors import ConfigError, ConvergenceError, DomainError, ParseError, RateFitError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -131,9 +131,14 @@ class RunConfig:
         if not (isinstance(self.grid_n, int) and self.grid_n >= 3):
             raise ConfigError(f"{_AT['grid_n']}: grid n must be an integer >= 3, "
                               f"got {self.grid_n!r}")
-        if not 0.0 < self.radii[0] < self.radii[1]:
-            raise ConfigError(f"{_AT['radii']}: sphere radii must satisfy 0 < r1 < r2, "
-                              f"got {tuple(self.radii)}")
+        try:
+            pde.grid_spacing(self.box_min, self.box_max, self.grid_n)
+        except DomainError as exc:
+            raise ConfigError(f"{_AT['box_max']}: {exc}") from None
+        try:  # the domain checks 0 < r1 < r2 and that the outer sphere fits in the box
+            self.domain
+        except DomainError as exc:
+            raise ConfigError(f"{_AT['radii']}: {exc}") from None
         if not min(self.eps) > 0.0:
             raise ConfigError(f"{_AT['eps']}: eps must be 3 positive values, got {self.eps}")
         if not min(self.kappa2) >= 0.0:
@@ -182,13 +187,11 @@ class RunConfig:
     def width(self) -> float:
         """The charge width: charge_width if set, else 2h clamped to >= 1 Angstrom.
 
-        h = (box_max - box_min)[0] / (grid_n - 1) is the spacing of grid(),
-        computed without building the grid.
+        h is the spacing of grid(), computed without building the grid.
         """
         if self.charge_width is not None:
             return float(self.charge_width)
-        h = float((self.box_max - self.box_min)[0] / (self.grid_n - 1))
-        return max(2.0 * h, 1.0)
+        return max(2.0 * pde.grid_spacing(self.box_min, self.box_max, self.grid_n), 1.0)
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -391,16 +394,15 @@ class KnotSolver:
         z.b = sum_charges amp sum_ijk Z[i, j, k] gx[i] gy[j] gz[k] over the
         interior nodes, with Z the adjoint on the grid's interior lattice and
         the per-axis factors of pde.gaussian_factors on its axes.  Every
-        shifted charge is checked against the box first.  No y component
-        moves the axes from N on, so Z is contracted with their factors once
-        per charge (z when N = 2, then y when N = 1) and only the shifted
-        axes are contracted per knot; N = 3 contracts all three per knot.
-        The once-per-charge array, C m^2 floats for N = 2, is bounded by
-        taking the charges in chunks of at most 2^16 / m^2; with one chunk
-        the bits are those of contracting every axis per knot, and each
-        further chunk adds its partial sum.  The contraction is np.einsum,
-        whose sums never go to BLAS, so the bits do not depend on the
-        thread count.
+        shifted charge is checked against the box first.  Component k of y
+        moves axis k only, so for any N the fixed axes N, ..., 2 do not depend
+        on the knot: Z is contracted with their factors once per charge, last
+        axis first, and the shifted axes N - 1, ..., 0 per knot.  The charges
+        are taken in chunks of at most 2^16 / m^2 and the knots in chunks that
+        bound each held array to 2^16 floats; with one charge chunk the bits
+        are those of contracting every axis per knot, and each further chunk
+        adds its partial sum.  The contraction is np.einsum, whose sums never
+        go to BLAS, so the bits do not depend on the thread count.
         """
         charges, N = self.coeffs.charges, self.config.N
         positions = shifted_positions(np.array([c.position for c in charges]), self.config.alpha,
@@ -414,20 +416,16 @@ class KnotSolver:
             chunk = slice(c, c + per_chunk)
             amp, fixed = pde.gaussian_factors(interior.axes[N:], charges[chunk],
                                               positions[0, chunk, N:])
-            if N < 3:
-                W = np.einsum("ijk,ck->cij", Z, fixed[-1])
-            if N < 2:
-                W = np.einsum("cij,cj->ci", W, fixed[0])
-            step = max(1, _CHUNK_FLOATS // (len(amp) * m ** (2 if N == 3 else 1)))
+            W = np.broadcast_to(Z, (len(amp),) + Z.shape)
+            for g in fixed[::-1]:
+                W = np.einsum("c...k,ck->c...", W, g)
+            step = max(1, _CHUNK_FLOATS // (len(amp) * m ** max(N - 1, 1)))
             for s in range(0, len(positions), step):
                 _, g = pde.gaussian_factors(interior.axes[:N], charges[chunk],
                                             positions[s:s + step, chunk, :N])
-                if N == 3:
-                    t = np.einsum("qcij,qcj->qci", np.einsum("ijk,qck->qcij", Z, g[2]), g[1])
-                elif N == 2:
-                    t = np.einsum("cij,qcj->qci", W, g[1])
-                else:
-                    t = np.broadcast_to(W, g[0].shape)
+                t = np.broadcast_to(W, g[0].shape[:1] + W.shape)
+                for gd in g[:0:-1]:
+                    t = np.einsum("qc...k,qck->qc...", t, gd)
                 out[s:s + step] += np.einsum("qci,qci,c->q", t, g[0], amp)
         return out
 

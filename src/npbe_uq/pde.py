@@ -72,6 +72,18 @@ from .errors import AssemblyError, ConvergenceError, DomainError
 # Grid and fields
 # ---------------------------------------------------------------------------
 
+def grid_spacing(box_min, box_max, n: int) -> float:
+    """Spacing of the grid with n nodes on each box axis; it must be positive and equal."""
+    if n < 3:
+        raise DomainError(f"grid needs at least 3 nodes per axis, one of them interior, "
+                          f"got {n}")
+    spacings = (box_max - box_min) / (n - 1)
+    if not (spacings[0] > 0.0 and np.allclose(spacings, spacings[0], rtol=1e-12)):
+        raise DomainError(f"grid spacing must be positive and equal along all axes, got box "
+                          f"sides {(box_max - box_min).tolist()}")
+    return float(spacings[0])
+
+
 class Grid3D:
     """Uniform node-centered grid of n^3 nodes over the reference box with subdomain tags.
 
@@ -85,14 +97,8 @@ class Grid3D:
 
     def __init__(self, domain: geometry.ReferenceDomain, n: int):
         n = int(n)
-        if n < 3:
-            raise DomainError(f"grid needs at least 3 nodes per axis, one of them interior, "
-                              f"got {n}")
+        self.h = grid_spacing(domain.box_min, domain.box_max, n)
         self.shape = (n, n, n)
-        spacings = (domain.box_max - domain.box_min) / (n - 1)
-        if not np.allclose(spacings, spacings[0], rtol=1e-12):
-            raise DomainError("grid spacing must be equal along all axes")
-        self.h = float(spacings[0])
         self.axes = [np.linspace(domain.box_min[d], domain.box_max[d], n) for d in range(3)]
         self.subdomain_tag = geometry.classify_point(domain, geometry.Lattice(self.axes))
         self.interior = geometry.Lattice([a[1:-1] for a in self.axes])

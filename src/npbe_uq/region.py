@@ -85,17 +85,14 @@ def m_tilde(evaluator, sigma: float, N: int, samples: int = 64) -> float:
     """Sampled sup of |nu| over the distinguished boundary of the polyellipse.
 
     By the maximum modulus principle the sup over the closed polyellipse is
-    attained on the boundary product; sampling gives a lower estimate.
+    attained on the boundary product; sampling gives a lower estimate.  The
+    ring's N-fold product goes to the evaluator one first coordinate at a time.
     """
     ring = polyellipse_boundary(sigma, samples)
+    rest = np.array(list(itertools.product(ring, repeat=N - 1)), dtype=complex)
     best = 0.0
-    # tensor sampling in chunks along the first dimension to bound memory
     for first in ring:
-        if N == 1:
-            pts = np.array([[first]])
-        else:
-            rest = itertools.product(*([ring] * (N - 1)))
-            pts = np.array([(first,) + tail for tail in rest])
+        pts = np.column_stack([np.full(len(rest), first), rest])
         vals = np.abs(np.asarray(evaluator(pts), dtype=complex))
         best = max(best, float(np.max(vals)))
     return best

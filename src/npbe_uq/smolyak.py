@@ -68,10 +68,8 @@ def cc_nodes(m: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _nodes_and_bary(m: int):
-    """Nodes plus barycentric weights for the m-point CC rule."""
+    """Nodes plus barycentric weights for the m-point CC rule, m >= 3."""
     x = cc_nodes(m)
-    if m == 1:
-        return x, np.array([1.0])
     # classic closed-Chebyshev barycentric weights: (-1)^j, halved at the ends
     w = np.array([(-1.0) ** j for j in range(m)])
     w[0] *= 0.5
@@ -103,10 +101,10 @@ def _quadrature_weights(m: int) -> np.ndarray:
 
 def lagrange_eval_matrix(m: int, pts: np.ndarray) -> np.ndarray:
     """Values of the m Lagrange basis polynomials at pts, shape (len(pts), m)."""
-    x, w = _nodes_and_bary(m)
     pts = np.asarray(pts)
     if m == 1:
         return np.ones(pts.shape + (1,), dtype=pts.dtype if np.iscomplexobj(pts) else float)
+    x, w = _nodes_and_bary(m)
     diff = pts[..., None] - x
     exact = diff == 0
     diff = np.where(exact, 1.0, diff)
@@ -122,36 +120,30 @@ def lagrange_eval_matrix(m: int, pts: np.ndarray) -> np.ndarray:
 # Index sets
 # ---------------------------------------------------------------------------
 
-def _level_admissible(rule: str, i: tuple[int, ...], w: int) -> bool:
-    p = [growth(ik) - 1 for ik in i]
-    if rule == "SM":
-        return sum(ik - 1 for ik in i) <= w
-    if rule == "TD":
-        return sum(p) <= w
-    if rule == "HC":
-        return math.prod(pk + 1 for pk in p) <= w + 1
-    raise DomainError(f"unknown rule {rule!r}")
-
-
 def index_set(rule: str, w: int, N: int) -> list[tuple[int, ...]]:
-    """Admissible level multi-indices (components >= 1) for the given rule."""
+    """Admissible level multi-indices (components >= 1) for the given rule, sorted.
+
+    A depth-first walk carries what is left of the rule's budget, so it tests each
+    component once; HC keeps B - 1 of its product bound B, as a b <= B iff b <= B // a.
+    """
     if w < 0 or N < 1:
         raise DomainError("need w >= 0 and N >= 1")
-    if rule not in RULES:
+    spend = {"SM": lambda left, i: left - (i - 1),
+             "TD": lambda left, i: left - (growth(i) - 1),
+             "HC": lambda left, i: (left + 1) // growth(i) - 1}.get(rule)
+    if spend is None:
         raise DomainError(f"unknown rule {rule!r}")
-    out = []
 
-    def rec(prefix):
+    def walk(prefix, left):
         if len(prefix) == N:
-            out.append(tuple(prefix))
+            yield prefix
             return
         i = 1
-        while _level_admissible(rule, tuple(prefix) + (i,) + (1,) * (N - len(prefix) - 1), w):
-            rec(prefix + [i])
+        while (rest := spend(left, i)) >= 0:
+            yield from walk(prefix + (i,), rest)
             i += 1
 
-    rec([])
-    return sorted(out)
+    return list(walk((), w))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +234,14 @@ def interpolate(plan: SparseGridPlan, values, y) -> np.ndarray:
     dtype = complex if np.iscomplexobj(pts) else float
     arr = _knot_array(plan, values).astype(dtype, copy=False)
     total = np.zeros(pts.shape[0], dtype=dtype)
+    # one Lagrange matrix per (axis, level), shared by the terms
+    L = {(n, ik): lagrange_eval_matrix(growth(ik), pts[:, n].astype(dtype))
+         for n, ik in {(n, ik) for i, _ in plan.terms for n, ik in enumerate(i)}}
     for (i, coeff), rows in zip(plan.terms, plan.term_knots):
         vals = arr[rows]
         acc = np.broadcast_to(vals, (pts.shape[0],) + vals.shape)
-        for n in range(plan.N):
-            L = lagrange_eval_matrix(growth(i[n]), pts[:, n].astype(dtype))
-            acc = np.einsum("qm...,qm->q...", acc, L)
+        for n, ik in enumerate(i):
+            acc = np.einsum("qm...,qm->q...", acc, L[n, ik])
         total += coeff * acc
     return total[0] if single else total
 

@@ -958,14 +958,35 @@ class TestCli:
         assert out == ""
         assert err.startswith("error: key 'levels' in block 'sparse_grid': ")
 
-    @pytest.mark.parametrize("entries", [{"N": 0}, {"levels": [-1]}], ids=["N-0", "level-neg"])
-    def test_region_error_prints_no_rows(self, tmp_path, capsys, entries):
+    @pytest.mark.parametrize("entries,key", [({"N": 0}, "N"), ({"levels": [-1]}, "levels"),
+                                             ({"levels": []}, "levels")],
+                             ids=["N-0", "level-neg", "levels-empty"])
+    def test_region_error_prints_no_rows(self, tmp_path, capsys, entries, key):
         path = self.write_with(tmp_path, "region", M=1.0, a=1.0, R=1.0, **entries)
         rc = cli.main(["region", "--config", path])
         out, err = capsys.readouterr()
         assert rc == 1
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: key {key!r} in block 'region': ")
+
+    @pytest.mark.parametrize("entries,key", [
+        ({"box_max": [40, 40, 40]}, "radii"),
+        ({"box_max": [70, 70, 80]}, "box_max"),
+        ({"box_min": [70, 70, 70], "box_max": [0, 0, 0]}, "box_max"),
+    ], ids=["sphere-outside-box", "unequal-spacing", "inverted-box"])
+    def test_study_geometry_out_of_range_named(self, tmp_path, capsys, monkeypatch, entries,
+                                               key):
+        monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)
+        path = self.write_with(tmp_path, "geometry", **entries)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["study", "--config", path])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert caught == []
+        assert err.startswith(f"error: key {key!r} in block 'geometry': ")
+        assert ("sphere" in err) == (key == "radii")
 
     @pytest.mark.parametrize("block,key,value", [
         ("charges", "path", "missing.pqr"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -101,7 +102,30 @@ class TestPolyellipse:
             assert np.max(d) <= est.theta + 1e-12
 
 
+def m_tilde_per_point_tuples(evaluator, sigma, N, samples):
+    """m_tilde with each chunk built from tuples, N = 1 as its own case."""
+    ring = region.polyellipse_boundary(sigma, samples)
+    best = 0.0
+    for first in ring:
+        if N == 1:
+            pts = np.array([[first]])
+        else:
+            pts = np.array([(first,) + tail for tail in itertools.product(*([ring] * (N - 1)))])
+        best = max(best, float(np.max(np.abs(np.asarray(evaluator(pts), dtype=complex)))))
+    return best
+
+
 class TestMTilde:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_matches_per_point_tuples(self, N):
+        plan = smolyak.build_plan("SM", 3, N)
+        store = smolyak.evaluate_plan(plan, lambda y: 1.0 / (2.5 - y.sum()))
+
+        def nu(z):
+            return smolyak.interpolate(plan, store, z)
+
+        assert region.m_tilde(nu, 0.7, N, 16) == m_tilde_per_point_tuples(nu, 0.7, N, 16)
+
     def test_constant(self):
         assert abs(region.m_tilde(lambda z: np.full(z.shape[0], -3.0), 0.5, 2, 16) - 3.0) <= 1e-14
 

@@ -51,6 +51,28 @@ def corner_scan_terms(rule, w, N):
     return tuple(terms)
 
 
+def probe_index_set(rule, w, N):
+    """Index sets by re-testing each padded prefix against the rule, then sorting."""
+    def admissible(i):
+        p = [smolyak.growth(ik) - 1 for ik in i]
+        return {"SM": sum(ik - 1 for ik in i) <= w, "TD": sum(p) <= w,
+                "HC": math.prod(pk + 1 for pk in p) <= w + 1}[rule]
+
+    out = []
+
+    def rec(prefix):
+        if len(prefix) == N:
+            out.append(tuple(prefix))
+            return
+        i = 1
+        while admissible(tuple(prefix) + (i,) + (1,) * (N - len(prefix) - 1)):
+            rec(prefix + [i])
+            i += 1
+
+    rec([])
+    return sorted(out)
+
+
 def term_values(values, i):
     """A term's tensor of knot values, looked up point by point."""
     ms = [smolyak.growth(ik) for ik in i]
@@ -159,6 +181,12 @@ class TestIndexSets:
         with pytest.raises(DomainError):
             smolyak.index_set("XX", 1, 1)
 
+    @pytest.mark.parametrize("rule", smolyak.RULES)
+    def test_budget_walk_matches_probe_recursion(self, rule):
+        for N in range(1, 7):
+            for w in range(7):
+                assert smolyak.index_set(rule, w, N) == probe_index_set(rule, w, N)
+
 
 class TestPlans:
     def test_2d_w1_cross(self):
@@ -254,6 +282,21 @@ class TestInterpolation:
             for y in (pts, pts + 0.2j * rng.uniform(-1, 1, size=pts.shape)):
                 assert np.array_equal(smolyak.interpolate(plan, store, y),
                                       per_point_interpolate(plan, store, y))
+
+    def test_one_lagrange_matrix_per_axis_and_level(self, monkeypatch):
+        plan = smolyak.build_plan("SM", 5, 3)
+        store = {key: 1.0 for key in plan.knots}
+        calls = []
+        build = smolyak.lagrange_eval_matrix
+
+        def counting(m, pts):
+            calls.append(m)
+            return build(m, pts)
+
+        monkeypatch.setattr(smolyak, "lagrange_eval_matrix", counting)
+        smolyak.interpolate(plan, store, np.zeros((4, 3)))
+        # the nonzero terms have levels 1..6 on each of the 3 axes
+        assert len(calls) == 18
 
     def test_td_exactness_for_y1sq_y2sq(self):
         plan = smolyak.build_plan("TD", 4, 2)
