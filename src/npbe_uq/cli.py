@@ -64,16 +64,14 @@ def cmd_study(args) -> int:
           f"(target {result.nonlinear_target:.3g}), {result.knot_solves} knot solves "
           f"of {result.reference_eta} reference knots")
     print(f"# adjoint: {result.adjoint_cg.iterations} CG iterations")
-    ok = [r for r in result.records if not r.failed]
-    if len(ok) >= 2:
-        try:
-            fit = harness.fit_rate(ok)
-        except RateFitError as exc:  # a correct study, e.g. of zero charges, can have no rate
-            print(f"# no rate fit: {exc}")
-        else:
-            left_out = (f", levels {fit.excluded} left out (error not positive)"
-                        if fit.excluded else "")
-            print(f"# slope {fit.slope:.4f}, r^2 {fit.r_squared:.4f}{left_out}")
+    try:
+        fit = harness.fit_rate(result.records)
+    except RateFitError as exc:  # e.g. one level, zero charges, or a failed knot
+        print(f"# no rate fit: {exc}")
+    else:
+        left_out = (f", levels {fit.excluded} left out (error not positive)"
+                    if fit.excluded else "")
+        print(f"# slope {fit.slope:.4f}, r^2 {fit.r_squared:.4f}{left_out}")
     if config.csv_path:
         print(f"# csv written to {config.csv_path}")
     if config.svg_path:

@@ -128,9 +128,10 @@ class RunConfig:
     def __post_init__(self):
         self.box_min = np.asarray(self.box_min, dtype=float)
         self.box_max = np.asarray(self.box_max, dtype=float)
-        if not (isinstance(self.grid_n, int) and self.grid_n >= 3):
-            raise ConfigError(f"{_AT['grid_n']}: grid n must be an integer >= 3, "
-                              f"got {self.grid_n!r}")
+        try:
+            pde._check_grid_n(self.grid_n)
+        except DomainError as exc:
+            raise ConfigError(f"{_AT['grid_n']}: {exc}") from None
         try:
             pde.grid_spacing(self.box_min, self.box_max, self.grid_n)
         except DomainError as exc:
@@ -148,24 +149,30 @@ class RunConfig:
             raise ConfigError(f"{_AT['charge_width']}: charge width must be positive, "
                               f"got {self.charge_width}")
         if self.N not in (1, 2, 3):
-            raise ConfigError(f"{_AT['N']}: shift model supports N in {{1, 2, 3}}")
+            raise ConfigError(f"{_AT['N']}: shift model supports N in {{1, 2, 3}}, "
+                              f"got {self.N!r}")
         if self.alpha is None:
             self.alpha = (2.0,) * self.N
         self.alpha = tuple(float(a) for a in self.alpha)
         if len(self.alpha) != self.N:
-            raise ConfigError(f"{_AT['alpha']}: alpha must list one amplitude per dimension")
+            raise ConfigError(f"{_AT['alpha']}: alpha must list one amplitude per dimension "
+                              f"(N = {self.N}), got {self.alpha}")
         if any(a <= 0.0 for a in self.alpha):
-            raise ConfigError(f"{_AT['alpha']}: shift amplitudes must be positive")
+            raise ConfigError(f"{_AT['alpha']}: shift amplitudes must be positive, "
+                              f"got {self.alpha}")
         if not self.levels:
             raise ConfigError(f"{_AT['levels']}: needs at least one study level")
         if min(self.levels) < 0:
             raise ConfigError(f"{_AT['levels']}: levels must be >= 0, got {self.levels}")
         if any(self.reference_level <= w for w in self.levels):
-            raise ConfigError(f"{_AT['reference_level']}: must exceed every study level")
+            raise ConfigError(f"{_AT['reference_level']}: must exceed every study level "
+                              f"{self.levels}, got {self.reference_level!r}")
         if self.rule not in smolyak.RULES:
             raise ConfigError(f"{_AT['rule']}: unknown sparse-grid rule {self.rule!r}")
-        if any(len(c) != 4 for c in self.charges_inline):
-            raise ConfigError(f"{_AT['charges_inline']}: each charge needs [x, y, z, q]")
+        for c in self.charges_inline:
+            if len(c) != 4:
+                raise ConfigError(f"{_AT['charges_inline']}: each charge needs [x, y, z, q], "
+                                  f"got {c!r}")
         if self.charges_path and self.charges_inline:
             raise ConfigError(f"{_AT['charges_path']}: 'inline' is set too; give the charges "
                               f"one way")
@@ -544,13 +551,14 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
 class RateFit:
     slope: float
     r_squared: float
-    excluded: list  # levels skipped for nonpositive error
+    excluded: list  # levels skipped for an error that is not positive, or NaN
 
 
 def fit_rate(records: list) -> RateFit:
     """Least-squares slope of log error versus log knot count.
 
-    Raises RateFitError when fewer than two records have a positive error.
+    Raises RateFitError when fewer than two records have a positive finite
+    error, naming the levels whose error is not positive or is NaN.
     """
     pts, excluded = [], []
     for r in records:
@@ -559,7 +567,10 @@ def fit_rate(records: list) -> RateFit:
         else:
             excluded.append(r.w)
     if len(pts) < 2:
-        why = f"; levels {excluded} have an error that is not positive" if excluded else ""
+        low = [r.w for r in records if r.error <= 0.0]
+        nan = [r.w for r in records if math.isnan(r.error)]  # a failed knot's levels
+        why = ((f"; levels {low} have an error that is not positive" if low else "")
+               + (f"; levels {nan} have a NaN error" if nan else ""))
         raise RateFitError(f"need at least 2 positive errors to fit a rate, got {len(pts)}{why}")
     x = np.array([p[0] for p in pts])
     yv = np.array([p[1] for p in pts])

@@ -16,20 +16,21 @@ moves the box boundary, and every solve takes u = 0 there.  So the face
 coefficients go straight into the interior block, without a full-grid
 matrix, and an entry towards a boundary node is not stored: each stencil
 offset fills one diagonal of a DIA-layout array, which scipy turns into the
-CSR block, dropping zero entries (for n <= 4, offsets that share a flat
-offset of the block share one diagonal).  The forcing,
-reaction, solution and residual are evaluated and held on the interior
-nodes only, in the block's row order.  Every map takes this one path.  An
-entry that no mode touches stays a scalar, so with no modes (J = I) each
-mixed term is the float 0.0 and adds no faces, leaving the classic 7-point
-stencil, det J is the float 1.0, and each charge's Gaussian forcing is the
-outer product of three per-axis factors.
+CSR block, dropping zero entries.  The forcing, reaction, solution and
+residual are evaluated and held on the interior nodes only, in the block's
+row order.  Every map takes this one path.  An entry that no mode touches
+stays a scalar, so with no modes (J = I) each mixed term is the float 0.0
+and adds no faces, leaving the classic 7-point stencil, det J is the float
+1.0, and each charge's Gaussian forcing is the outer product of three
+per-axis factors.
 
 The sinh nonlinearity is handled by damped Newton iteration with residual
 backtracking; from u = 0 its first residual is -b, formed without a matvec.
 Inner linear systems are solved by conjugate gradients preconditioned with a
-symmetric Galerkin multigrid V-cycle; CG tests each updated residual before
-preconditioning it, so it never preconditions the residual it stops on.
+symmetric Galerkin multigrid V-cycle.  The grid has 2^k + 1 nodes per axis
+(5, 9, 17, 33, ...), so the V-cycle halves it down to one node.  CG tests
+each updated residual before preconditioning it, so it never preconditions
+the residual it stops on.
 Every step is preconditioned by the V-cycle of the u = 0 Jacobian
 A + diag K, which a step from u = 0 also takes as its Jacobian.  An adjoint
 (solve_adjoint) carries that matrix and V-cycle, which then serve every
@@ -72,11 +73,16 @@ from .errors import AssemblyError, ConvergenceError, DomainError
 # Grid and fields
 # ---------------------------------------------------------------------------
 
+def _check_grid_n(n) -> None:
+    """DomainError unless n is 2^k + 1 with k >= 2, a grid the V-cycle halves to one node."""
+    if not (isinstance(n, int) and n >= 5 and not (n - 1) & (n - 2)):
+        raise DomainError(f"grid n must be 2^k + 1 with k >= 2 (5, 9, 17, 33, 65, 129, ...), "
+                          f"got {n!r}")
+
+
 def grid_spacing(box_min, box_max, n: int) -> float:
     """Spacing of the grid with n nodes on each box axis; it must be positive and equal."""
-    if n < 3:
-        raise DomainError(f"grid needs at least 3 nodes per axis, one of them interior, "
-                          f"got {n}")
+    _check_grid_n(n)
     spacings = (box_max - box_min) / (n - 1)
     if not (spacings[0] > 0.0 and np.allclose(spacings, spacings[0], rtol=1e-12)):
         raise DomainError(f"grid spacing must be positive and equal along all axes, got box "
@@ -87,8 +93,9 @@ def grid_spacing(box_min, box_max, n: int) -> float:
 class Grid3D:
     """Uniform node-centered grid of n^3 nodes over the reference box with subdomain tags.
 
-    The Dirichlet data is zero, so the unknowns, and every field on the grid,
-    live on the (n - 2)^3 interior nodes, the lattice ``interior``.  The full
+    n is 2^k + 1 with k >= 2, as _check_grid_n checks.  The Dirichlet data is
+    zero, so the unknowns, and every field on the grid, live on the
+    (n - 2)^3 interior nodes, the lattice ``interior``.  The full
     axes and tags stay for the assembly, whose face averages read the
     dielectric at boundary nodes too; ``subdomain_tag`` is the (n, n, n)
     array of region tags 0, 1, 2 (U1, U2, U3) that ``classify_point`` gives
@@ -204,9 +211,9 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     m = n - 2: row p's entry towards p + v sits at column p + v of the
     diagonal of v's flat offset, and the DIA-to-CSR conversion keeps each
     row's columns in order.  The Dirichlet data is zero, so an entry towards
-    a boundary node is never written and stays 0.  For m <= 2 distinct
-    offsets share a flat offset; their entries never share a column, so
-    they are summed into one diagonal exactly.  Mixed-term coefficients
+    a boundary node is never written and stays 0.  On a 2^k + 1 grid m >= 3,
+    so the 19 stencil offsets have distinct flat offsets, one diagonal each,
+    kept in sorted flat-offset order.  Mixed-term coefficients
     vanish exactly wherever the modes' fields are flat (the cutoff plateau,
     and everywhere at y = 0); the conversion drops zero entries, and a plane
     whose mixed term is the float 0.0 (every plane with no modes, and the
@@ -244,15 +251,13 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
             add_faces((d, e), zero, unit[d] + unit[e], 1, T_de)
             add_faces((d, e), unit[e], unit[d], -1, T_de)
     stencil[(0, 0, 0)] = -sum(stencil.values())
-    # for m <= 2 distinct offsets share a flat offset; their entries never
-    # share a column, so summing them into one diagonal is exact
     flat = {v: int(np.dot(v, (m * m, m, 1))) for v in stencil}
-    offsets = sorted(set(flat.values()))
+    offsets = sorted(stencil, key=flat.get)
     diagonals = np.zeros((len(offsets), m, m, m))
-    for v, vals in stencil.items():
-        diagonals[offsets.index(flat[v])][tuple(slice(max(t, 0), m + min(t, 0)) for t in v)] \
-            += vals[tuple(slice(max(-t, 0), m - max(t, 0)) for t in v)]
-    matrix = sp.dia_matrix((diagonals.reshape(len(offsets), -1), offsets),
+    for diagonal, v in zip(diagonals, offsets):
+        diagonal[tuple(slice(max(t, 0), m + min(t, 0)) for t in v)] = \
+            stencil[v][tuple(slice(max(-t, 0), m - max(t, 0)) for t in v)]
+    matrix = sp.dia_matrix((diagonals.reshape(len(offsets), -1), [flat[v] for v in offsets]),
                            shape=(m**3, m**3)).tocsr()
     return AssembledOperator(grid, matrix)
 
@@ -322,7 +327,6 @@ class CGInfo:
 
 
 _OMEGA = 0.8           # damped-Jacobi weight of the V-cycle smoother
-_DENSE_NODES = 512     # a coarsest level this small is inverted, a larger one smoothed
 _GOAL_CG_TOL = 1e-3    # relative CG tolerance of a goal-oriented Newton step
 _GOAL_QOI_TOL = 1e-12  # relative QoI error at which goal-oriented Newton stops
 # l2 Newton stops once ||R(u)|| <= _L2_TOL (1 + ||b||); at n = 65 that leaves a
@@ -341,69 +345,43 @@ def _interpolation_1d(m: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, np.tile(j, 3))), shape=(2 * m + 1, m))
 
 
-def _invert_spd(a: np.ndarray) -> np.ndarray:
-    """Invert a small SPD matrix in place by Gauss-Jordan elimination without pivoting.
-
-    The V-cycle's coarsest level: 1 x 1 on a 2^k + 1 grid, at most 512 nodes
-    on a grid whose halving stops at an even axis.  Plain ufunc arithmetic
-    rather than np.linalg.inv: LAPACK would allocate OpenBLAS's level-3
-    buffers, several MB of resident memory, for a matrix that is inverted
-    once per hierarchy.
-    """
-    for k in range(len(a)):
-        piv = 1.0 / a[k, k]
-        row = a[k] * piv
-        col = a[:, k].copy()
-        a -= np.outer(col, row)
-        a[k] = row
-        a[:, k] = -piv * col
-        a[k, k] = piv
-    return a
-
-
 class VCycle:
     """Symmetric Galerkin V-cycle: the preconditioner of every CG solve.
 
-    Built once from an SPD interior matrix on a grid.  A level is coarsened
-    while every interior axis has an odd node count of at least 3, whatever
-    its size: trilinear interpolation P (the Kronecker product of per-axis
-    [1/2, 1, 1/2] stencils), its restriction R = P^T, kept as CSR so that no
-    cycle transposes P, and coarse operator R A P.  On a 2^k + 1 grid the
-    hierarchy ends at one node.  Each level smooths with one damped-Jacobi
-    sweep (omega = 0.8) before and one after its coarse correction.  The
-    coarsest level, which cannot be halved, is inverted densely when it has
-    at most 512 nodes; a larger one (an axis with an even count) is only
-    smoothed, so no large dense matrix is ever formed.
+    Built once from an SPD interior matrix on a 2^k + 1 grid, whose cubic
+    interior of m^3 nodes halves to m' = (m - 1) / 2 until one node is left.
+    Each halving takes trilinear interpolation P (the Kronecker product of
+    three per-axis [1/2, 1, 1/2] stencils), its restriction R = P^T, kept as
+    CSR so that no cycle transposes P, and coarse operator R A P.  Each level
+    smooths with one damped-Jacobi sweep (omega = 0.8) before and one after
+    its coarse correction; the one-node bottom level stores its exact
+    inverse 1 / a in place of omega / a and solves.
     """
 
     def __init__(self, matrix, grid: Grid3D):
-        shape = [n - 2 for n in grid.shape]
+        m = grid.shape[0] - 2
         A = sp.csr_matrix(matrix)
-        # (A, omega / diag A, P from the next coarser level and R = P^T, or None)
+        # (A, omega / diag A, P from the next coarser level and R = P^T), and
+        # at the bottom (A, 1 / A, None, None)
         self.levels = []
-        while all(m >= 3 and m % 2 for m in shape):
-            shape = [(m - 1) // 2 for m in shape]
-            P = _interpolation_1d(shape[0])
-            for m in shape[1:]:
-                P = sp.kron(P, _interpolation_1d(m), format="csr")
+        while m > 1:
+            m = (m - 1) // 2
+            P1 = _interpolation_1d(m)
+            P = sp.kron(sp.kron(P1, P1, format="csr"), P1, format="csr")
             R = P.T.tocsr()
             self.levels.append((A, _OMEGA / A.diagonal(), P, R))
             A = (R @ (A @ P)).tocsr()
-        self.levels.append((A, _OMEGA / A.diagonal(), None, None))
-        self.coarse_inverse = (_invert_spd(A.toarray()) if A.shape[0] <= _DENSE_NODES
-                               else None)
+        self.levels.append((A, 1.0 / A.diagonal(), None, None))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._cycle(0, r)
 
     def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
         A, wdinv, P, R = self.levels[level]
-        if P is None and self.coarse_inverse is not None:
-            return self.coarse_inverse @ b
         x = wdinv * b
         if P is not None:
             x += P @ self._cycle(level + 1, R @ (b - A @ x))
-        x += wdinv * (b - A @ x)
+            x += wdinv * (b - A @ x)
         return x
 
 

@@ -213,7 +213,7 @@ class TestAcceptance:
                clean.ok and clean.trials == 1000 and not hooked.ok)
 
     def test_determinism(self):
-        config = study_config(grid_n=13, levels=(1, 2), reference_level=3)
+        config = study_config(grid_n=17, levels=(1, 2), reference_level=3)
         a = harness.run_study(config).csv_text
         b = harness.run_study(config).csv_text
         report("bit-identical study csv", a == b)

@@ -34,7 +34,7 @@ ACCEPTANCE_CHARGES = [[30.0, 35.0, 35.0, 1.0], [40.0, 35.0, 35.0, -0.5],
 
 
 def small_config(**kw):
-    base = dict(charges_inline=[[35.0, 35.0, 35.0, 1.0]], grid_n=13,
+    base = dict(charges_inline=[[35.0, 35.0, 35.0, 1.0]], grid_n=9,
                 levels=(0,), reference_level=1, N=1, alpha=(2.0,),
                 kappa2=(0.0, 0.0, 0.0))
     base.update(kw)
@@ -124,7 +124,7 @@ class TestIngest:
     def test_default_width_two_h(self):
         # bit-equal to the spacing of the grid the solver builds
         for box_max in (70.0, 61.3):
-            for grid_n in (9, 13, 15, 33, 65):
+            for grid_n in (5, 9, 17, 33, 65):
                 config = small_config(charge_width=None, grid_n=grid_n, box_min=[-0.7] * 3,
                                       box_max=[box_max] * 3)
                 assert config.width() == max(2.0 * config.grid().h, 1.0)
@@ -134,8 +134,8 @@ class TestIngest:
             raise AssertionError("ingest_charges built a Grid3D")
 
         monkeypatch.setattr(pde, "Grid3D", no_grid)
-        charges = harness.ingest_charges(small_config(charge_width=None, grid_n=15))
-        assert charges[0].width == 10.0  # 2h with h = 70 / 14
+        charges = harness.ingest_charges(small_config(charge_width=None, grid_n=9))
+        assert charges[0].width == 17.5  # 2h with h = 70 / 8
 
 
 class TestShiftedCharges:
@@ -188,16 +188,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.RunConfig(N=4)
 
-    @pytest.mark.parametrize("grid_n", [1, 2, 33.5, "33"])
+    @pytest.mark.parametrize("grid_n", [1, 2, 4, 13, 21, 33.5, "33"])
     def test_bad_grid_n(self, grid_n):
         # width() reads h from grid_n, so grid_n must be the grid's own node
-        # count, and n = 2 leaves no interior node to solve for
+        # count, and 2^k + 1 with k >= 2, whose interior the V-cycle halves
+        # down to one node
         with pytest.raises(ConfigError, match="key 'n' in block 'grid': grid n"):
             harness.RunConfig(grid_n=grid_n)
 
     def test_alpha_length_mismatch(self):
         with pytest.raises(ConfigError):
             harness.RunConfig(N=2, alpha=(1.0,))
+
+    def test_inline_charge_needs_four_entries(self):
+        # YAML reads each inline charge as 4 numbers; a RunConfig built in
+        # code is checked too, and quotes the charge
+        with pytest.raises(ConfigError, match=r"each charge needs \[x, y, z, q\], "
+                                              r"got \[35\.0, 35\.0, 1\.0\]$"):
+            harness.RunConfig(charges_inline=[[35.0, 35.0, 35.0, 1.0], [35.0, 35.0, 1.0]])
 
     def test_reference_must_exceed_levels(self):
         with pytest.raises(ConfigError):
@@ -461,7 +469,7 @@ class TestRunStudy:
 
     def test_wall_time_covers_knot_solves(self):
         result = harness.run_study(small_config(levels=(0, 1), reference_level=2,
-                                                grid_n=21, deterministic_csv=False))
+                                                grid_n=17, deterministic_csv=False))
         printed = [float(line.split(",")[-1]) for line in result.csv_text.splitlines()[1:]]
         assert all(t > 0.0 for t in printed)
         # the finest level's knots are a superset of the coarsest's
@@ -683,11 +691,11 @@ class TestKnotSolver:
         assert all(math.isfinite(r.qoi_mean) for r in result.records)
 
     def test_knot_bits_do_not_depend_on_blas_threads(self):
-        # 23^3 interior nodes: OpenBLAS would split each dot product over
+        # 31^3 interior nodes: OpenBLAS would split each dot product over
         # two threads and change the last bits of the QoI
         script = ("from npbe_uq import harness\n"
                   "config = harness.RunConfig(charges_inline=[[35.0, 35.0, 35.0, 20.0]],\n"
-                  "    grid_n=25, levels=(0,), reference_level=1, N=1, alpha=(2.0,),\n"
+                  "    grid_n=33, levels=(0,), reference_level=1, N=1, alpha=(2.0,),\n"
                   "    kappa2=(0.0, 0.0, 0.5))\n"
                   "solver = harness.KnotSolver(config)\n"
                   "_, info = solver.solve([0.5])\n"
@@ -702,13 +710,13 @@ class TestKnotSolver:
         assert len(outs) == 1
 
     def test_width_below_spacing_warns(self):
-        with pytest.warns(UserWarning, match=r"below the grid spacing h = 5\.833.* = 0\.098"):
-            harness.KnotSolver(small_config(charge_width=2.0, grid_n=13))
+        with pytest.warns(UserWarning, match=r"below the grid spacing h = 4\.375.* = 0\.016"):
+            harness.KnotSolver(small_config(charge_width=2.0, grid_n=17))
 
     def test_default_width_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            harness.KnotSolver(small_config(grid_n=13))
+            harness.KnotSolver(small_config(grid_n=17))
 
 
 class TestSvg:
@@ -728,7 +736,7 @@ class TestCli:
         path = tmp_path / "cfg.yaml"
         path.write_text(
             "stochastic:\n  N: 1\n  alpha: [2.0]\n"
-            "grid:\n  n: 13\n"
+            "grid:\n  n: 9\n"
             "coefficients:\n  kappa2: [0.0, 0.0, 0.0]\n"
             "charges:\n  inline: [[35, 35, 35, 1.0]]\n"
             "sparse_grid:\n  levels: [0, 1]\n  reference_level: 2\n"
@@ -790,6 +798,17 @@ class TestCli:
         assert [ln.split()[2] for ln in failed] == ["0", "1"]
         assert all(" failed at y=" in ln and "Newton failed" in ln for ln in failed)
         assert lines.index(failed[0]) == 3  # after the header and both CSV rows
+        # the failed knot fails the reference: no error is called "not positive"
+        assert "# no rate fit: need at least 2 positive errors to fit a rate, got 0; " \
+               "levels [0, 1] have a NaN error" in lines
+
+    def test_one_level_study_fits_no_rate(self, tmp_path, capsys):
+        # one error cannot give a slope: the study says so rather than nothing
+        rc = cli.main(["study", "--config", self.write_with(tmp_path, "sparse_grid", levels=[1])])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert "# no rate fit: need at least 2 positive errors to fit a rate, got 1" in lines
+        assert not any(ln.startswith("# slope") for ln in lines)
 
     def test_study_of_zero_charge_fits_no_rate(self, tmp_path, capsys):
         # every level error is exactly 0: the study is correct, and says why it fits no rate
@@ -913,15 +932,22 @@ class TestCli:
         assert out == ""
         assert err.startswith(f"error: key {key!r} in block {block!r}: ") and " is not " in err
 
-    @pytest.mark.parametrize("block,key,value", [
-        ("coefficients", "eps", [-1, 70, 1]), ("coefficients", "kappa2", [0.0, 0.0, -0.5]),
-        ("geometry", "radii", [25.0, 15.0]), ("geometry", "radii", [0.0, 15.0]),
-        ("charges", "width", -1.0), ("charges", "width", 0.0),
-        ("sparse_grid", "levels", [-1, 1]),
-    ], ids=["eps", "kappa2", "radii-order", "radii-zero", "width-neg", "width-zero", "level-neg"])
+    @pytest.mark.parametrize("block,key,value,got", [
+        ("coefficients", "eps", [-1, 70, 1], "(-1.0, 70.0, 1.0)"),
+        ("coefficients", "kappa2", [0.0, 0.0, -0.5], "(0.0, 0.0, -0.5)"),
+        ("geometry", "radii", [25.0, 15.0], "(25.0, 15.0)"),
+        ("geometry", "radii", [0.0, 15.0], "(0.0, 15.0)"),
+        ("charges", "width", -1.0, "-1.0"), ("charges", "width", 0.0, "0.0"),
+        ("sparse_grid", "levels", [-1, 1], "(-1, 1)"),
+        ("stochastic", "N", 4, "4"), ("stochastic", "alpha", [2.0, 3.0], "(2.0, 3.0)"),
+        ("stochastic", "alpha", [-2.0], "(-2.0,)"), ("sparse_grid", "reference_level", 1, "1"),
+        ("grid", "n", 21, "21"),
+    ], ids=["eps", "kappa2", "radii-order", "radii-zero", "width-neg", "width-zero", "level-neg",
+            "N", "alpha-length", "alpha-neg", "reference-level", "grid-n"])
     def test_study_value_out_of_range_named(self, tmp_path, capsys, monkeypatch, block, key,
-                                            value):
-        # the config layer rejects it before the solver would warn about it or solve
+                                            value, got):
+        # the config layer rejects it before the solver would warn about it or
+        # solve, and quotes the rejected value
         monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)
         path = self.write_with(tmp_path, block, **{key: value})
         with warnings.catch_warnings(record=True) as caught:
@@ -932,6 +958,14 @@ class TestCli:
         assert out == ""
         assert caught == []
         assert err.startswith(f"error: key {key!r} in block {block!r}: ")
+        assert err.endswith(f", got {got}\n")
+
+    def test_solve_grid_n_not_dyadic_named(self, tmp_path, capsys):
+        rc = cli.main(["solve", "--config", self.write_with(tmp_path, "grid", n=21)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: key 'n' in block 'grid': ")
 
     def test_study_two_charge_sources_named(self, tmp_path, capsys, monkeypatch):
         # inline charges and a PQR file: neither is dropped in silence
@@ -1025,7 +1059,10 @@ class TestCli:
     def test_readme_example_config(self, tmp_path, capsys, monkeypatch):
         readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
         with open(readme) as fh:
-            text = fh.read().split("Example config:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+            readme = fh.read()
+        text = readme.split("Example config:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+        solve, = [ln.split("#")[0].split() for ln in readme.splitlines()
+                  if ln.startswith("npbe-uq solve ")]
         harness.config_from_dict(yaml.safe_load(text))
         monkeypatch.chdir(tmp_path)  # the study writes study.csv and study.svg here
         path = tmp_path / "cfg.yaml"
@@ -1038,3 +1075,8 @@ class TestCli:
         assert lines[0] == "w,eta,qoi_mean,error,wall_time_s"
         assert [ln.split(",")[0] for ln in lines[1:5]] == ["1", "2", "3", "4"]
         assert lines[5].startswith("# ")
+        # the README's solve line, on the same config
+        assert solve[-2:] == ["--y", "-0.5,0.3"]
+        args = [str(path) if arg == "config.yaml" else arg for arg in solve[1:]]
+        assert cli.main(args) == 0
+        assert any(ln.startswith("qoi integral: ") for ln in capsys.readouterr().out.splitlines())
