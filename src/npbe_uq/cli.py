@@ -55,10 +55,10 @@ def cmd_study(args) -> int:
     result = harness.run_study(config, progress=progress)
     print(file=sys.stderr)
     print(result.csv_text, end="")
-    for r in result.records:
-        if r.failed:
-            y = ",".join(repr(v) for v in r.failed_at)
-            print(f"# level {r.w} failed at y={y}: {r.reason}")
+    if result.failure:
+        y, message = result.failure
+        print(f"# knot y={','.join(repr(v) for v in y)} failed at level "
+              f"{result.nonlinear_level}: {message}")
     print(f"# nonlinear remainder: level {result.nonlinear_level}, mean "
           f"{result.nonlinear_mean:.6g}, estimate {result.nonlinear_estimate:.3g} "
           f"(target {result.nonlinear_target:.3g}), {result.knot_solves} knot solves "
@@ -76,7 +76,7 @@ def cmd_study(args) -> int:
         print(f"# csv written to {config.csv_path}")
     if config.svg_path:
         print(f"# svg written to {config.svg_path}")
-    return 1 if any(r.failed for r in result.records) else 0
+    return 1 if result.failure else 0
 
 
 def cmd_bounds(args) -> int:

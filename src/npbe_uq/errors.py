@@ -13,10 +13,6 @@ class MapOrientationError(NpbeUqError):
     """The domain map is orientation-violating (det J <= 0 somewhere)."""
 
 
-class AssemblyError(NpbeUqError):
-    """Operator assembly failed (e.g. non-SPD face tensor)."""
-
-
 class ConvergenceError(NpbeUqError):
     """An iterative solver failed to converge."""
 

@@ -21,7 +21,9 @@ linear part's sparse-grid error, plus N's for w < w_N.  The Clenshaw-Curtis
 family is nested, so the reference plan's knots cover every level and each
 knot is solved at most once.  (This is the multifidelity or control-variate
 split of Narayan, Gittelson & Xiu, SIAM J. Sci. Comput. 36, 2014, with the
-solve-free linear part as the cheap model.)
+solve-free linear part as the cheap model.)  A knot whose Newton iteration
+fails stops w_N there, and StudyResult.failure holds its y and message: every
+level's error is NaN, and so is the mean of each level w >= w_N.
 """
 
 from __future__ import annotations
@@ -176,8 +178,6 @@ class RunConfig:
         if self.charges_path and self.charges_inline:
             raise ConfigError(f"{_AT['charges_path']}: 'inline' is set too; give the charges "
                               f"one way")
-        if self.charges_path and not os.path.isfile(self.charges_path):
-            raise ConfigError(f"{_AT['charges_path']}: no file {self.charges_path!r}")
         for name, path in (("csv_path", self.csv_path), ("svg_path", self.svg_path)):
             if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
                 raise ConfigError(f"{_AT[name]}: cannot write a file at {path!r}")
@@ -213,9 +213,14 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 def load_raw(path: str) -> dict:
-    """The YAML config file as a mapping, with every block still raw."""
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    """The YAML config file as a mapping, with every block still raw; ConfigError
+    naming the path, on one line, if the file cannot be read or is not YAML."""
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        why = " ".join(str(exc).split())  # a YAML error spans several lines
+        raise ConfigError(f"cannot read config file {path!r}: {why}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} is not a mapping")
     return raw
@@ -263,8 +268,13 @@ def ingest_charges(config: RunConfig) -> list:
     """
     width = config.width()
     if config.charges_path:
-        with open(config.charges_path) as fh:
-            pairs = parse_pqr(fh.read())
+        try:
+            with open(config.charges_path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{_AT['charges_path']}: cannot read {config.charges_path!r}: "
+                              f"{exc}") from None
+        pairs = parse_pqr(text)
     else:
         pairs = [(np.array(c[:3], dtype=float), float(c[3])) for c in config.charges_inline]
     if not pairs:
@@ -311,17 +321,13 @@ def shifted_charges(charges: list, alpha, y, domain: geometry.ReferenceDomain) -
 
 @dataclass
 class ConvergenceRecord:
+    """One CSV row; after a failed knot every error is NaN, as is each w >= w_N mean."""
+
     w: int
     eta: int
     qoi_mean: float
     error: float
     wall_time: float
-    failed_at: tuple = None  # y of the study's failed knot, if it fails this level
-    reason: str = ""         # its ConvergenceError message
-
-    @property
-    def failed(self) -> bool:
-        return self.failed_at is not None
 
 
 @dataclass
@@ -336,6 +342,7 @@ class StudyResult:
     nonlinear_target: float    # the estimate at which w_N stops rising
     knot_solves: int
     adjoint_cg: pde.CGInfo     # the study's one adjoint solve
+    failure: tuple             # (y, message) of the failed knot, new at level w_N, or None
 
 
 def _csv_text(records, deterministic: bool) -> str:
@@ -371,6 +378,8 @@ class KnotSolver:
         self.config = config
         self.domain = config.domain
         self.grid = config.grid()
+        self.coeffs = pde.PBECoefficients(np.array(config.eps), np.array(config.kappa2),
+                                          ingest_charges(config))
         s, h = config.width(), self.grid.h
         if s < h:
             amplitude = math.exp(-2.0 * (math.pi * s / h) ** 2)
@@ -378,8 +387,6 @@ class KnotSolver:
                           f"grid aliases the charges with amplitude exp(-2 pi^2 s^2 / h^2) "
                           f"= {amplitude:.2g}")
         self.dmap = geometry.DomainMap([])
-        self.coeffs = pde.PBECoefficients(np.array(config.eps), np.array(config.kappa2),
-                                          ingest_charges(config))
         self.op = pde.assemble_pulled_back_operator(self.domain, self.dmap, self.coeffs,
                                                     None, self.grid)
         self.reaction = pde.reaction_profile(self.domain, self.dmap, self.coeffs, None,
@@ -461,11 +468,11 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
 
     A knot whose Newton iteration raises ConvergenceError stops the
     escalation at once, so a study has at most one failed knot, and it is
-    new at level w_N.  Every record then holds the knot's y and message, and
-    the reference and every error are NaN.  A level w >= w_N, whose N mean
-    uses that knot, has a NaN mean too; a level w < w_N keeps its mean, and
-    its message is prefixed with "reference level <r>:", since only the
-    reference uses the knot.  Any other error propagates.
+    new at level w_N.  The result's failure then holds the knot's y and
+    message, and the reference and every error are NaN.  A level w >= w_N,
+    whose N mean uses that knot, has a NaN mean too; a level w < w_N keeps
+    its mean, since only the reference uses the knot.  Any other error
+    propagates.
     progress(done, total) ticks once per solve, total being the knot count
     of the level being solved.  A level's wall time is its share of the
     batched z.b time, plus the solve time of the knots its N mean uses, plus
@@ -489,7 +496,7 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
 
     remainder = {}
     seconds = {}  # solve time per solved knot
-    means = []    # E_w[N] for w = 0, 1, ..., w_N, or up to w_N - 1 if a knot failed
+    means = []    # E_w[N] for w = 0, 1, ..., w_N, NaN at w_N if a knot failed
 
     def solve_new_knots(p):
         """Solve the knots of plan p not solved yet; (y, message) of one that fails, or None."""
@@ -511,26 +518,19 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
 
     for w_n in range(config.reference_level + 1):
         failure = solve_new_knots(plan(w_n))
-        if failure:
+        means.append(math.nan if failure else smolyak.integrate(plan(w_n), remainder))
+        if failure or w_n and abs(means[-1] - means[-2]) <= target:
             break
-        means.append(smolyak.integrate(plan(w_n), remainder))
-        if w_n and abs(means[-1] - means[-2]) <= target:
-            break
-    estimate = abs(means[-1] - means[-2]) if w_n and not failure else math.nan
-    ref_qoi = math.nan if failure else ref_linear + means[w_n]
+    estimate = abs(means[-1] - means[-2]) if w_n else math.nan
+    ref_qoi = ref_linear + means[w_n]
     records = []
     for w in config.levels:
         t0 = time.perf_counter()
-        w_mean = min(w, w_n)
-        lost = failure is not None and w >= w_n  # the level's N mean uses the failed knot
-        mean = math.nan if lost else smolyak.integrate(plan(w), linear) + means[w_mean]
+        w_mean = min(w, w_n)  # a level w >= w_N after a failure gets the NaN means[w_N]
+        mean = smolyak.integrate(plan(w), linear) + means[w_mean]
         wall = (time.perf_counter() - t0 + linear_s * plan(w).n_knots / ref_plan.n_knots
                 + sum(seconds.get(k, 0.0) for k in plan(w_mean).knots))
-        y, reason = failure or (None, "")
-        if failure and not lost:
-            reason = f"reference level {config.reference_level}: {reason}"
-        records.append(ConvergenceRecord(w, plan(w).n_knots, mean, abs(mean - ref_qoi), wall,
-                                         y, reason))
+        records.append(ConvergenceRecord(w, plan(w).n_knots, mean, abs(mean - ref_qoi), wall))
     csv = _csv_text(records, config.deterministic_csv)
     if config.csv_path:
         with open(config.csv_path, "w") as fh:
@@ -538,9 +538,8 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
     if config.svg_path:
         with open(config.svg_path, "w") as fh:
             fh.write(convergence_svg(records))
-    return StudyResult(records, ref_qoi, ref_plan.n_knots, csv, w_n,
-                       math.nan if failure else means[w_n], estimate, target, len(seconds),
-                       solver.adjoint.cg)
+    return StudyResult(records, ref_qoi, ref_plan.n_knots, csv, w_n, means[w_n], estimate,
+                       target, len(seconds), solver.adjoint.cg, failure)
 
 
 # ---------------------------------------------------------------------------

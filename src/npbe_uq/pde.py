@@ -66,7 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import geometry
-from .errors import AssemblyError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, MapOrientationError
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +186,14 @@ def _tensor_entry(dmap, y, mid, d: int, e: int, place: str) -> np.ndarray:
     e of the adjugate, formed from the entries of J, and det J is
     sum_j adj(J)[d, j] J[j, d].  Like those entries, it broadcasts over the
     lattice; an entry whose every product has a factor 0.0 is the float 0.0.
-    Raises AssemblyError naming ``place`` where det J <= 0.
+    Raises MapOrientationError where det J <= 0, naming ``place`` and the min det.
     """
     J = geometry._jacobian_entries(dmap, mid, y)
     row_d = geometry._adjugate_row(J, d)
     det = geometry._det(J, row_d, d)
     if np.any(det <= 0.0):
-        raise AssemblyError(f"det J <= 0 at the {place} midpoints (min det {np.min(det):.6g})")
+        raise MapOrientationError(f"det J <= 0 at the {place} midpoints "
+                                  f"(min det {np.min(det):.6g})")
     row_e = row_d if e == d else geometry._adjugate_row(J, e)
     entry = geometry._sum_of_products(*((1, a, b) for a, b in zip(row_d, row_e)))
     return 0.0 if isinstance(entry, float) and entry == 0.0 else entry / det

@@ -413,10 +413,11 @@ class TestRunStudy:
         out = tmp_path / "study.csv"
         result = harness.run_study(small_config(levels=(0, 1), reference_level=2,
                                                 csv_path=str(out)))
-        assert all(r.failed and math.isnan(r.error) for r in result.records)
-        assert all("Newton failed to converge" in r.reason for r in result.records)
-        assert all(len(r.failed_at) == 1 for r in result.records)
+        # the first knot, y = 0, fails: w_N = 0, and every level loses its mean
+        assert result.failure == ((0.0,), "Newton failed to converge in 50 iterations")
+        assert all(math.isnan(r.qoi_mean) and math.isnan(r.error) for r in result.records)
         assert out.read_text() == result.csv_text
+        assert result.csv_text.splitlines()[1:] == ["0,1,nan,nan,0.000", "1,3,nan,nan,0.000"]
 
     def test_reference_failure_fails_every_level(self, monkeypatch):
         solve = harness.KnotSolver.solve
@@ -427,10 +428,11 @@ class TestRunStudy:
             return solve(self, y)
 
         monkeypatch.setattr(harness.KnotSolver, "solve", fail_off_centre)
-        rec, = harness.run_study(small_config()).records  # level 0 solves only y = 0
-        assert rec.failed and math.isnan(rec.error) and math.isfinite(rec.qoi_mean)
-        assert rec.failed_at == (-1.0,)
-        assert rec.reason == "reference level 1: stalled off centre"
+        result = harness.run_study(small_config())
+        rec, = result.records  # level 0 solves only y = 0
+        assert math.isnan(rec.error) and math.isfinite(rec.qoi_mean)
+        assert result.failure == ((-1.0,), "stalled off centre")
+        assert result.nonlinear_level == 1
 
     def test_failure_between_study_levels(self, monkeypatch):
         # kT/e charges raise w_N past 1, and the knots new at level 2 fail:
@@ -456,16 +458,15 @@ class TestRunStudy:
         assert result.knot_solves == 4 and result.nonlinear_level == 2
         assert math.isnan(result.nonlinear_mean) and math.isnan(result.nonlinear_estimate)
         assert math.isnan(result.reference_qoi)
-        assert all(r.failed and r.failed_at == first and math.isnan(r.error)
-                   for r in result.records)
+        assert result.failure == (first, "stalled at level 2")
+        assert all(math.isnan(r.error) for r in result.records)
         below, above = result.records[:2], result.records[2:]
         solver = harness.KnotSolver(config)
         store = smolyak.evaluate_plan(plans[1], lambda y: solve(solver, y)[1].qoi)
         for r, p in zip(below, plans):
             mean = smolyak.integrate(p, store)
             assert abs(r.qoi_mean - mean) <= 1e-12 * abs(mean)
-            assert r.reason == "reference level 4: stalled at level 2"
-        assert all(math.isnan(r.qoi_mean) and r.reason == "stalled at level 2" for r in above)
+        assert all(math.isnan(r.qoi_mean) for r in above)
 
     def test_wall_time_covers_knot_solves(self):
         result = harness.run_study(small_config(levels=(0, 1), reference_level=2,
@@ -687,7 +688,7 @@ class TestKnotSolver:
         assert abs(info.qoi - self.tight_qoi(tight_solve, solver, [0.0])) <= 1e-12 * scale
         assert 0.0 <= info.qoi_error <= 1e-12 * scale
         result = harness.run_study(config)
-        assert not any(r.failed for r in result.records)
+        assert result.failure is None
         assert all(math.isfinite(r.qoi_mean) for r in result.records)
 
     def test_knot_bits_do_not_depend_on_blas_threads(self):
@@ -794,13 +795,52 @@ class TestCli:
         rc = cli.main(["study", "--config", self.write_config(tmp_path)])
         lines = capsys.readouterr().out.splitlines()
         assert rc == 1
-        failed = [ln for ln in lines if ln.startswith("# level ")]
-        assert [ln.split()[2] for ln in failed] == ["0", "1"]
-        assert all(" failed at y=" in ln and "Newton failed" in ln for ln in failed)
-        assert lines.index(failed[0]) == 3  # after the header and both CSV rows
+        # the first knot fails, so w_N = 0 and both levels show a NaN mean and error
+        assert lines[1:3] == ["0,1,nan,nan,0.000", "1,3,nan,nan,0.000"]
+        assert lines[3] == "# knot y=0.0 failed at level 0: " \
+                           "Newton failed to converge in 50 iterations"
         # the failed knot fails the reference: no error is called "not positive"
         assert "# no rate fit: need at least 2 positive errors to fit a rate, got 0; " \
                "levels [0, 1] have a NaN error" in lines
+
+    def test_failed_study_prints_one_knot_line(self, tmp_path, capsys, monkeypatch):
+        # the knots off y = 0 fail at w_N = 1: one line names the knot, level 0
+        # keeps the mean of the study without a failure, and every error is NaN
+        path = self.write_config(tmp_path)
+        assert cli.main(["study", "--config", path]) == 0
+        healthy = capsys.readouterr().out.splitlines()[:3]
+        solve = harness.KnotSolver.solve
+
+        def fail_off_centre(self, y):
+            if np.any(y != 0.0):
+                raise ConvergenceError("stalled off centre")
+            return solve(self, y)
+
+        monkeypatch.setattr(harness.KnotSolver, "solve", fail_off_centre)
+        assert cli.main(["study", "--config", path]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        w0, eta0, mean0, _, wall0 = healthy[1].split(",")
+        assert lines[:3] == [healthy[0], f"{w0},{eta0},{mean0},nan,{wall0}", "1,3,nan,nan,0.000"]
+        knot = [ln for ln in lines if ln.startswith("# knot y=")]
+        assert knot == ["# knot y=-1.0 failed at level 1: stalled off centre"]
+        assert not any(ln.startswith("# level ") for ln in lines)
+
+    @pytest.mark.parametrize("bad", ["missing-config", "unclosed-bracket", "pqr-byte-0xff"])
+    def test_bad_input_file_is_one_error_line(self, tmp_path, capsys, bad):
+        path = tmp_path / "cfg.yaml"  # not written for missing-config
+        pqr = tmp_path / "bad.pqr"
+        pqr.write_bytes(b"ATOM 1 N ALA 1 35.0 35.0 35.0 1.0 1.5\n\xff\n")
+        text = {"unclosed-bracket": "charges: {inline: [[35, 35, 35, 1.0]]}\ngrid: {n: [9\n",
+                "pqr-byte-0xff": yaml.safe_dump({"charges": {"path": str(pqr)}, "grid": {"n": 9}})}
+        if bad in text:
+            path.write_text(text[bad])
+        rc = cli.main(["study", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        where = "key 'path' in block 'charges'" if bad == "pqr-byte-0xff" else repr(str(path))
+        assert where in err
 
     def test_one_level_study_fits_no_rate(self, tmp_path, capsys):
         # one error cannot give a slope: the study says so rather than nothing
