@@ -14,10 +14,11 @@ tensor lattice and is passed to the fields as a ``geometry.Lattice``, so a
 separable field evaluates per axis.  The Dirichlet data is zero: no map
 moves the box boundary, and every solve takes u = 0 there.  So the face
 coefficients go straight into the interior block, without a full-grid
-matrix, and an entry towards a boundary node is not stored: each stencil
-offset fills one diagonal of a DIA-layout array, which scipy turns into the
-CSR block, dropping zero entries.  The forcing, reaction, solution and
-residual are evaluated and held on the interior nodes only, in the block's
+matrix, and an entry towards a boundary node is not stored: each face
+family is written straight into the diagonals of its two stencil offsets in
+a DIA-layout array, and subtracted from the centre diagonal, which scipy
+turns into the CSR block, dropping zero entries.  The forcing, reaction,
+solution and residual are evaluated and held on the interior nodes only, in the block's
 row order.  Every map takes this one path.  An entry that no mode touches
 stays a scalar, so with no modes (J = I) each mixed term is the float 0.0
 and adds no faces, leaving the classic 7-point stencil, det J is the float
@@ -28,13 +29,17 @@ The sinh nonlinearity is handled by damped Newton iteration with residual
 backtracking; from u = 0 its first residual is -b, formed without a matvec.
 Inner linear systems are solved by conjugate gradients preconditioned with a
 symmetric Galerkin multigrid V-cycle.  The grid has 2^k + 1 nodes per axis
-(5, 9, 17, 33, ...), so the V-cycle halves it down to one node.  CG tests
-each updated residual before preconditioning it, so it never preconditions
-the residual it stops on.
+(5, 9, 17, 33, ...), so the V-cycle halves it down to one node; each level
+holds one transfer matrix, the restriction R, and applies P as its
+transpose view.  CG tests each updated residual before preconditioning it,
+so it never preconditions the residual it stops on, and it raises
+ConvergenceError on a norm that is not finite or after 500 iterations.
 Every step is preconditioned by the V-cycle of the u = 0 Jacobian
 A + diag K, which a step from u = 0 also takes as its Jacobian.  An adjoint
 (solve_adjoint) carries that matrix and V-cycle, which then serve every
-Newton step of every knot; without one, Newton builds them on entry.
+Newton step of every knot; without one, Newton builds them on entry.  Each
+Jacobian A + diag d holds its own data but shares the operator's index
+arrays, which are read-only, so a knot holds one copy of its pattern.
 
 Newton has two stopping rules.  Without an adjoint it stops on the l2
 residual, at the fixed 1e-9 (1 + ||b||), with CG run to 1e-12.  With one
@@ -206,15 +211,18 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     Face dielectric values use the harmonic mean of the two nodal values, so
     flux continuity holds weakly across the interfaces where eps jumps.  A
     face with coefficient c adds c to the diagonal at its two nodes and -c
-    between them.  Each face family is one array over its midpoint lattice;
-    its slices give every interior node's entry towards one stencil offset.
-    The entries go into one (S, m, m, m) array of diagonals in DIA layout,
-    m = n - 2: row p's entry towards p + v sits at column p + v of the
-    diagonal of v's flat offset, and the DIA-to-CSR conversion keeps each
-    row's columns in order.  The Dirichlet data is zero, so an entry towards
-    a boundary node is never written and stays 0.  On a 2^k + 1 grid m >= 3,
-    so the 19 stencil offsets have distinct flat offsets, one diagonal each,
-    kept in sorted flat-offset order.  Mixed-term coefficients
+    between them.  The matrix is built as one (S, m, m, m) array of
+    diagonals in DIA layout, m = n - 2: row p's entry towards p + v sits at
+    column p + v of the diagonal of v's flat offset, and the DIA-to-CSR
+    conversion keeps each row's columns in order.  Each face family is one
+    array over its midpoint lattice.  Its slices are written straight into
+    the diagonals of its two offsets and subtracted from the centre
+    diagonal, family by family in a fixed order, so no per-offset copy is
+    held, and each family's tensor entry is freed once written, before the
+    conversion.  The Dirichlet data is zero, so an entry towards a boundary
+    node leaves the centre but is never written and stays 0.  On a 2^k + 1
+    grid m >= 3, so the 19 stencil offsets have distinct flat offsets, one
+    diagonal each, kept in sorted flat-offset order.  Mixed-term coefficients
     vanish exactly wherever the modes' fields are flat (the cutoff plateau,
     and everywhere at y = 0); the conversion drops zero entries, and a plane
     whose mixed term is the float 0.0 (every plane with no modes, and the
@@ -226,39 +234,48 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     h2 = grid.h * grid.h
     half = [0.5 * (a[:-1] + a[1:]) for a in grid.axes]
     unit, zero = np.eye(3, dtype=int), np.zeros(3, dtype=int)
-    stencil = {}  # offset -> the matrix entry towards it at every interior node
 
     def midpoints(*dims):
         # the lattice of face or edge centres, halfway along the axes in dims
         return geometry.Lattice([half[a] if a in dims else grid.axes[a] for a in range(3)])
 
-    def add_faces(dims, a, b, sign, T):
-        # the faces lo + a -- lo + b over the lattice of lo: node p = lo + a
-        # gets -c towards p + b - a, and p = lo + b gets -c towards p + a - b
-        ep, eq = (eps[tuple(slice(v[t], n - 1 + v[t]) if t in dims else slice(None)
-                            for t in range(3))] for v in (a, b))
-        neg = -(sign * (2.0 * ep * eq / (ep + eq)) * T / (len(dims) * h2))
-        for start, end in ((a, b), (b, a)):
-            stencil[tuple(end - start)] = neg[tuple(slice(1 - v, n - 1 - v) for v in start)]
-
-    for d in range(3):
-        add_faces((d,), zero, unit[d], 1,
-                  _tensor_entry(dmap, y, midpoints(d), d, d, f"axis {d} face"))
+    # the face families (dims, a, b, sign, T): the faces lo + a -- lo + b
+    # over the lattice of lo, in the order in which the centre sums them
+    families = [((d,), zero, unit[d], 1,
+                 _tensor_entry(dmap, y, midpoints(d), d, d, f"axis {d} face")) for d in range(3)]
     for d, e in ((0, 1), (0, 2), (1, 2)):
         # the d+e diagonal runs lo -> lo + e_d + e_e and the d-e diagonal
         # lo + e_e -> lo + e_d: the same edge centres
         T_de = _tensor_entry(dmap, y, midpoints(d, e), d, e, f"plane ({d}, {e}) edge")
         if not (isinstance(T_de, float) and T_de == 0.0):
-            add_faces((d, e), zero, unit[d] + unit[e], 1, T_de)
-            add_faces((d, e), unit[e], unit[d], -1, T_de)
-    stencil[(0, 0, 0)] = -sum(stencil.values())
-    flat = {v: int(np.dot(v, (m * m, m, 1))) for v in stencil}
-    offsets = sorted(stencil, key=flat.get)
+            families += [((d, e), zero, unit[d] + unit[e], 1, T_de),
+                         ((d, e), unit[e], unit[d], -1, T_de)]
+
+    def flat(v):
+        return int(np.dot(v, (m * m, m, 1)))
+
+    offsets = sorted({0} | {flat(s * (b - a)) for _, a, b, _, _ in families for s in (1, -1)})
     diagonals = np.zeros((len(offsets), m, m, m))
-    for diagonal, v in zip(diagonals, offsets):
-        diagonal[tuple(slice(max(t, 0), m + min(t, 0)) for t in v)] = \
-            stencil[v][tuple(slice(max(-t, 0), m - max(t, 0)) for t in v)]
-    matrix = sp.dia_matrix((diagonals.reshape(len(offsets), -1), [flat[v] for v in offsets]),
+    centre = diagonals[offsets.index(0)]
+
+    def add_faces(dims, a, b, sign, T):
+        # node p = lo + a gets -c towards p + b - a, and p = lo + b gets -c
+        # towards p + a - b: the entries at p + v go to column p + v of v's
+        # diagonal where both nodes are interior, and every entry leaves the
+        # centre, in the order of the families
+        ep, eq = (eps[tuple(slice(v[t], n - 1 + v[t]) if t in dims else slice(None)
+                            for t in range(3))] for v in (a, b))
+        neg = -(sign * (2.0 * ep * eq / (ep + eq)) * T / (len(dims) * h2))
+        for start, v in ((a, b - a), (b, a - b)):
+            centre[...] -= neg[tuple(slice(1 - s, n - 1 - s) for s in start)]
+            diagonals[offsets.index(flat(v))][
+                tuple(slice(max(t, 0), m + min(t, 0)) for t in v)] = \
+                neg[tuple(slice(1 - s + max(-t, 0), n - 1 - s - max(t, 0))
+                          for s, t in zip(start, v))]
+
+    while families:  # popped, so that no tensor entry outlives its faces
+        add_faces(*families.pop(0))
+    matrix = sp.dia_matrix((diagonals.reshape(len(offsets), -1), offsets),
                            shape=(m**3, m**3)).tocsr()
     return AssembledOperator(grid, matrix)
 
@@ -336,14 +353,28 @@ _GOAL_QOI_TOL = 1e-12  # relative QoI error at which goal-oriented Newton stops
 _L2_TOL = 1e-9
 _L2_CG_TOL = 1e-12     # relative CG tolerance of an l2 Newton step
 _MAX_NEWTON = 50       # Newton steps before ConvergenceError
+# CG iterations before ConvergenceError: 25x the most any solve takes in the
+# tests, the benchmark or a kT/e knot at n = 33 and 65 (20; the V-cycle keeps
+# the count independent of the grid)
+_MAX_CG = 500
 
 
-def _interpolation_1d(m: int) -> sp.csr_matrix:
-    """Linear interpolation from m coarse to 2m+1 fine interior nodes: [1/2, 1, 1/2]."""
-    j = np.arange(m)
-    rows = np.concatenate([2 * j + 1, 2 * j, 2 * j + 2])
-    vals = np.concatenate([np.ones(m), np.full(2 * m, 0.5)])
-    return sp.csr_matrix((vals, (rows, np.tile(j, 3))), shape=(2 * m + 1, m))
+def _restriction(m: int) -> sp.csr_matrix:
+    """R = P^T from (2m + 1)^3 fine to m^3 coarse interior nodes, for trilinear P.
+
+    Coarse node (i, j, k) reads the 27 fine nodes (2i + a, 2j + b, 2k + c),
+    a, b, c in {0, 1, 2}, with weight w_a w_b w_c, w = (1/2, 1, 1/2): the
+    rows of the Kronecker cube of the per-axis stencil, each row's columns in
+    increasing order.  The weights are powers of 2, so every product is exact.
+    """
+    M = 2 * m + 1
+    fine = 2 * np.arange(m)[:, None] + np.arange(3)  # (coarse node, a) -> fine node
+    cols = (fine[:, None, None, :, None, None] * M + fine[None, :, None, None, :, None]) * M \
+        + fine[None, None, :, None, None, :]
+    w = np.array([0.5, 1.0, 0.5])
+    weights = np.broadcast_to(w[:, None, None] * w[:, None] * w, cols.shape)
+    return sp.csr_matrix((weights.ravel(), cols.ravel(), np.arange(0, 27 * m**3 + 1, 27)),
+                         shape=(m**3, M**3))
 
 
 class VCycle:
@@ -351,27 +382,28 @@ class VCycle:
 
     Built once from an SPD interior matrix on a 2^k + 1 grid, whose cubic
     interior of m^3 nodes halves to m' = (m - 1) / 2 until one node is left.
-    Each halving takes trilinear interpolation P (the Kronecker product of
-    three per-axis [1/2, 1, 1/2] stencils), its restriction R = P^T, kept as
-    CSR so that no cycle transposes P, and coarse operator R A P.  Each level
-    smooths with one damped-Jacobi sweep (omega = 0.8) before and one after
-    its coarse correction; the one-node bottom level stores its exact
-    inverse 1 / a in place of omega / a and solves.
+    Each halving holds one transfer matrix: the restriction R = P^T of
+    trilinear interpolation P, built as CSR from its 27 weights per row.  P
+    is applied as the CSC view R^T of R's arrays, and formed as CSR only for
+    the coarse operator R (A P), then freed.  Each level smooths with one
+    damped-Jacobi sweep (omega = 0.8) before and one after its coarse
+    correction, forming each residual in the output of its matvec; the
+    one-node bottom level stores its exact inverse 1 / a in place of
+    omega / a and solves.
     """
 
     def __init__(self, matrix, grid: Grid3D):
         m = grid.shape[0] - 2
         A = sp.csr_matrix(matrix)
-        # (A, omega / diag A, P from the next coarser level and R = P^T), and
-        # at the bottom (A, 1 / A, None, None)
+        # (A, omega / diag A, P = R^T, R to the next coarser level), and at
+        # the bottom (A, 1 / A, None, None)
         self.levels = []
         while m > 1:
             m = (m - 1) // 2
-            P1 = _interpolation_1d(m)
-            P = sp.kron(sp.kron(P1, P1, format="csr"), P1, format="csr")
-            R = P.T.tocsr()
+            R = _restriction(m)
+            P = R.T
             self.levels.append((A, _OMEGA / A.diagonal(), P, R))
-            A = (R @ (A @ P)).tocsr()
+            A = (R @ (A @ P.tocsr())).tocsr()
         self.levels.append((A, 1.0 / A.diagonal(), None, None))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
@@ -381,8 +413,10 @@ class VCycle:
         A, wdinv, P, R = self.levels[level]
         x = wdinv * b
         if P is not None:
-            x += P @ self._cycle(level + 1, R @ (b - A @ x))
-            x += wdinv * (b - A @ x)
+            t = A @ x  # each residual b - A x is formed in its matvec's output
+            x += P @ self._cycle(level + 1, R @ np.subtract(b, t, out=t))
+            t = A @ x
+            x += np.multiply(wdinv, np.subtract(b, t, out=t), out=t)
         return x
 
 
@@ -396,12 +430,16 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-def _pcg(A, b, precond, tol=1e-10, maxiter=20000):
+def _pcg(A, b, precond, tol=1e-10, maxiter=_MAX_CG):
     """Preconditioned CG from x = 0; precond maps a residual to M r, M SPD.
 
     Each iteration preconditions the residual the previous one left and
     tests the norm of the residual it updates, so a converged solve applies
-    precond once per iteration and never to its final residual.
+    precond once per iteration and never to its final residual.  The
+    direction and the residual are updated in place, with the bits of the
+    textbook loop.  Raises ConvergenceError after maxiter iterations, and at
+    once when the norm of b or of an updated residual is NaN or inf, which
+    no comparison with the tolerance catches.
     """
     bnorm = _norm(b)
     if bnorm == 0.0:
@@ -411,17 +449,25 @@ def _pcg(A, b, precond, tol=1e-10, maxiter=20000):
     p = None
     it = 0
     rnorm = bnorm
-    while rnorm > tol * bnorm and it < maxiter:
+    while math.isfinite(rnorm) and rnorm > tol * bnorm and it < maxiter:
         z = precond(r)
         rz_new = _dot(r, z)
-        p = z.copy() if p is None else z + (rz_new / rz) * p
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rz_new / rz
+            p += z
         rz = rz_new
         Ap = A @ p
         alpha = rz / _dot(p, Ap)
         x += alpha * p
-        r -= alpha * Ap
+        Ap *= alpha
+        r -= Ap
         rnorm = _norm(r)
         it += 1
+    if not math.isfinite(rnorm):  # rnorm starts as the norm of b
+        raise ConvergenceError(f"CG residual norm is not finite: {rnorm} after {it} "
+                               f"iterations (right-hand side norm {bnorm})", residual=rnorm)
     if rnorm > tol * bnorm:
         raise ConvergenceError(
             f"CG failed to reach tol {tol} in {maxiter} iterations", residual=float(rnorm)
@@ -433,9 +479,27 @@ def _pcg(A, b, precond, tol=1e-10, maxiter=20000):
 # Newton solver for the NPBE
 # ---------------------------------------------------------------------------
 
+def _plus_diagonal(A: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
+    """A + diag d for a CSR matrix A that stores each diagonal entry once.
+
+    The sum has A's pattern, so it shares A's indices and indptr, which
+    become read-only, and copies only A's data, adding d at the diagonal
+    positions: the bits of A + sp.diags(d).
+    """
+    A.indices.flags.writeable = A.indptr.flags.writeable = False
+    rows = np.arange(A.shape[0], dtype=A.indices.dtype)
+    at = np.flatnonzero(A.indices == np.repeat(rows, np.diff(A.indptr)))
+    data = A.data.copy()
+    data[at] += d
+    return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+
+
 def _zero_jacobian(op: AssembledOperator, kd: np.ndarray):
-    """Newton's Jacobian A + diag K at u = 0, for interior K = kd, and its V-cycle."""
-    matrix = op.matrix + sp.diags(kd)
+    """Newton's Jacobian A + diag K at u = 0, for interior K = kd, and its V-cycle.
+
+    The Jacobian has its own data but the operator's index arrays.
+    """
+    matrix = _plus_diagonal(op.matrix, kd)
     return matrix, VCycle(matrix, op.grid)
 
 
@@ -446,7 +510,9 @@ class Adjoint:
     K is the reaction profile, so A + diag K is Newton's Jacobian at u = 0.
     Newton reuses it for any step from u = 0 and preconditions every step
     with its V-cycle.  Built once per operator by solve_adjoint and passed
-    to newton_solve_npbe.
+    to newton_solve_npbe.  The matrix holds its own data but the operator's
+    index arrays (see _plus_diagonal), and the V-cycle one transfer matrix
+    per level.
     """
 
     matrix: object        # interior A + diag K
@@ -491,7 +557,8 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
     backtracks on the l2 residual (halving, floor 1e-3).  Every step's CG is
     preconditioned by the V-cycle of the u = 0 Jacobian A + diag K, and a
     step from u = 0 takes that matrix as its Jacobian.  The adjoint carries
-    both; without one, they are built on entry.
+    both; without one, they are built on entry.  A later step's Jacobian
+    A + diag(K cosh u) copies only A's data (_plus_diagonal).
 
     Without an adjoint, CG runs to a relative 1e-12 and Newton terminates
     when the residual drops below 1e-9 (1 + ||rhs||).  With one (see the
@@ -551,7 +618,7 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
         if it == _MAX_NEWTON:
             raise ConvergenceError(
                 f"Newton failed to converge in {_MAX_NEWTON} iterations", residual=rnorm)
-        Ait = J0 if not u.any() else A + sp.diags(kd * np.cosh(u))
+        Ait = J0 if not u.any() else _plus_diagonal(A, kd * np.cosh(u))
         delta, cg = _pcg(Ait, -r, vcycle, tol=cg_tol)
         cg_iterations.append(cg.iterations)
         step = 1.0

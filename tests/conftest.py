@@ -47,7 +47,7 @@ def direct_newton(domain, dmap, coeffs, y, grid, rtol=1e-14):
     raise AssertionError(f"direct Newton did not reach ||R(u)|| <= {rtol} ||b|| in 30 steps")
 
 
-def linear_solve(op, reaction, rhs, tol=1e-10, maxiter=20000):
+def linear_solve(op, reaction, rhs, tol=1e-10, maxiter=pde._MAX_CG):
     """Solve (A + diag K) u = b by the pipeline's linear path: _zero_jacobian, then _pcg.
 
     reaction is the GridField of K, or None for K = 0.  Returns u as a

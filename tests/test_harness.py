@@ -10,7 +10,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import yaml
 
 from npbe_uq import cli, geometry, harness, pde, smolyak
@@ -383,18 +382,18 @@ class TestRunStudy:
         # Newton starts from u = 0, where its Jacobian is the matrix the
         # adjoint was solved with, so only its later steps build one
         built, later_steps = [], []
-        diags, solve = sp.diags, harness.KnotSolver.solve
+        plus_diagonal, solve = pde._plus_diagonal, harness.KnotSolver.solve
 
-        def counting_diags(*args, **kwargs):
+        def counting_plus_diagonal(*args, **kwargs):
             built.append(1)
-            return diags(*args, **kwargs)
+            return plus_diagonal(*args, **kwargs)
 
         def counting_solve(self, y):
             u, info = solve(self, y)
             later_steps.append(max(info.iterations - 1, 0))
             return u, info
 
-        monkeypatch.setattr(sp, "diags", counting_diags)
+        monkeypatch.setattr(pde, "_plus_diagonal", counting_plus_diagonal)
         monkeypatch.setattr(harness.KnotSolver, "solve", counting_solve)
         result = harness.run_study(small_config(levels=(0, 1), reference_level=3))
         assert result.reference_eta > 1
