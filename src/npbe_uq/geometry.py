@@ -17,13 +17,17 @@ factors once per axis coordinate; ``np.asarray(r)`` gives the lattice's
 have the points' leading shape, (n0, n1, n2) for a lattice.  ``value``
 returns b as 3 entries and ``jac`` B as a 3x3 nested list of entries, each
 broadcasting over that shape, and an entry that vanishes everywhere is the
-float 0.0.  J is formed entry by entry, so an entry no mode touches stays a
-scalar (with no modes, J = I in floats); ``jacobian`` stacks J for callers
-that need arrays, and ``jac_deriv`` returns dB stacked.
+float 0.0.  J is formed entry by entry from the modes active at y, those
+whose scale sqrt(mu_k) y_k is not a real scalar exactly 0.0: a skipped
+mode's field is not evaluated.  So an entry no active mode touches stays a
+scalar, and at a y with no active mode (a knot whose y_k are all 0, or a map
+with no modes) J = I in floats; ``jacobian`` stacks J for callers that need
+arrays, and ``jac_deriv`` returns dB stacked.
 An entry that is exactly the float 0.0 or 1.0 passes through the adjugate
 rows and det J without an array operation: a product with 0.0 is dropped and
 one with 1.0 is not multiplied (a cutoff map's untouched row (0.0, 0.0, 1.0)
-costs nothing), which can change only the sign of a zero.
+costs nothing, and J = I gives det J = 1.0), which, like skipping a mode,
+can change only the sign of a zero.
 """
 
 from __future__ import annotations
@@ -205,6 +209,8 @@ class DomainMap:
 
     def __post_init__(self):
         mus = [m for m, _ in self.modes]
+        if not all(math.isfinite(m) for m in mus):
+            raise DomainError(f"mode amplitudes mu_k must be finite, got {mus}")
         if any(m < 0.0 for m in mus):
             raise DomainError("mode amplitudes mu_k must be nonnegative")
         if any(mus[i] < mus[i + 1] for i in range(len(mus) - 1)):
@@ -219,15 +225,28 @@ def _box_grid(domain: ReferenceDomain, n: int) -> Lattice:
     return Lattice([np.linspace(domain.box_min[d], domain.box_max[d], n) for d in range(3)])
 
 
+def _active_modes(dmap: DomainMap, y):
+    """The (sqrt(mu_k) y_k, field) pairs of the modes that move the map at y.
+
+    A mode whose scale is a real scalar exactly 0.0 (y_k = +-0, or mu_k = 0)
+    is left out, and its field is not evaluated: for finite fields it adds
+    only +-0.0 to an entry, so leaving it out can change only the sign of a
+    zero.  A per-point y gives each scale as an array, and every mode stays.
+    """
+    scales = ((math.sqrt(mu) * y[k], fld) for k, (mu, fld) in enumerate(dmap.modes))
+    return [(s, fld) for s, fld in scales if not (isinstance(s, float) and s == 0.0)]
+
+
 def _jacobian_entries(dmap: DomainMap, r, y):
     """J(r; y) = I + sum_k sqrt(mu_k) B_k(r) y_k as a 3x3 nested list of entries.
 
-    An entry that every mode's field gives as 0.0 stays the scalar 1.0 or 0.0.
+    Only the active modes (_active_modes) are summed, so an entry that no
+    active mode's field touches stays the scalar 1.0 or 0.0; at a y with no
+    active mode J = I in floats.
     """
     r = _points(r)
     J = [[float(i == j) for j in range(3)] for i in range(3)]
-    for k, (mu, fld) in enumerate(dmap.modes):
-        scale = math.sqrt(mu) * y[k]
+    for scale, fld in _active_modes(dmap, y):
         for i, row in enumerate(fld.jac(r)):
             for j, b in enumerate(row):
                 if not (isinstance(b, float) and b == 0.0):
@@ -353,14 +372,14 @@ def check_assumptions(domain: ReferenceDomain, dmap: DomainMap, eps, kappa2) -> 
     """Check the coefficient signs and sample det J over corner and random y for c2.
 
     Raises DomainError unless eps > 0 and kappa^2 >= 0 in every region, and
-    MapOrientationError if a sampled det J is <= 0.  det J is multilinear in
-    y for this map family, so extrema sit near the corners of Gamma; a
-    5-point tensor grid per dimension plus 32 random interior draws (seed 0)
-    covers both.  In space det J is sampled on 17 nodes per axis, whose
-    spacing must be below the narrowest feature of the fields: a cutoff's
-    det J departs from 1 only inside its margin, so a coarser grid reports
-    c2 = 1.  The small-B hypothesis ||B||_1 < 1/4 is checked where the bounds
-    use it, when a bounds.BoundsInput is built.
+    MapOrientationError unless every sampled det J is > 0, so NaN fails too.
+    det J is multilinear in y for this map family, so extrema sit near the
+    corners of Gamma; a 5-point tensor grid per dimension plus 32 random
+    interior draws (seed 0) covers both.  In space det J is sampled on 17
+    nodes per axis, whose spacing must be below the narrowest feature of the
+    fields: a cutoff's det J departs from 1 only inside its margin, so a
+    coarser grid reports c2 = 1.  The small-B hypothesis ||B||_1 < 1/4 is
+    checked where the bounds use it, when a bounds.BoundsInput is built.
     """
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0.0):
@@ -371,7 +390,8 @@ def check_assumptions(domain: ReferenceDomain, dmap: DomainMap, eps, kappa2) -> 
     N = dmap.n_modes
     ys = np.vstack([list(itertools.product([-1.0, -0.5, 0.0, 0.5, 1.0], repeat=N)),
                     np.random.default_rng(0).uniform(-1.0, 1.0, size=(32, N))])
-    c2 = min(float(np.min(det_jacobian(dmap, pts, y))) for y in ys)
-    if c2 <= 0.0:
-        raise MapOrientationError(f"det J <= 0 sampled (min {c2:.3e}); map rejected")
+    # np.min carries a NaN det through, and "not > 0" rejects it
+    c2 = float(np.min([np.min(det_jacobian(dmap, pts, y)) for y in ys]))
+    if not c2 > 0.0:
+        raise MapOrientationError(f"det J <= 0 or NaN sampled (min {c2:.3e}); map rejected")
     return AssumptionReport(c1=float(np.min(eps)), c2=c2)

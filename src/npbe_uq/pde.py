@@ -19,11 +19,14 @@ family is written straight into the diagonals of its two stencil offsets in
 a DIA-layout array, and subtracted from the centre diagonal, which scipy
 turns into the CSR block, dropping zero entries.  The forcing, reaction,
 solution and residual are evaluated and held on the interior nodes only, in the block's
-row order.  Every map takes this one path.  An entry that no mode touches
-stays a scalar, so with no modes (J = I) each mixed term is the float 0.0
-and adds no faces, leaving the classic 7-point stencil, det J is the float
-1.0, and each charge's Gaussian forcing is the outer product of three
-per-axis factors.
+row order.  Every map and knot takes this one path, which evaluates only the
+modes active at the knot (geometry._active_modes): a mode whose y_k is
+exactly 0, or whose mu_k is 0, is skipped, bit for bit up to the sign of a
+zero.  An entry that no active mode touches stays a scalar, so with no
+active mode (J = I, a map with no modes or a knot whose y_k are all 0) each
+mixed term is the float 0.0 and adds no faces, leaving the classic 7-point
+stencil, det J is the float 1.0, and each charge's Gaussian forcing is the
+outer product of three per-axis factors.
 
 The sinh nonlinearity is handled by damped Newton iteration with residual
 backtracking; from u = 0 its first residual is -b, formed without a matvec.
@@ -191,13 +194,14 @@ def _tensor_entry(dmap, y, mid, d: int, e: int, place: str) -> np.ndarray:
     e of the adjugate, formed from the entries of J, and det J is
     sum_j adj(J)[d, j] J[j, d].  Like those entries, it broadcasts over the
     lattice; an entry whose every product has a factor 0.0 is the float 0.0.
-    Raises MapOrientationError where det J <= 0, naming ``place`` and the min det.
+    Raises MapOrientationError unless det J > 0 at every midpoint, so a NaN
+    det raises too, naming ``place`` and the min det.
     """
     J = geometry._jacobian_entries(dmap, mid, y)
     row_d = geometry._adjugate_row(J, d)
     det = geometry._det(J, row_d, d)
-    if np.any(det <= 0.0):
-        raise MapOrientationError(f"det J <= 0 at the {place} midpoints "
+    if not np.all(det > 0.0):
+        raise MapOrientationError(f"det J <= 0 or NaN at the {place} midpoints "
                                   f"(min det {np.min(det):.6g})")
     row_e = row_d if e == d else geometry._adjugate_row(J, e)
     entry = geometry._sum_of_products(*((1, a, b) for a, b in zip(row_d, row_e)))
@@ -223,10 +227,10 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     node leaves the centre but is never written and stays 0.  On a 2^k + 1
     grid m >= 3, so the 19 stencil offsets have distinct flat offsets, one
     diagonal each, kept in sorted flat-offset order.  Mixed-term coefficients
-    vanish exactly wherever the modes' fields are flat (the cutoff plateau,
-    and everywhere at y = 0); the conversion drops zero entries, and a plane
-    whose mixed term is the float 0.0 (every plane with no modes, and the
-    plane of two axes that no mode moves) adds no diagonal faces.
+    vanish exactly wherever the active modes' fields are flat (the cutoff
+    plateau); the conversion drops zero entries, and a plane whose mixed
+    term is the float 0.0 (every plane at a knot with no active mode, and
+    the plane of two axes that no active mode moves) adds no diagonal faces.
     """
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
     n, m = grid.shape[0], grid.shape[0] - 2
@@ -305,14 +309,16 @@ def assemble_rhs(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> Grid
     The charge centres ride along with the map: a charge at c gives node x
     amp g_0 g_1 g_2, g_d = exp(-delta_d^2 / (2 s^2)), for the offset
     delta = F(x) - F(c), whose component d is x_d - c_d plus
-    sum_k sqrt(mu_k) y_k (b_kd(x) - b_kd(c)).  A component no mode displaces
-    stays on its grid axis, so with no modes (J = I) each Gaussian is the
+    sum_k sqrt(mu_k) y_k (b_kd(x) - b_kd(c)), summed over the active modes
+    (geometry._active_modes), so a mode with y_k exactly 0 adds no shift and
+    its field is not evaluated.  A component no active mode displaces stays
+    on its grid axis, so with no active mode (J = I) each Gaussian is the
     outer product of three per-axis factors; no (n^3, 3) array is formed.
     """
     y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
     x = grid.interior
     # the modes' displacements at the nodes do not depend on the charge
-    shifts = [(math.sqrt(mu) * y[k], fld, fld.value(x)) for k, (mu, fld) in enumerate(dmap.modes)]
+    shifts = [(scale, fld, fld.value(x)) for scale, fld in geometry._active_modes(dmap, y)]
     axes = [x[..., d] for d in range(3)]
     vals = np.zeros(x.shape[:-1])
     for c, amp, s2 in zip(coeffs.charges, *_amplitudes(coeffs.charges)):

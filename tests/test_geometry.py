@@ -341,6 +341,15 @@ class TestDomainMapValidation:
         with pytest.raises(DomainError):
             geometry.DomainMap([(-0.5, fld)])
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_mu_must_be_finite(self, mu):
+        # NaN passes both the sign and the order test, and inf turns the
+        # operator's entries into NaN; either must fail when the map is made
+        domain = make_domain()
+        fld = geometry.CutoffShift(0, domain.box_min, domain.box_max, 7.0)
+        with pytest.raises(DomainError, match="finite"):
+            geometry.DomainMap([(mu, fld)])
+
 
 class TestAssumptions:
     def test_translation_map_trivial(self):
@@ -392,6 +401,19 @@ class TestAssumptions:
         dmap = geometry.DomainMap([(1.0, Collapse())])
         with pytest.raises(MapOrientationError):
             geometry.check_assumptions(domain, dmap, [1, 1, 1], [0, 0, 0])
+
+    def test_nan_det_rejected(self):
+        # det J <= 0 is False for NaN, so a map whose det J is NaN must still
+        # be rejected, not reported with c2 = nan
+        class NaNField:
+            def jac(self, r):
+                B = [[0.0] * 3 for _ in range(3)]
+                B[0][0] = np.full(r.shape[:-1], np.nan)
+                return B
+
+        dmap = geometry.DomainMap([(0.01, NaNField())])
+        with pytest.raises(MapOrientationError, match=r"NaN .*\(min nan\)"):
+            geometry.check_assumptions(make_domain(), dmap, [1, 1, 1], [0, 0, 0])
 
     def test_negative_eps_rejected(self):
         domain = make_domain()

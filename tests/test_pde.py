@@ -183,10 +183,9 @@ class TestAssembly:
         assert abs(diff).max() <= 1e-12
 
     def test_general_path_matches_fast_path_at_identity(self, monkeypatch):
-        # at y = 0 the cutoff map has J = I exactly, in arrays; its mixed
-        # terms are arrays of zeros, so the 19-point stencil it assembles must
-        # reproduce the 7-point one of the map with no modes, whose J = I is in
-        # floats, down to the sparsity pattern once the zero entries are dropped
+        # at y = 0 no mode of the cutoff map is active, so its J = I is in
+        # floats, as for the map with no modes: the knot must reproduce that
+        # map's 7-point stencil, forcing and reaction
         domain = unit_domain()
         grid = pde.Grid3D(domain, 9)
         coeffs = pde.PBECoefficients([3.0, 2.0, 1.0], [1.0, 0.5, 2.0],
@@ -200,15 +199,11 @@ class TestAssembly:
         op_g = pde.assemble_pulled_back_operator(domain, general, coeffs, y, grid)
         assert calls  # the general path really ran
         op_f = pde.assemble_pulled_back_operator(domain, fast, coeffs, None, grid)
-        a, b = op_g.matrix, op_f.matrix
-        assert np.array_equal(a.indptr, b.indptr)
-        assert np.array_equal(a.indices, b.indices)
-        a, b = a.toarray(), b.toarray()
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(op_g.matrix, attr), getattr(op_f.matrix, attr)), attr
         for build in (pde.assemble_rhs, pde.reaction_profile):
-            g = build(domain, general, coeffs, y, grid).values
-            f = build(domain, fast, coeffs, None, grid).values
-            assert np.max(np.abs(g - f)) <= 1e-12 * np.max(np.abs(f))
+            assert np.array_equal(build(domain, general, coeffs, y, grid).values,
+                                  build(domain, fast, coeffs, None, grid).values)
 
     def test_zero_mode_is_identity_bit_for_bit(self):
         # a mode whose field vanishes everywhere, in floats, leaves J = I in
@@ -451,6 +446,22 @@ class TestAssembly:
                                                   np.array([1.0]), grid)
             assert place in str(exc.value)
             assert min_det in str(exc.value)
+
+    def test_nan_det_raises(self):
+        # det J <= 0 is False for NaN: a field that gives NaN must raise the
+        # orientation error, not assemble an operator with NaN entries
+        class NaNField:
+            def jac(self, r):
+                B = [[0.0] * 3 for _ in range(3)]
+                B[0][0] = np.full(r.shape[:-1], np.nan)
+                return B
+
+        domain = unit_domain()
+        dmap = geometry.DomainMap([(1.0, NaNField())])
+        with pytest.raises(MapOrientationError,
+                           match=r"NaN at the axis 0 face midpoints \(min det nan\)"):
+            pde.assemble_pulled_back_operator(domain, dmap, no_charge_coeffs(), np.array([0.5]),
+                                              pde.Grid3D(domain, 9))
 
 
 class TestRhs:
@@ -959,6 +970,128 @@ class TestOneCopyPerKnot:
         assert info.iterations >= 2  # later steps build their own Jacobians
         assert assembly <= 4.5 * csr
         assert newton <= 3.8 * csr
+
+
+def every_mode_entries(dmap, r, y):
+    """The entries of J summed over every mode, a zero y_k included."""
+    r = geometry._points(r)
+    J = [[float(i == j) for j in range(3)] for i in range(3)]
+    for k, (mu, fld) in enumerate(dmap.modes):
+        scale = math.sqrt(mu) * y[k]
+        for i, row in enumerate(fld.jac(r)):
+            for j, b in enumerate(row):
+                if not (isinstance(b, float) and b == 0.0):
+                    J[i][j] = J[i][j] + scale * b
+    return J
+
+
+def every_mode_rhs(dmap, coeffs, y, grid):
+    """The forcing f* det J with every mode's shift applied to every charge, a zero y_k included."""
+    x = grid.interior
+    shifts = [(math.sqrt(mu) * y[k], fld, fld.value(x)) for k, (mu, fld) in enumerate(dmap.modes)]
+    vals = np.zeros(x.shape[:-1])
+    for c in coeffs.charges:
+        amp = c.magnitude / (2.0 * math.pi * c.width**2) ** 1.5
+        delta = [x[..., d] - c.position[d] for d in range(3)]
+        for scale, fld, at_nodes in shifts:
+            delta = [t + scale * (b - b_c)
+                     for t, b, b_c in zip(delta, at_nodes, fld.value(c.position))]
+        g0, g1, g2 = (np.exp(-0.5 * t**2 / c.width**2) for t in delta)
+        vals += (amp * g0) * (g1 * g2)
+    return vals * geometry.det_jacobian(dmap, x, y)
+
+
+def active_mode_maps(domain):
+    """The maps of the active-mode tests, each with knots that have zero components."""
+    def shift(axis, margin):
+        return geometry.CutoffShift(axis, domain.box_min, domain.box_max, margin)
+
+    ys2 = [(0.0, 0.0), (1.0, 0.0), (0.0, -1.0), (-0.0, 0.6), (-0.0, -0.0), (0.6, -0.4)]
+    # with both axis-0 modes active, at n = 9 and 17 the order of their
+    # shifts shows in the forcing's last bits
+    ys3 = [(0.0, 0.0, 0.0), (0.5, 0.0, -0.7), (-0.0, 0.3, 0.0), (0.0, 0.0, 1.0),
+           (0.9, 0.9, -1.0), (1.0, 1.0, 1.0)]
+    return {
+        # the benchmark's cutoff-ledger map, ||B||_1 ~ 0.19
+        "ledger": (cutoff_map(domain, scales=(0.1, 0.1)), ys2),
+        # two cutoffs of different margins move axis 0, a third axis 2
+        "axis0-twice": (geometry.DomainMap([(0.04, shift(0, 7.0)), (0.02, shift(0, 12.0)),
+                                            (0.01, shift(2, 9.0))]), ys3),
+        # a mode with mu_k = 0 never moves the map
+        "zero-mu": (geometry.DomainMap([(0.03, shift(1, 7.0)), (0.0, shift(2, 7.0))]), ys2),
+    }
+
+
+class TestActiveModes:
+    """A mode whose y_k is exactly 0 is skipped, with the bits of the every-mode sums."""
+
+    coeffs = pde.PBECoefficients([3.0, 2.0, 1.0], [0.0, 0.5, 2.0],
+                                 [pde.Charge([30.0, 35.0, 35.0], 1.0, 6.0),
+                                  pde.Charge([40.0, 33.0, 37.0], -0.5, 6.0),
+                                  pde.Charge([5.5, 20.0, 64.2], 0.7, 6.0)], 0.0)
+
+    @pytest.mark.parametrize("name", ["ledger", "axis0-twice", "zero-mu"])
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_results_match_the_every_mode_sums(self, n, name, monkeypatch):
+        domain, coeffs = big_domain(), self.coeffs
+        grid = pde.Grid3D(domain, n)
+        dmap, ys = active_mode_maps(domain)[name]
+        pts = np.random.default_rng(1).uniform(0.0, 70.0, size=(50, 3))
+        # complex knots, and one y per point with zero entries and a zero row
+        complex_ys = [np.array(y) + 0.2j * np.roll(y, 1) for y in ys]
+        per_point = np.random.default_rng(2).uniform(-1.0, 1.0, size=(dmap.n_modes, 50))
+        per_point[0] = 0.0
+        per_point[-1, ::3] = -0.0
+
+        def results():
+            out = []
+            for y in map(np.array, ys):
+                out += [pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid).matrix,
+                        pde.reaction_profile(domain, dmap, coeffs, y, grid).values,
+                        geometry.jacobian(dmap, grid.interior, y),
+                        geometry.det_jacobian(dmap, grid.interior, y)]
+            for y in complex_ys + [per_point]:
+                out += [geometry.jacobian(dmap, pts, y), geometry.det_jacobian(dmap, pts, y)]
+            c2 = geometry.check_assumptions(domain, dmap, coeffs.eps, coeffs.kappa2).c2
+            return out, c2
+
+        got, c2 = results()
+        rhs = [pde.assemble_rhs(domain, dmap, coeffs, np.array(y), grid).values for y in ys]
+        monkeypatch.setattr(geometry, "_jacobian_entries", every_mode_entries)
+        ref, c2_ref = results()
+        assert c2 == c2_ref
+        for a, b in zip(got, ref):
+            if sp.issparse(b):
+                assert_same_csr(a, b)
+            else:
+                # at a knot with no active mode det J is the float 1.0, as with no modes
+                a = np.broadcast_to(a, b.shape)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        for y, values in zip(ys, rhs):
+            assert np.array_equal(values, every_mode_rhs(dmap, coeffs, np.array(y), grid))
+
+    @pytest.mark.parametrize("name, y", [("ledger", (0.0, 0.0)), ("ledger", (1.0, 0.0)),
+                                         ("ledger", (0.0, -1.0)), ("ledger", (-0.0, 0.6)),
+                                         ("ledger", (0.6, -0.4)), ("zero-mu", (0.5, 0.7)),
+                                         ("axis0-twice", (0.0, 0.3, 0.0))])
+    def test_only_active_modes_are_evaluated(self, name, y, monkeypatch):
+        # one knot's operator, forcing and reaction evaluate the fields of the
+        # modes with sqrt(mu_k) y_k != 0 and of no other
+        domain = big_domain()
+        grid = pde.Grid3D(domain, 9)
+        dmap, _ = active_mode_maps(domain)[name]
+        calls = []
+        for k, (_, fld) in enumerate(dmap.modes):
+            for attr in ("jac", "value"):
+                method = getattr(fld, attr)
+                monkeypatch.setattr(fld, attr, lambda r, k=k, method=method:
+                                    calls.append(k) or method(r))
+        y = np.array(y)
+        for build in (pde.assemble_pulled_back_operator, pde.assemble_rhs,
+                      pde.reaction_profile):
+            build(domain, dmap, self.coeffs, y, grid)
+        active = {k for k, (mu, _) in enumerate(dmap.modes) if mu * y[k] != 0.0}
+        assert set(calls) == active
 
 
 class TestNewton:
