@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .errors import HypothesisViolationError
+from .errors import DomainError, HypothesisViolationError
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,8 @@ def verify_bounds_by_sampling(dmap, domain, inp: BoundsInput, trials: int = 1000
     bounds; a violation indicates an implementation bug since the bounds are
     estimates.
     Each trial draws r, y0 and y in turn; the matrices of all trials are then
-    formed at once by geometry.jacobian, with one y per sampled point.
+    formed at once by geometry.jacobian, one y per point, and a NaN or
+    infinite entry raises DomainError before any inverse or SVD.
     """
     report = VerificationReport(trials=trials)
     N = dmap.n_modes
@@ -204,6 +205,8 @@ def verify_bounds_by_sampling(dmap, domain, inp: BoundsInput, trials: int = 1000
             y[trial] = rng.uniform(-y_cap, y_cap, size=N)
     # J(r; y) = I + sum_k sqrt(mu_k) y_k B_k(r) at each trial's r and y
     J0, J1, Jy = (geometry.jacobian(dmap, r, ys.T) for ys in (y0, y0 + y, y))
+    if not all(np.all(np.isfinite(J)) for J in (J0, J1, Jy)):
+        raise DomainError("verify_bounds_by_sampling: the map's Jacobian is not finite")
     inv0 = np.linalg.inv(J0)
     step = np.eye(3) + inv0 @ (Jy - np.eye(3))  # I + J^-1(y0) By
 

@@ -338,7 +338,8 @@ def mode_c1_norm(fld, domain: ReferenceDomain, n: int = 64) -> float:
     SVD runs only where the Frobenius norm reaches the running sup times
     (1 - 1e-12), far above the rounding of either norm.  Each matrix's SVD
     is independent of the rest of the stack, so the sup is bit for bit that
-    of the exhaustive sweep.
+    of the exhaustive sweep.  A NaN or infinite entry raises DomainError
+    before any SVD; a finite Frobenius norm vouches for its matrix.
     """
     pts = _box_grid(domain, n)
     dB = fld.jac_deriv(pts)
@@ -346,6 +347,8 @@ def mode_c1_norm(fld, domain: ReferenceDomain, n: int = 64) -> float:
     for mats in [_stack(fld.jac(pts), pts.shape[:-1])] + [dB[..., i, :, :] for i in range(3)]:
         mats = mats.reshape(-1, 3, 3)
         fro = np.sqrt(np.einsum("pij,pij->p", mats, mats))
+        if not (np.all(np.isfinite(fro)) or np.all(np.isfinite(mats))):
+            raise DomainError("mode_c1_norm: the field's B or its derivatives are not finite")
         sup = max(sup, float(np.linalg.svd(mats[np.argmax(fro)], compute_uv=False)[0]))
         near = np.linalg.svd(mats[fro >= sup * (1.0 - 1e-12)], compute_uv=False)
         sup = max(sup, float(np.max(near[:, 0], initial=0.0)))

@@ -363,12 +363,9 @@ class KnotSolver:
     the reaction profile and the adjoint z of the QoI are built once; the
     adjoint carries the multigrid hierarchy that preconditions every CG
     solve, and each solve assembles only its rhs.  Its NewtonInfo carries
-    the adjoint-corrected QoI and Newton's estimate of its error, with
-    e ~ u* - u~ from one V-cycle (see the pde module docstring); Newton stops
-    once the estimate is within 1e-12 relative.  The estimate is not a
-    bound; it was checked against tight direct solves on the acceptance
-    study's knots and in the tests.  The solver's Dirichlet data is zero, so
-    the corrected QoI is z.b(y) + N(y) for the knot's interior forcing b(y);
+    the adjoint-corrected QoI and the error estimate that Newton stops on
+    (pde._qoi_estimate).  The solver's Dirichlet data is zero, so the
+    corrected QoI is z.b(y) + N(y) for the knot's interior forcing b(y);
     linear_parts gives z.b for a whole batch of points without a solve.  A
     charge width below the grid spacing h is warned about, since the grid
     then aliases the charges.

@@ -87,6 +87,7 @@ def m_tilde(evaluator, sigma: float, N: int, samples: int = 64) -> float:
     By the maximum modulus principle the sup over the closed polyellipse is
     attained on the boundary product; sampling gives a lower estimate.  The
     ring's N-fold product goes to the evaluator one first coordinate at a time.
+    A value that is NaN or infinite raises DomainError.
     """
     ring = polyellipse_boundary(sigma, samples)
     rest = np.array(list(itertools.product(ring, repeat=N - 1)), dtype=complex)
@@ -94,6 +95,8 @@ def m_tilde(evaluator, sigma: float, N: int, samples: int = 64) -> float:
     for first in ring:
         pts = np.column_stack([np.full(len(rest), first), rest])
         vals = np.abs(np.asarray(evaluator(pts), dtype=complex))
+        if not np.all(np.isfinite(vals)):
+            raise DomainError(f"m_tilde: a value is not finite on the polyellipse, sigma = {sigma}")
         best = max(best, float(np.max(vals)))
     return best
 
@@ -140,8 +143,8 @@ def error_constants(sigma_star_value: float, N: int, M_tilde: float) -> ErrorBou
         raise DomainError("sigma_star must be positive")
     if N < 1:
         raise DomainError("N must be >= 1")
-    if not M_tilde >= 0.0:  # a zero function has a zero error
-        raise DomainError(f"'M_tilde' must be nonnegative, got {M_tilde}")
+    if not 0.0 <= M_tilde < math.inf:  # a zero function has a zero error
+        raise DomainError(f"'M_tilde' must be finite and nonnegative, got {M_tilde}")
     sigma = sigma_star_value / 2.0
     c2t = 1.0 + math.sqrt(math.pi / (2.0 * sigma)) / LOG2
     delta = (math.e * LOG2 - 1.0) / c2t

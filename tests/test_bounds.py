@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from npbe_uq import bounds, geometry, pde
-from npbe_uq.errors import HypothesisViolationError
+from npbe_uq.errors import DomainError, HypothesisViolationError
 from conftest import map_forward
 
 
@@ -190,6 +190,18 @@ class TestSamplingVerification:
         assert rep.trials == 1000
         assert rep.ok, rep.violations[:3]
         assert all(v <= 1.0 for v in rep.max_slack.values())
+
+    def test_nan_field_raises_before_the_svd(self):
+        # numpy's SVD of a NaN matrix raises an untyped LinAlgError
+        class NaNField:
+            def jac(self, r):
+                B = [[0.0] * 3 for _ in range(3)]
+                B[0][0] = np.full(r.shape[:-1], np.nan)
+                return B
+
+        dmap = geometry.DomainMap([(0.01, NaNField())])
+        with pytest.raises(DomainError, match="verify_bounds_by_sampling"):
+            bounds.verify_bounds_by_sampling(dmap, big_domain(), base_input(), trials=20)
 
     def test_self_test_hook_detects(self, monkeypatch):
         # bounds shrunk tenfold must be violated

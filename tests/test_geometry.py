@@ -282,6 +282,19 @@ class TestNorms:
         else:
             assert sum(sizes) < n**3
 
+    def test_nan_field_raises_before_the_svd(self, monkeypatch):
+        # numpy's SVD of a NaN matrix raises an untyped LinAlgError
+        class NaNJacobian(Constant):
+            def jac(self, r):
+                return [[np.nan, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 3.0]]
+
+        monkeypatch.setattr(np.linalg, "svd", None)
+        domain = make_domain()
+        with pytest.raises(DomainError, match="mode_c1_norm"):
+            geometry.mode_c1_norm(NaNJacobian(), domain, n=8)
+        with pytest.raises(DomainError, match="mode_c1_norm"):
+            geometry.b_norms(geometry.DomainMap([(0.01, NaNJacobian())]), domain, n=8)
+
     def test_empty_map_gives_zero_norms(self):
         prof = geometry.b_norms(geometry.DomainMap([]), make_domain())
         assert prof.b_norm_1 == 0.0

@@ -14,6 +14,7 @@ import yaml
 
 from npbe_uq import cli, geometry, harness, pde, smolyak
 from npbe_uq.errors import ConfigError, ConvergenceError, ParseError, RateFitError
+from conftest import npbe_residual
 
 PQR_OK = """\
 REMARK  minimal pqr subset
@@ -629,6 +630,32 @@ class TestKnotSolver:
         assert 0.0 <= info.qoi_error <= 1e-12 * abs(info.qoi)
         assert info.iterations >= min_steps
 
+    def test_qoi_estimate_of_an_exact_residual(self, monkeypatch):
+        # r = 0: u solves the discrete problem, so the QoI is w.u and no V-cycle runs
+        adjoint = harness.KnotSolver(small_config(kappa2=(0.0, 0.0, 0.5))).adjoint
+        monkeypatch.setattr(adjoint, "vcycle", None)
+        u = np.linspace(-1.0, 2.0, len(adjoint.weights))
+        assert pde._qoi_estimate(adjoint, u, np.zeros_like(u)) == (pde._dot(adjoint.weights, u),
+                                                                    0.0)
+
+    @pytest.mark.parametrize("q", [20.0, 2000.0])
+    def test_qoi_estimate_at_a_tight_solution(self, q, tight_solve):
+        # at u* the corrected QoI is w.u* to rounding and the estimate nearly
+        # vanishes: 2.8e-15 and 1.2e-23 relative at q = 20, 3.6e-15 and
+        # 1.2e-19 at q = 2000
+        solver = harness.KnotSolver(small_config(kappa2=(0.0, 0.0, 0.5),
+                                                 charges_inline=[[35.0, 35.0, 35.0, q]]))
+        charges = harness.shifted_charges(solver.coeffs.charges, solver.config.alpha,
+                                          np.zeros(1), solver.domain)
+        coeffs = replace(solver.coeffs, charges=charges)
+        u = tight_solve(solver.domain, solver.dmap, coeffs, None, solver.grid, rtol=1e-13).flat
+        b = pde.assemble_rhs(solver.domain, solver.dmap, coeffs, None, solver.grid).flat
+        r = npbe_residual(solver.op.matrix, solver.reaction.flat, b, u)
+        qoi, estimate = pde._qoi_estimate(solver.adjoint, u, r)
+        wu = pde._dot(solver.adjoint.weights, u)
+        assert abs(qoi - wu) <= 1e-13 * abs(wu)
+        assert 0.0 <= estimate <= 1e-12 * abs(wu)
+
     def test_coarse_grid_knots_match_direct_newton(self, monkeypatch, tight_solve):
         # N = 3, n = 9, default width 2h: the V-cycle is not the exact
         # inverse, so e = V-cycle(R(u~)) in the stop rule is only approximate
@@ -952,6 +979,24 @@ class TestCli:
         assert rc == 1
         assert out == ""
         assert err.startswith("error: ") and repr(key) in err
+
+    @pytest.mark.parametrize("command,block,key", [
+        ("region", "region:\n  M: -1.0\n  a: 1.0\n  R: 1.0\n", "M"),
+        ("region", "region:\n  M: 1.0\n  a: 1.0\n  R: 0.0\n", "R"),
+        ("region", "region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  M_tilde: -2.0\n", "M_tilde"),
+        ("bounds", "bounds:\n  b1: 0.1\n  binf: -0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n", "binf"),
+        ("bounds", "bounds:\n  b1: 0.3\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n", "b1"),
+        ("bounds", "bounds:\n  b1: 0.2\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n", "y_inf"),
+    ], ids=["region-M-negative", "region-R-zero", "region-M_tilde-negative",
+            "bounds-binf-negative", "bounds-small-b", "bounds-y-radius"])
+    def test_out_of_range_value_names_block_and_key(self, tmp_path, capsys, command, block,
+                                                    key):
+        # as the study's errors do: the first line still starts with "error: "
+        rc = cli.main([command, "--config", self.write_config(tmp_path, block)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"error: key {key!r} in block {command!r}: ")
 
     @pytest.mark.parametrize("block,key,kind", [
         (block, key, kind) for block, keys in harness.STUDY_KEYS.items()

@@ -133,6 +133,13 @@ class TestMTilde:
         got = region.m_tilde(lambda z: z[:, 0], 1.0, 1, samples=256)
         assert abs(got - math.cosh(1.0)) <= 1e-3
 
+    def test_nan_knot_raises_naming_sigma(self):
+        # Python's max drops a NaN, which made M~ 0.0 and every bound 0.0
+        plan = smolyak.build_plan("SM", 1, 2)
+        store = smolyak.evaluate_plan(plan, lambda y: math.nan if y[0] > 0.0 else 1.0)
+        with pytest.raises(DomainError, match=r"sigma = 0\.5\b"):
+            region.m_tilde(lambda z: smolyak.interpolate(plan, store, z), 0.5, 2, 8)
+
     def test_pole_growth(self):
         def nu(z):
             return 1.0 / (2.0 - z[:, 0])
@@ -165,6 +172,13 @@ class TestConstants:
             region.error_constants(0.5, 2, -2.0)
         # M_tilde = 0 is legal: a zero function has a zero error
         assert region.error_bound(0.5, 2, 0.0, 3, 29).bound == 0.0
+
+    def test_infinite_m_tilde_rejected(self):
+        # M~ = inf made both bounds NaN
+        with pytest.raises(DomainError, match="'M_tilde' must be finite"):
+            region.error_constants(0.5, 2, math.inf)
+        with pytest.raises(DomainError, match="'M_tilde' must be finite"):
+            region.error_bound(0.5, 2, math.inf, 1, 5)
 
     def test_c1_near_one_is_finite(self):
         c0 = region.error_constants(0.5, 2, 1.0)
