@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import harness, region, smolyak
-from .errors import ConfigError, HypothesisViolationError, NpbeUqError, RateFitError
+from .errors import ConfigError, DomainError, HypothesisViolationError, NpbeUqError, RateFitError
 
 
 def cmd_solve(args) -> int:
@@ -119,7 +119,10 @@ def cmd_region(args) -> int:
     if not levels or min(levels) < 0:
         raise ConfigError(f"key 'levels' in block 'region': needs at least one level, each "
                           f">= 0, got {list(levels)}")
-    est = region.region_estimate(blk["M"], blk["a"], blk["R"])
+    try:
+        est = region.region_estimate(blk["M"], blk["a"], blk["R"])
+    except DomainError as exc:  # Theta or Xi overflows
+        raise ConfigError(f"keys 'M', 'a', 'R' in block 'region': {exc}") from None
     # the solution-norm bound doubles as the polyellipse sup estimate
     m_tilde = blk.get("M_tilde", est.xi)
     # every row is built before any is printed, so an error leaves stdout empty

@@ -5,7 +5,8 @@ ion-exclusion surface), splitting it into regions U1 (inner ball),
 U2 (shell), and U3 (solvent out to the box boundary).  Domain maps are
 finite expansions ``F(r; y) = r + sum_k sqrt(mu_k) b_k(r) y_k`` with
 closed-form displacement fields, so Jacobians and their derivatives are
-available analytically.
+available analytically.  The solver reads a map only through
+``tensor_entry``, ``offsets`` and ``det_jacobian``.
 
 A field's ``value``, ``jac`` and ``jac_deriv`` take points r of shape
 (..., 3), or a ``Lattice``: the tensor product of three coordinate axes,
@@ -17,17 +18,22 @@ factors once per axis coordinate; ``np.asarray(r)`` gives the lattice's
 have the points' leading shape, (n0, n1, n2) for a lattice.  ``value``
 returns b as 3 entries and ``jac`` B as a 3x3 nested list of entries, each
 broadcasting over that shape, and an entry that vanishes everywhere is the
-float 0.0.  J is formed entry by entry from the modes active at y, those
-whose scale sqrt(mu_k) y_k is not a real scalar exactly 0.0: a skipped
-mode's field is not evaluated.  So an entry no active mode touches stays a
-scalar, and at a y with no active mode (a knot whose y_k are all 0, or a map
-with no modes) J = I in floats; ``jacobian`` stacks J for callers that need
-arrays, and ``jac_deriv`` returns dB stacked.
-An entry that is exactly the float 0.0 or 1.0 passes through the adjugate
-rows and det J without an array operation: a product with 0.0 is dropped and
-one with 1.0 is not multiplied (a cutoff map's untouched row (0.0, 0.0, 1.0)
-costs nothing, and J = I gives det J = 1.0), which, like skipping a mode,
-can change only the sign of a zero.
+float 0.0.
+
+The entry protocol.  Only _active_modes reads y: None is the centre knot
+y = 0, and any other y is taken as given, real or complex, (N,) or (N, ...)
+for one y per point.  The modes active at y are those whose scale
+sqrt(mu_k) y_k is not a real scalar exactly 0.0 (y_k = +-0, or mu_k = 0);
+a skipped mode's field is not evaluated.  J is a 3x3 nested list of entries
+summed over the active modes, so an entry that no active mode touches is
+the float 0.0 or 1.0, and with no active mode J = I in floats.  Such an
+entry costs no array operation in the adjugate rows, det J and the tensor
+entries: a product with 0.0 is dropped, one with 1.0 is not multiplied, and
+a sum of dropped products is the float 0.0 (a cutoff's untouched row
+(0.0, 0.0, 1.0) costs nothing, and J = I gives det J = 1.0).  An offset
+component that no active mode moves stays its lattice axis.  Like skipping
+a mode, all this can change only the sign of a zero.  ``jacobian`` stacks J
+for callers that need arrays, and ``jac_deriv`` returns dB stacked.
 """
 
 from __future__ import annotations
@@ -226,24 +232,18 @@ def _box_grid(domain: ReferenceDomain, n: int) -> Lattice:
 
 
 def _active_modes(dmap: DomainMap, y):
-    """The (sqrt(mu_k) y_k, field) pairs of the modes that move the map at y.
+    """The (sqrt(mu_k) y_k, field) pairs of the modes active at y (module docstring).
 
-    A mode whose scale is a real scalar exactly 0.0 (y_k = +-0, or mu_k = 0)
-    is left out, and its field is not evaluated: for finite fields it adds
-    only +-0.0 to an entry, so leaving it out can change only the sign of a
-    zero.  A per-point y gives each scale as an array, and every mode stays.
+    A left-out mode's field adds only +-0.0 to an entry, if finite.  A
+    per-point y gives each scale as an array, and every mode stays.
     """
+    y = np.zeros(dmap.n_modes) if y is None else np.asarray(y)
     scales = ((math.sqrt(mu) * y[k], fld) for k, (mu, fld) in enumerate(dmap.modes))
     return [(s, fld) for s, fld in scales if not (isinstance(s, float) and s == 0.0)]
 
 
 def _jacobian_entries(dmap: DomainMap, r, y):
-    """J(r; y) = I + sum_k sqrt(mu_k) B_k(r) y_k as a 3x3 nested list of entries.
-
-    Only the active modes (_active_modes) are summed, so an entry that no
-    active mode's field touches stays the scalar 1.0 or 0.0; at a y with no
-    active mode J = I in floats.
-    """
+    """J(r; y) = I + sum_k sqrt(mu_k) B_k(r) y_k over the active modes, as nested entries."""
     r = _points(r)
     J = [[float(i == j) for j in range(3)] for i in range(3)]
     for scale, fld in _active_modes(dmap, y):
@@ -261,12 +261,9 @@ def _stack(entries, shape):
 
 
 def jacobian(dmap: DomainMap, r, y):
-    """J(r; y) = I + sum_k sqrt(mu_k) B_k(r) y_k, shape (..., 3, 3); r may be a Lattice.
-
-    y is (N,), or (N, ...) to give each point its own y.
-    """
+    """J(r; y) = I + sum_k sqrt(mu_k) B_k(r) y_k, shape (..., 3, 3); r may be a Lattice."""
     r = _points(r)
-    return _stack(_jacobian_entries(dmap, r, np.asarray(y)), r.shape[:-1])
+    return _stack(_jacobian_entries(dmap, r, y), r.shape[:-1])
 
 
 def det3(J):
@@ -294,10 +291,8 @@ def _det(J, adj_d, d: int):
 def _sum_of_products(*terms):
     """The sum of sign * a * b over the (sign, a, b) terms, left to right, sign +-1.
 
-    A factor that is the float 0.0 drops its term and one that is the float
-    1.0 is not multiplied, so an exact entry of J costs no array operation;
-    with every term dropped the sum is the float 0.0.  Only the sign of a
-    zero can differ from the plain sum.
+    A float factor 0.0 drops its term and 1.0 is not multiplied (module
+    docstring), so only the sign of a zero can differ from the plain sum.
     """
     total = None
     for sign, a, b in terms:
@@ -314,8 +309,46 @@ def _sum_of_products(*terms):
 
 def det_jacobian(dmap: DomainMap, r, y):
     """det J(r; y) from the entries of J, broadcasting over the points; r may be a Lattice."""
-    J = _jacobian_entries(dmap, _points(r), np.asarray(y))
+    J = _jacobian_entries(dmap, _points(r), y)
     return _det(J, _adjugate_row(J, 0), 0)
+
+
+def tensor_entry(dmap: DomainMap, y, mid, d: int, e: int, place: str) -> np.ndarray:
+    """Entry [d, e] of the eps-free pulled-back tensor J^-1 J^-T det J on the lattice mid.
+
+    The tensor is adj(J) adj(J)^T / det J, so one entry needs only rows d and
+    e of the adjugate, formed from the entries of J, and det J is
+    sum_j adj(J)[d, j] J[j, d].  Like those entries, it broadcasts over the
+    lattice; an entry whose every product has a factor 0.0 is the float 0.0.
+    Raises MapOrientationError unless det J > 0 at every midpoint, so a NaN
+    det raises too, naming ``place`` and the min det.
+    """
+    J = _jacobian_entries(dmap, mid, y)
+    row_d = _adjugate_row(J, d)
+    det = _det(J, row_d, d)
+    if not np.all(det > 0.0):
+        raise MapOrientationError(f"det J <= 0 or NaN at the {place} midpoints "
+                                  f"(min det {np.min(det):.6g})")
+    row_e = row_d if e == d else _adjugate_row(J, e)
+    entry = _sum_of_products(*((1, a, b) for a, b in zip(row_d, row_e)))
+    return 0.0 if isinstance(entry, float) and entry == 0.0 else entry / det
+
+
+def offsets(dmap: DomainMap, r, centres, y):
+    """Yield F(r; y) - F(c; y) as 3 components, for each centre c in turn.
+
+    Component d is r_d - c_d plus sum_k sqrt(mu_k) y_k (b_kd(r) - b_kd(c))
+    over the active modes, whose fields are evaluated at r once for all
+    centres.  Taking the difference mode by mode makes a pure translation
+    cancel exactly.
+    """
+    r = _points(r)
+    shifts = [(scale, fld, fld.value(r)) for scale, fld in _active_modes(dmap, y)]
+    for c in centres:
+        delta = [r[..., d] - c[d] for d in range(3)]
+        for scale, fld, at_r in shifts:
+            delta = [t + scale * (b - b_c) for t, b, b_c in zip(delta, at_r, fld.value(c))]
+        yield delta
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ class RunConfig:
         self.box_min = np.asarray(self.box_min, dtype=float)
         self.box_max = np.asarray(self.box_max, dtype=float)
         try:
-            pde._check_grid_n(self.grid_n)
+            pde.check_grid_n(self.grid_n)
         except DomainError as exc:
             raise ConfigError(f"{_AT['grid_n']}: {exc}") from None
         try:
@@ -166,6 +166,8 @@ class RunConfig:
             raise ConfigError(f"{_AT['levels']}: needs at least one study level")
         if min(self.levels) < 0:
             raise ConfigError(f"{_AT['levels']}: levels must be >= 0, got {self.levels}")
+        if len(set(self.levels)) < len(self.levels):
+            raise ConfigError(f"{_AT['levels']}: each level may appear once, got {self.levels}")
         if any(self.reference_level <= w for w in self.levels):
             raise ConfigError(f"{_AT['reference_level']}: must exceed every study level "
                               f"{self.levels}, got {self.reference_level!r}")
@@ -489,7 +491,7 @@ def run_study(config: RunConfig, progress=None) -> StudyResult:
     linear_s = time.perf_counter() - t0
     ref_linear = smolyak.integrate(ref_plan, linear)
     finest_error = abs(smolyak.integrate(plan(max(config.levels)), linear) - ref_linear)
-    target = max(_REMAINDER_FRACTION * finest_error, pde._GOAL_QOI_TOL * abs(ref_linear))
+    target = max(_REMAINDER_FRACTION * finest_error, pde.GOAL_QOI_TOL * abs(ref_linear))
 
     remainder = {}
     seconds = {}  # solve time per solved knot

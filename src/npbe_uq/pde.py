@@ -4,29 +4,24 @@ The diffusion tensor eps* J^-1 J^-T det J is discretized flux-conservatively:
 axis-aligned fluxes use face coefficients with harmonic averaging of the
 dielectric across interfaces, and the mixed-derivative part is split along
 the two diagonal directions of each coordinate plane, which keeps the
-assembled matrix symmetric.  The tensor is evaluated once per midpoint set
-(three sets of axis faces, three of plane edges, whose two diagonals share
-their midpoints), and only the entry each face uses is formed, from the two
-adjugate rows it reads, which are built from the entries of J that the map's
-fields return (see geometry): no stacked 3x3 matrix is formed.  Each
-midpoint set, like the nodes where the forcing and reaction take det J, is a
-tensor lattice and is passed to the fields as a ``geometry.Lattice``, so a
-separable field evaluates per axis.  The Dirichlet data is zero: no map
-moves the box boundary, and every solve takes u = 0 there.  So the face
-coefficients go straight into the interior block, without a full-grid
-matrix, and an entry towards a boundary node is not stored: each face
-family is written straight into the diagonals of its two stencil offsets in
-a DIA-layout array, and subtracted from the centre diagonal, which scipy
-turns into the CSR block, dropping zero entries.  The forcing, reaction,
-solution and residual are evaluated and held on the interior nodes only, in the block's
-row order.  Every map and knot takes this one path, which evaluates only the
-modes active at the knot (geometry._active_modes): a mode whose y_k is
-exactly 0, or whose mu_k is 0, is skipped, bit for bit up to the sign of a
-zero.  An entry that no active mode touches stays a scalar, so with no
-active mode (J = I, a map with no modes or a knot whose y_k are all 0) each
-mixed term is the float 0.0 and adds no faces, leaving the classic 7-point
-stencil, det J is the float 1.0, and each charge's Gaussian forcing is the
-outer product of three per-axis factors.
+assembled matrix symmetric.  The map enters only through geometry, which
+states the entry protocol and the active modes: the tensor is evaluated
+once per midpoint set (three sets of axis faces, three of plane edges,
+whose two diagonals share their midpoints), one entry per set by
+geometry.tensor_entry, the forcing takes each charge's offsets from
+geometry.offsets, and the forcing and reaction take det J from
+geometry.det_jacobian.  Each midpoint set, like the interior nodes, is a
+``geometry.Lattice``, so a separable field evaluates per axis, and y is
+passed as given.  The Dirichlet data is zero: no map moves the box
+boundary, and every solve takes u = 0 there.  So the face coefficients go
+straight into the interior block, without a full-grid matrix, and an entry
+towards a boundary node is not stored: each face family is written straight
+into the diagonals of its two stencil offsets in a DIA-layout array, and
+subtracted from the centre diagonal, which scipy turns into the CSR block,
+dropping zero entries.  The forcing, reaction, solution and residual are
+evaluated and held on the interior nodes only, in the block's row order.
+Every map and knot takes this one path; a plane whose mixed entry is the
+float 0.0 adds no faces, so at J = I the stencil is the classic 7-point one.
 
 The sinh nonlinearity is handled by damped Newton iteration with residual
 backtracking; from u = 0 its first residual is -b, formed without a matvec.
@@ -65,14 +60,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import geometry
-from .errors import ConvergenceError, DomainError, MapOrientationError
+from .errors import ConvergenceError, DomainError
 
 
 # ---------------------------------------------------------------------------
 # Grid and fields
 # ---------------------------------------------------------------------------
 
-def _check_grid_n(n) -> None:
+def check_grid_n(n) -> None:
     """DomainError unless n is 2^k + 1 with k >= 2, a grid the V-cycle halves to one node."""
     if not (isinstance(n, int) and n >= 5 and not (n - 1) & (n - 2)):
         raise DomainError(f"grid n must be 2^k + 1 with k >= 2 (5, 9, 17, 33, 65, 129, ...), "
@@ -81,7 +76,7 @@ def _check_grid_n(n) -> None:
 
 def grid_spacing(box_min, box_max, n: int) -> float:
     """Spacing of the grid with n nodes on each box axis; it must be positive and equal."""
-    _check_grid_n(n)
+    check_grid_n(n)
     spacings = (box_max - box_min) / (n - 1)
     if not (spacings[0] > 0.0 and np.allclose(spacings, spacings[0], rtol=1e-12)):
         raise DomainError(f"grid spacing must be positive and equal along all axes, got box "
@@ -92,7 +87,7 @@ def grid_spacing(box_min, box_max, n: int) -> float:
 class Grid3D:
     """Uniform node-centered grid of n^3 nodes over the reference box with subdomain tags.
 
-    n is 2^k + 1 with k >= 2, as _check_grid_n checks.  The Dirichlet data is
+    n is 2^k + 1 with k >= 2, as check_grid_n checks.  The Dirichlet data is
     zero, so the unknowns, and every field on the grid, live on the
     (n - 2)^3 interior nodes, the lattice ``interior``.  The full
     axes and tags stay for the assembly, whose face averages read the
@@ -178,27 +173,6 @@ class AssembledOperator:
     matrix: sp.csr_matrix  # interior x interior, symmetric PSD
 
 
-def _tensor_entry(dmap, y, mid, d: int, e: int, place: str) -> np.ndarray:
-    """Entry [d, e] of the eps-free pulled-back tensor J^-1 J^-T det J on the lattice mid.
-
-    The tensor is adj(J) adj(J)^T / det J, so one entry needs only rows d and
-    e of the adjugate, formed from the entries of J, and det J is
-    sum_j adj(J)[d, j] J[j, d].  Like those entries, it broadcasts over the
-    lattice; an entry whose every product has a factor 0.0 is the float 0.0.
-    Raises MapOrientationError unless det J > 0 at every midpoint, so a NaN
-    det raises too, naming ``place`` and the min det.
-    """
-    J = geometry._jacobian_entries(dmap, mid, y)
-    row_d = geometry._adjugate_row(J, d)
-    det = geometry._det(J, row_d, d)
-    if not np.all(det > 0.0):
-        raise MapOrientationError(f"det J <= 0 or NaN at the {place} midpoints "
-                                  f"(min det {np.min(det):.6g})")
-    row_e = row_d if e == d else geometry._adjugate_row(J, e)
-    entry = geometry._sum_of_products(*((1, a, b) for a, b in zip(row_d, row_e)))
-    return 0.0 if isinstance(entry, float) and entry == 0.0 else entry / det
-
-
 def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
                                   grid: Grid3D) -> AssembledOperator:
     """Assemble the pulled-back diffusion operator in per-volume form.
@@ -217,13 +191,10 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     conversion.  The Dirichlet data is zero, so an entry towards a boundary
     node leaves the centre but is never written and stays 0.  On a 2^k + 1
     grid m >= 3, so the 19 stencil offsets have distinct flat offsets, one
-    diagonal each, kept in sorted flat-offset order.  Mixed-term coefficients
-    vanish exactly wherever the active modes' fields are flat (the cutoff
-    plateau); the conversion drops zero entries, and a plane whose mixed
-    term is the float 0.0 (every plane at a knot with no active mode, and
-    the plane of two axes that no active mode moves) adds no diagonal faces.
+    diagonal each, kept in sorted flat-offset order.  The conversion drops
+    zero entries, and a plane whose mixed entry is the float 0.0 adds no
+    diagonal faces.
     """
-    y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
     n, m = grid.shape[0], grid.shape[0] - 2
     eps = coeffs.eps[grid.subdomain_tag]
     h2 = grid.h * grid.h
@@ -237,11 +208,12 @@ def assemble_pulled_back_operator(domain, dmap, coeffs: PBECoefficients, y,
     # the face families (dims, a, b, sign, T): the faces lo + a -- lo + b
     # over the lattice of lo, in the order in which the centre sums them
     families = [((d,), zero, unit[d], 1,
-                 _tensor_entry(dmap, y, midpoints(d), d, d, f"axis {d} face")) for d in range(3)]
+                 geometry.tensor_entry(dmap, y, midpoints(d), d, d, f"axis {d} face"))
+                for d in range(3)]
     for d, e in ((0, 1), (0, 2), (1, 2)):
         # the d+e diagonal runs lo -> lo + e_d + e_e and the d-e diagonal
         # lo + e_e -> lo + e_d: the same edge centres
-        T_de = _tensor_entry(dmap, y, midpoints(d, e), d, e, f"plane ({d}, {e}) edge")
+        T_de = geometry.tensor_entry(dmap, y, midpoints(d, e), d, e, f"plane ({d}, {e}) edge")
         if not (isinstance(T_de, float) and T_de == 0.0):
             families += [((d, e), zero, unit[d] + unit[e], 1, T_de),
                          ((d, e), unit[e], unit[d], -1, T_de)]
@@ -299,34 +271,22 @@ def assemble_rhs(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> Grid
 
     The charge centres ride along with the map: a charge at c gives node x
     amp g_0 g_1 g_2, g_d = exp(-delta_d^2 / (2 s^2)), for the offset
-    delta = F(x) - F(c), whose component d is x_d - c_d plus
-    sum_k sqrt(mu_k) y_k (b_kd(x) - b_kd(c)), summed over the active modes
-    (geometry._active_modes), so a mode with y_k exactly 0 adds no shift and
-    its field is not evaluated.  A component no active mode displaces stays
-    on its grid axis, so with no active mode (J = I) each Gaussian is the
-    outer product of three per-axis factors; no (n^3, 3) array is formed.
+    delta = F(x) - F(c) that geometry.offsets yields: with no active mode
+    each Gaussian is the outer product of three per-axis factors, and no
+    map forms an (n^3, 3) array.
     """
-    y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
     x = grid.interior
-    # the modes' displacements at the nodes do not depend on the charge
-    shifts = [(scale, fld, fld.value(x)) for scale, fld in geometry._active_modes(dmap, y)]
-    axes = [x[..., d] for d in range(3)]
     vals = np.zeros(x.shape[:-1])
-    for c, amp, s2 in zip(coeffs.charges, *_amplitudes(coeffs.charges)):
-        delta = [a - p for a, p in zip(axes, c.position)]
-        # taking the displacement difference mode by mode makes translation
-        # cancellation exact; a float 0.0 component leaves its axis 1-D
-        for scale, fld, at_nodes in shifts:
-            at_c = fld.value(c.position)
-            delta = [t + scale * (b - b_c) for t, b, b_c in zip(delta, at_nodes, at_c)]
+    deltas = geometry.offsets(dmap, x, [c.position for c in coeffs.charges], y)
+    for delta, amp, s2 in zip(deltas, *_amplitudes(coeffs.charges)):
         g0, g1, g2 = (np.exp(-0.5 * t**2 / s2) for t in delta)
+        del delta  # else held while offsets builds the next charge's (+2.5 MB RSS at n = 65)
         vals += (amp * g0) * (g1 * g2)
     return GridField(grid, vals * geometry.det_jacobian(dmap, x, y))
 
 
 def reaction_profile(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D) -> GridField:
     """kappa^2(r) det J(r; y) at the interior nodes, the coefficient of sinh(u) in the residual."""
-    y = np.zeros(dmap.n_modes) if y is None else np.asarray(y, dtype=float)
     return GridField(grid, coeffs.kappa2[grid.subdomain_tag[1:-1, 1:-1, 1:-1]]
                      * geometry.det_jacobian(dmap, grid.interior, y))
 
@@ -343,7 +303,7 @@ class CGInfo:
 
 _OMEGA = 0.8           # damped-Jacobi weight of the V-cycle smoother
 _GOAL_CG_TOL = 1e-3    # relative CG tolerance of a goal-oriented Newton step
-_GOAL_QOI_TOL = 1e-12  # relative QoI error at which goal-oriented Newton stops
+GOAL_QOI_TOL = 1e-12   # relative QoI error at which goal-oriented Newton stops
 _L2_TOL = 1e-9         # l2 Newton stops once ||R(u)|| <= _L2_TOL (1 + ||b||)
 _L2_CG_TOL = 1e-12     # relative CG tolerance of an l2 Newton step
 _MAX_NEWTON = 50       # Newton steps before ConvergenceError
@@ -525,7 +485,7 @@ def solve_adjoint(op: AssembledOperator, reaction: GridField) -> Adjoint:
     kd = reaction.flat
     matrix, vcycle = _zero_jacobian(op, kd)
     w = _qoi_weights(op.grid)
-    z, cg = _pcg(matrix, w, vcycle, tol=_GOAL_QOI_TOL)
+    z, cg = _pcg(matrix, w, vcycle, tol=GOAL_QOI_TOL)
     return Adjoint(matrix, vcycle, w, z, np.abs(z * kd), w - matrix @ z, cg)
 
 
@@ -603,7 +563,7 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
                 break
         elif steps or rnorm == 0.0:  # at u = 0, only an exact solution stops
             qoi, qoi_error = _qoi_estimate(adjoint, u, r)
-            if qoi_error <= _GOAL_QOI_TOL * max(abs(qoi), _dot(adjoint.weights, np.abs(u))):
+            if qoi_error <= GOAL_QOI_TOL * max(abs(qoi), _dot(adjoint.weights, np.abs(u))):
                 break
         if len(steps) == _MAX_NEWTON:
             raise ConvergenceError(

@@ -46,8 +46,8 @@ def xi(M: float, a: float, R: float) -> float:
 
 def sigma_star(theta_value: float) -> float:
     """Log-parameter of the largest inscribed Bernstein polyellipse."""
-    if theta_value < 0.0:
-        raise DomainError("theta must be nonnegative")
+    if not theta_value >= 0.0:  # also rejects nan
+        raise DomainError(f"theta must be nonnegative, got {theta_value}")
     return math.asinh(theta_value)
 
 
@@ -59,8 +59,11 @@ class RegionEstimate:
 
 
 def region_estimate(M: float, a: float, R: float) -> RegionEstimate:
-    t = theta(M, a, R)
-    return RegionEstimate(t, xi(M, a, R), sigma_star(t))
+    """Theta, Xi and sigma*; DomainError naming M, a and R if Theta or Xi is not finite."""
+    t, x = theta(M, a, R), xi(M, a, R)
+    if not (math.isfinite(t) and math.isfinite(x)):  # the radical overflows for a huge aMR
+        raise DomainError(f"theta {t} or xi {x} is not finite at M = {M}, a = {a}, R = {R}")
+    return RegionEstimate(t, x, sigma_star(t))
 
 
 def _require_positive(**kwargs):
@@ -108,6 +111,14 @@ def m_tilde(evaluator, sigma: float, N: int, samples: int = 64) -> float:
 LOG2 = math.log(2.0)
 
 
+def _power(x: float, N: int) -> float:
+    """x ** N for x >= 1, +inf where the float power raises OverflowError."""
+    try:
+        return x ** N
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ErrorBoundConstants:
     sigma: float
@@ -137,10 +148,10 @@ def error_constants(sigma_star_value: float, N: int, M_tilde: float) -> ErrorBou
 
     The undefined prefactor C(sigma) inside C1 is taken equal to the
     adjacent constant C2~(sigma); intermediate values are all exposed for
-    auditability.
+    auditability.  C1 and Q are +inf, never NaN, once they overflow.
     """
-    if sigma_star_value <= 0.0:
-        raise DomainError("sigma_star must be positive")
+    if not 0.0 < sigma_star_value < math.inf:  # also rejects nan
+        raise DomainError(f"sigma_star must be finite and positive, got {sigma_star_value}")
     if N < 1:
         raise DomainError("N must be >= 1")
     if not 0.0 <= M_tilde < math.inf:  # a zero function has a zero error
@@ -161,7 +172,8 @@ def error_constants(sigma_star_value: float, N: int, M_tilde: float) -> ErrorBou
     C1 = 4.0 * M_tilde * c2t * a_ds / (math.e * delta * sigma)
     if C1 == 1.0:  # nudged off the pole of 1 / |1 - C1|
         C1 += 1e-12
-    Q = (C1 / math.exp(sigma * delta * c2t)) * (max(1.0, C1) ** N / abs(1.0 - C1))
+    Q = math.inf if C1 == math.inf else \
+        (C1 / math.exp(sigma * delta * c2t)) * (_power(max(1.0, C1), N) / abs(1.0 - C1))
     return ErrorBoundConstants(sigma, c2t, delta, mu1, mu2, mu3, a_ds, C1, Q)
 
 
@@ -169,11 +181,15 @@ def error_bound(sigma_star_value: float, N: int, M_tilde: float, w: int, eta: in
     """A priori sup-error bound for a level-w plan with eta knots.
 
     The sub-exponential form applies when w > N / log 2; otherwise only the
-    algebraic bound holds.  Both are reported.
+    algebraic bound holds.  Both are reported; a bound that overflows is
+    +inf, never the NaN of inf * 0 or inf / inf.
     """
     c = error_constants(sigma_star_value, N, M_tilde)
-    subexp = c.Q * eta**c.mu3 * math.exp(-(N * c.sigma / 2 ** (1.0 / N)) * eta**c.mu2)
-    algebraic = (c.C1 * max(1.0, c.C1) ** N / abs(1.0 - c.C1)) * eta ** (-c.mu1)
+    subexp = c.Q * eta**c.mu3
+    if subexp < math.inf:
+        subexp *= math.exp(-(N * c.sigma / 2 ** (1.0 / N)) * eta**c.mu2)
+    growth = c.C1 * _power(max(1.0, c.C1), N)
+    algebraic = math.inf if growth == math.inf else (growth / abs(1.0 - c.C1)) * eta ** (-c.mu1)
     regime = "subexponential" if w > N / LOG2 else "algebraic"
     return ErrorBound(regime, subexp, algebraic)
 

@@ -94,6 +94,42 @@ class TestMapForward:
         assert np.allclose(J, np.eye(3), atol=0)
         assert np.allclose(geometry.det3(J), 1.0, atol=0)
 
+    def test_no_modes_is_identity_in_floats(self):
+        # y = None is the centre knot: with no active mode the tensor entries
+        # are the floats of J = I, and each offset component stays its
+        # lattice axis, 1-D and shaped to broadcast
+        dmap = geometry.DomainMap([])
+        lat = geometry.Lattice([np.linspace(0.0, 70.0, 5), np.linspace(1.0, 69.0, 4),
+                                np.linspace(2.0, 68.0, 3)])
+        for d in range(3):
+            for e in range(3):
+                T = geometry.tensor_entry(dmap, None, lat, d, e, "")
+                assert type(T) is float and T == float(d == e)
+        centres = [np.array([35.0, 30.0, 40.0]), np.array([10.0, 60.0, 5.0])]
+        for c, delta in zip(centres, geometry.offsets(dmap, lat, centres, None)):
+            for d in range(3):
+                assert np.array_equal(delta[d], lat[..., d] - c[d])  # shapes compared too
+
+    @pytest.mark.parametrize("y", [-1.0, 0.37, 1.0])
+    def test_translation_offsets_cancel_exactly(self, y):
+        # a mode whose field is a constant vector moves r and c alike, so
+        # F(r) - F(c) is r - c in every bit
+        class Translation:
+            vector = (0.3, -1.7, 2.9)
+
+            def value(self, r):
+                return [np.full(np.asarray(r).shape[:-1], v) for v in self.vector]
+
+        dmap = geometry.DomainMap([(0.49, Translation())])
+        pts = np.random.default_rng(5).uniform(0.0, 70.0, size=(40, 3))
+        centres = [np.array([35.0, 30.0, 40.0]), np.array([0.1, 69.9, 17.3])]
+        count = 0
+        for c, delta in zip(centres, geometry.offsets(dmap, pts, centres, np.array([y]))):
+            for d in range(3):
+                assert np.array_equal(delta[d], pts[:, d] - c[d])
+            count += 1
+        assert count == len(centres)
+
     def test_cutoff_value_against_scalar_recomputation(self):
         # independent evaluation of the separable quintic cutoff at a few points
         domain = make_domain()

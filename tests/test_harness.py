@@ -207,6 +207,13 @@ class TestConfig:
                                               r"got \[35\.0, 35\.0, 1\.0\]$"):
             harness.RunConfig(charges_inline=[[35.0, 35.0, 35.0, 1.0], [35.0, 35.0, 1.0]])
 
+    def test_repeated_level_rejected(self):
+        # a repeated level printed its CSV row twice and weighed twice in the rate fit
+        with pytest.raises(ConfigError, match=r"^key 'levels' in block 'sparse_grid': .*"
+                                              r"\(2, 1, 2\)$"):
+            harness.RunConfig(grid_n=9, levels=(2, 1, 2))
+        assert harness.RunConfig(grid_n=9, levels=(2, 1)).levels == (2, 1)  # order is kept
+
     def test_reference_must_exceed_levels(self):
         with pytest.raises(ConfigError):
             harness.RunConfig(levels=(1, 2, 3), reference_level=3)
@@ -1075,6 +1082,37 @@ class TestCli:
         assert rc == 1
         assert out == ""
         assert err.startswith("error: key 'levels' in block 'sparse_grid': ")
+
+    def test_study_repeated_levels_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)  # a solve would print
+        rc = cli.main(["study", "--config", self.write_with(tmp_path, "sparse_grid",
+                                                           levels=[1, 1])])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: key 'levels' in block 'sparse_grid': ")
+
+    def test_region_overflow_prints_inf(self, tmp_path, capsys):
+        # max(1, C1)^16 overflows a float: Q and the bound are +inf, not a traceback
+        path = self.write_with(tmp_path, "region", M=1.0, a=1.0, R=1.0, N=16, M_tilde=1e20,
+                               levels=[1])
+        rc = cli.main(["region", "--config", path])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "Q,inf" in out.splitlines() and out.endswith("1,33,algebraic,inf\n")
+        assert "nan" not in out
+
+    @pytest.mark.parametrize("entries", [{}, {"M_tilde": 1.0}], ids=["xi", "M_tilde"])
+    def test_region_overflowing_radius_named(self, tmp_path, capsys, entries):
+        # at M = 1e300 Theta is NaN and Xi -inf: without M_tilde the error named
+        # that key, and with it the table printed nan
+        path = self.write_with(tmp_path, "region", M=1e300, a=1.0, R=1.0, **entries)
+        rc = cli.main(["region", "--config", path])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: keys 'M', 'a', 'R' in block 'region': ")
+        assert len(err.splitlines()) == 1 and "M_tilde" not in err
 
     @pytest.mark.parametrize("entries,key", [({"N": 0}, "N"), ({"levels": [-1]}, "levels"),
                                              ({"levels": []}, "levels")],

@@ -245,10 +245,10 @@ class TestAssembly:
         coeffs = no_charge_coeffs(eps=(3.0, 2.0, 1.0))
         half = [0.5 * (a[:-1] + a[1:]) for a in grid.axes[1:]]
         edges = geometry.Lattice([grid.axes[0]] + half)
-        entry = pde._tensor_entry(dmap, y, edges, 1, 2, "plane (1, 2) edge")
+        entry = geometry.tensor_entry(dmap, y, edges, 1, 2, "plane (1, 2) edge")
         assert isinstance(entry, float) and entry == 0.0
         op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
-        tensor_entry, planes = pde._tensor_entry, []
+        tensor_entry, planes = geometry.tensor_entry, []
 
         def zero_plane(dmap, y, mid, d, e, place):
             T = tensor_entry(dmap, y, mid, d, e, place)
@@ -257,7 +257,7 @@ class TestAssembly:
                 return np.zeros(mid.shape[:-1])
             return T
 
-        monkeypatch.setattr(pde, "_tensor_entry", zero_plane)
+        monkeypatch.setattr(geometry, "tensor_entry", zero_plane)
         explicit = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
         assert planes == [(1, 2)]
         for attr in ("indptr", "indices", "data"):
@@ -845,9 +845,9 @@ def stencil_dict_operator(dmap, coeffs, y, grid):
             stencil[tuple(end - start)] = neg[tuple(slice(1 - v, n - 1 - v) for v in start)]
 
     for d in range(3):
-        add_faces((d,), zero, unit[d], 1, pde._tensor_entry(dmap, y, midpoints(d), d, d, ""))
+        add_faces((d,), zero, unit[d], 1, geometry.tensor_entry(dmap, y, midpoints(d), d, d, ""))
     for d, e in ((0, 1), (0, 2), (1, 2)):
-        T_de = pde._tensor_entry(dmap, y, midpoints(d, e), d, e, "")
+        T_de = geometry.tensor_entry(dmap, y, midpoints(d, e), d, e, "")
         if not (isinstance(T_de, float) and T_de == 0.0):
             add_faces((d, e), zero, unit[d] + unit[e], 1, T_de)
             add_faces((d, e), unit[e], unit[d], -1, T_de)

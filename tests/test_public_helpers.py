@@ -15,6 +15,9 @@ N or w, so a field that only echoes an input can pass unseen.
 No public function or class is exempt: a reference that only tests use
 lives in ``tests/conftest.py``.  ALLOWED_DEFAULTS lists the defaulted
 parameters that only tests pass, each with its reason.
+
+No package module reads an underscore name of another: what one module
+needs of another is public there.
 """
 
 import ast
@@ -157,6 +160,38 @@ def unpassed(modules: dict, extra: list) -> list:
     return out
 
 
+def is_private(name: str) -> bool:
+    """An underscore name that is not a dunder."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(modules: dict) -> list:
+    """'module:line other._name' for each read of another module's underscore name.
+
+    modules maps a module name to its parsed tree.  A read is an attribute
+    _name of a module bound by ``from . import other [as alias]``, or a
+    ``from .other import _name``; dunder names do not count.  The list is in
+    module and line order.
+    """
+    out = []
+    for mod, tree in modules.items():
+        bound, found = {}, []
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            if node.module is None:
+                bound.update({a.asname or a.name: a.name for a in node.names})
+            elif node.module != mod:
+                found += [(node.lineno, f"{node.module}.{a.name}") for a in node.names
+                          if is_private(a.name)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and bound.get(node.value.id, mod) != mod and is_private(node.attr)):
+                found.append((node.lineno, f"{bound[node.value.id]}.{node.attr}"))
+        out += [f"{mod}:{line} {name}" for line, name in sorted(found)]
+    return out
+
+
 def test_guard_finds_uncalled_functions():
     modules = {"a": ast.parse("def f():\n    return f()\n\ndef g():\n    return h()\n"
                               "def _private():\n    pass\n"),
@@ -200,6 +235,21 @@ def test_guard_finds_unpassed_parameters():
     extra = [ast.parse("a.f(0, k=1)\ng(*vals)\n")]
     assert unpassed(modules, extra) == ["a.f(z)"]
     assert unpassed(modules, extra + [ast.parse("f(**opts)\n")]) == []
+
+
+def test_guard_finds_private_reads():
+    modules = {"a": ast.parse("_X = 1\n\ndef _f():\n    return _X\n"),
+               "b": ast.parse("from . import a\nfrom . import c as cc\n"
+                              "from .a import _X, f\n\ndef g():\n"
+                              "    return a._f() + a.f() + cc._y + a.__name__ + h._z\n")}
+    # the module's own names, public names, dunders and a name that is not
+    # an imported module do not count
+    assert private_reads(modules) == ["b:3 a._X", "b:6 a._f", "b:6 c._y"]
+
+
+def test_no_private_cross_module_reads():
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert private_reads(modules) == [], "modules that read another module's underscore names"
 
 
 def test_no_test_only_parameters():

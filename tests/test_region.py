@@ -64,6 +64,12 @@ class TestClosedForms:
             assert scaled.sigma_star > 0.0
         assert base.theta > 0.0
 
+    def test_overflowing_radical_raises(self):
+        # at M = 1e300 the radical sqrt(aMR^2(aM + R)) is inf: Theta is NaN
+        # and Xi -inf, which fed the rest of the ledger as numbers
+        with pytest.raises(DomainError, match=r"M = 1e\+300, a = 1\.0, R = 1\.0"):
+            region.region_estimate(1e300, 1.0, 1.0)
+
 
 class TestSigmaStar:
     def test_zero(self):
@@ -82,6 +88,8 @@ class TestSigmaStar:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             region.sigma_star(-0.1)
+        with pytest.raises(DomainError, match="nan"):
+            region.sigma_star(math.nan)
 
 
 class TestPolyellipse:
@@ -179,6 +187,24 @@ class TestConstants:
             region.error_constants(0.5, 2, math.inf)
         with pytest.raises(DomainError, match="'M_tilde' must be finite"):
             region.error_bound(0.5, 2, math.inf, 1, 5)
+
+    @pytest.mark.parametrize("sigma_star", [math.nan, math.inf])
+    def test_non_finite_sigma_star_rejected(self, sigma_star):
+        # both made C1 and Q NaN
+        with pytest.raises(DomainError, match=f"must be finite and positive, got {sigma_star}"):
+            region.error_constants(sigma_star, 2, 1.0)
+
+    @pytest.mark.parametrize("N, m_tilde", [(16, 1e20), (2, 1e300), (2, 1.7e308)],
+                             ids=["power", "power-N2", "C1-inf"])
+    def test_overflow_is_inf_not_nan(self, N, m_tilde):
+        # max(1, C1)^N past float range raised OverflowError, and an infinite
+        # C1 gave inf / inf; both are +inf, as are both bounds at any eta
+        sigma_star = region.region_estimate(1.0, 1.0, 1.0).sigma_star
+        c = region.error_constants(sigma_star, N, m_tilde)
+        assert c.Q == math.inf
+        for w, eta in ((1, 5), (3, 10**6)):
+            eb = region.error_bound(sigma_star, N, m_tilde, w, eta)
+            assert eb.subexp_bound == eb.algebraic_bound == math.inf
 
     def test_c1_near_one_is_finite(self):
         c0 = region.error_constants(0.5, 2, 1.0)
