@@ -47,15 +47,15 @@ class BoundsInput:
                 sign = "positive" if name == "C_max" else "nonnegative"
                 raise HypothesisViolationError(f"{name!r} must be {sign}, got {value}",
                                                violated=name)
-        if not self.b1 < 0.25:
+        if not self.b1 < 0.25:  # a hypothesis is named by the field it bounds
             raise HypothesisViolationError(
-                f"'b1' = {self.b1} violates ||B||_1 < 1/4", violated="small-b"
+                f"'b1' = {self.b1} violates ||B||_1 < 1/4", violated="b1"
             )
         if self.b1 > 0.0 and not self.y_inf < 1.0 / (4.0 * self.b1) - self.y0_inf:
             raise HypothesisViolationError(
                 f"'y_inf' = {self.y_inf} violates |y|_inf < 1/(4||B||_1) - |y0|_inf "
                 f"with 'b1' = {self.b1} and 'y0_inf' = {self.y0_inf}",
-                violated="y-radius",
+                violated="y_inf",
             )
 
 
@@ -109,15 +109,18 @@ def b_coeff(inp: BoundsInput) -> float:
     return bracket * b.jinv_y0 ** 2 * b.det_op_y0
 
 
-def _overflowing(f, x: float) -> float:
-    """math.cosh or math.sinh at x >= 0, +inf where math raises OverflowError."""
+def saturating(f, *args) -> float:
+    """f(*args) for an f whose values are >= 0, or +inf where f raises OverflowError.
+
+    With product, this is the saturation rule of the bounds here and in region.
+    """
     try:
-        return f(x)
+        return f(*args)
     except OverflowError:
         return math.inf
 
 
-def _product(*factors: float) -> float:
+def product(*factors: float) -> float:
     """Product of nonnegative factors: 0 if one is 0, even when another is +inf."""
     return 0.0 if 0.0 in factors else math.prod(factors)
 
@@ -130,10 +133,10 @@ def nonlinear_term_bound(inp: BoundsInput) -> float:
     ratio3 = ((1.0 - t0) / (1.0 - t)) ** 3
     C = inp.C_max
     lead = math.sqrt(3.0) * inp.kappa2_max / (1.0 - t0) ** 3
-    term1 = _product(2.0, _overflowing(math.cosh, C * (inp.u0_norm + 0.5 * inp.u_norm)),
-                     _overflowing(math.sinh, C * 0.5 * inp.u_norm), ratio3)
-    term2 = _product(_overflowing(math.sinh, C * inp.u_norm) / C, ratio3 - 1.0)
-    return _product(lead, term1 + term2)
+    term1 = product(2.0, saturating(math.cosh, C * (inp.u0_norm + 0.5 * inp.u_norm)),
+                    saturating(math.sinh, C * 0.5 * inp.u_norm), ratio3)
+    term2 = product(saturating(math.sinh, C * inp.u_norm) / C, ratio3 - 1.0)
+    return product(lead, term1 + term2)
 
 
 def forcing_term_bound(inp: BoundsInput) -> float:

@@ -2,7 +2,11 @@
 
 
 class NpbeUqError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; violated names the rejected input, if any."""
+
+    def __init__(self, message, violated=None):
+        super().__init__(message)
+        self.violated = violated
 
 
 class DomainError(NpbeUqError):
@@ -27,10 +31,6 @@ class IncompleteStoreError(NpbeUqError):
 
 class HypothesisViolationError(NpbeUqError):
     """Inputs violate the hypotheses of a closed-form bound."""
-
-    def __init__(self, message, violated=None):
-        super().__init__(message)
-        self.violated = violated
 
 
 class ConfigError(NpbeUqError):

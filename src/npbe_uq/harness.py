@@ -64,6 +64,7 @@ STUDY_KEYS = {
     "output": {"csv_path": ("csv_path", str), "svg_path": ("svg_path", str),
                "deterministic_csv": ("deterministic_csv", bool)},
 }
+CONFIG_BLOCKS = (*STUDY_KEYS, "bounds", "region")  # every block some subcommand reads
 _AT = {name: f"key {key!r} in block {block!r}"  # where the YAML config sets a field
        for block, keys in STUDY_KEYS.items() for key, (name, _) in keys.items()}
 _KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string", bool: "true or false"}
@@ -203,19 +204,25 @@ class RunConfig:
         return max(2.0 * pde.grid_spacing(self.box_min, self.box_max, self.grid_n), 1.0)
 
 
+def _known_blocks(raw: dict) -> dict:
+    """raw, after a ConfigError naming its first block that is not in CONFIG_BLOCKS."""
+    for block in raw:
+        if block not in CONFIG_BLOCKS:
+            raise ConfigError(f"unknown config block {block!r}")
+    return raw
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     kwargs = {}
-    for block in (b for b in raw if b not in ("bounds", "region")):  # read by the CLI
-        keys = STUDY_KEYS.get(block)
-        if keys is None:
-            raise ConfigError(f"unknown config block {block!r}")
+    for block in (b for b in _known_blocks(raw) if b in STUDY_KEYS):
+        keys = STUDY_KEYS[block]
         entries = read_block(raw, block, {key: kind for key, (_, kind) in keys.items()})
         kwargs.update((keys[key][0], value) for key, value in entries.items())
     return RunConfig(**kwargs)
 
 
 def load_raw(path: str) -> dict:
-    """The YAML config file as a mapping, with every block still raw; ConfigError
+    """The YAML config file as a mapping, with every block known and still raw; ConfigError
     naming the path, on one line, if the file cannot be read or is not YAML."""
     try:
         with open(path) as fh:
@@ -225,7 +232,7 @@ def load_raw(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path!r}: {why}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} is not a mapping")
-    return raw
+    return _known_blocks(raw)
 
 
 def load_config(path: str) -> RunConfig:

@@ -423,9 +423,8 @@ def _pcg(A, b, precond, tol=1e-10, maxiter=_MAX_CG):
         raise ConvergenceError(f"CG residual norm is not finite: {rnorm} after {it} "
                                f"iterations (right-hand side norm {bnorm})", residual=rnorm)
     if rnorm > tol * bnorm:
-        raise ConvergenceError(
-            f"CG failed to reach tol {tol} in {maxiter} iterations", residual=float(rnorm)
-        )
+        raise ConvergenceError(f"CG failed to reach tol {tol} in {maxiter} iterations: "
+                               f"residual {rnorm / bnorm:.3e} ||b||", residual=float(rnorm))
     return x, CGInfo(it, rnorm)
 
 
@@ -566,8 +565,8 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
             if qoi_error <= GOAL_QOI_TOL * max(abs(qoi), _dot(adjoint.weights, np.abs(u))):
                 break
         if len(steps) == _MAX_NEWTON:
-            raise ConvergenceError(
-                f"Newton failed to converge in {_MAX_NEWTON} iterations", residual=rnorm)
+            raise ConvergenceError(f"Newton failed to converge in {_MAX_NEWTON} iterations: "
+                                   f"residual {rnorm / _norm(b):.3e} ||b||", residual=rnorm)
         Ait = J0 if not u.any() else _plus_diagonal(A, kd * np.cosh(u))
         delta, cg = _pcg(Ait, -r, vcycle, tol=cg_tol)
         cg_iterations.append(cg.iterations)
@@ -580,7 +579,8 @@ def newton_solve_npbe(domain, dmap, coeffs: PBECoefficients, y, grid: Grid3D,
             if tnorm < rnorm:
                 break
             if step <= 1e-3:
-                raise ConvergenceError("Newton line search stagnated", residual=rnorm)
+                raise ConvergenceError(f"Newton line search stagnated at residual "
+                                       f"{rnorm / _norm(b):.3e} ||b||", residual=rnorm)
             step *= 0.5
         u, r, rnorm = trial, rt, tnorm
         history.append(rnorm)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import product, saturating
 from .errors import DomainError
 
 
@@ -62,14 +63,15 @@ def region_estimate(M: float, a: float, R: float) -> RegionEstimate:
     """Theta, Xi and sigma*; DomainError naming M, a and R if Theta or Xi is not finite."""
     t, x = theta(M, a, R), xi(M, a, R)
     if not (math.isfinite(t) and math.isfinite(x)):  # the radical overflows for a huge aMR
-        raise DomainError(f"theta {t} or xi {x} is not finite at M = {M}, a = {a}, R = {R}")
+        raise DomainError(f"theta {t} or xi {x} is not finite at M = {M}, a = {a}, R = {R}",
+                          violated=("M", "a", "R"))
     return RegionEstimate(t, x, sigma_star(t))
 
 
 def _require_positive(**kwargs):
     for name, v in kwargs.items():
         if not v > 0.0:
-            raise DomainError(f"{name} must be positive, got {v}")
+            raise DomainError(f"{name} must be positive, got {v}", violated=name)
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +113,6 @@ def m_tilde(evaluator, sigma: float, N: int, samples: int = 64) -> float:
 LOG2 = math.log(2.0)
 
 
-def _power(x: float, N: int) -> float:
-    """x ** N for x >= 1, +inf where the float power raises OverflowError."""
-    try:
-        return x ** N
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class ErrorBoundConstants:
     sigma: float
@@ -148,32 +142,33 @@ def error_constants(sigma_star_value: float, N: int, M_tilde: float) -> ErrorBou
 
     The undefined prefactor C(sigma) inside C1 is taken equal to the
     adjacent constant C2~(sigma); intermediate values are all exposed for
-    auditability.  C1 and Q are +inf, never NaN, once they overflow.
+    auditability.  Each value saturates (bounds.saturating): +inf past float
+    range, never NaN, and C1 = Q = 0 at M_tilde = 0.
     """
     if not 0.0 < sigma_star_value < math.inf:  # also rejects nan
         raise DomainError(f"sigma_star must be finite and positive, got {sigma_star_value}")
     if N < 1:
-        raise DomainError("N must be >= 1")
+        raise DomainError(f"N must be >= 1, got {N}", violated="N")
     if not 0.0 <= M_tilde < math.inf:  # a zero function has a zero error
-        raise DomainError(f"'M_tilde' must be finite and nonnegative, got {M_tilde}")
+        raise DomainError(f"'M_tilde' must be finite and nonnegative, got {M_tilde}",
+                          violated="M_tilde")
     sigma = sigma_star_value / 2.0
     c2t = 1.0 + math.sqrt(math.pi / (2.0 * sigma)) / LOG2
     delta = (math.e * LOG2 - 1.0) / c2t
     mu1 = sigma / (1.0 + math.log(2.0 * N))
     mu2 = LOG2 / (N * (1.0 + math.log(2.0 * N)))
     mu3 = sigma * delta * c2t / (1.0 + 2.0 * math.log(2.0 * N))
-    a_ds = math.exp(
-        delta * sigma * (
-            1.0 / (sigma * LOG2**2)
-            + 1.0 / (LOG2 * math.sqrt(2.0 * sigma))
-            + 2.0 * (1.0 + math.sqrt(math.pi / (2.0 * sigma)) / LOG2)
-        )
-    )
-    C1 = 4.0 * M_tilde * c2t * a_ds / (math.e * delta * sigma)
+    a_ds = saturating(math.exp, delta * sigma * (
+        1.0 / (sigma * LOG2**2)
+        + 1.0 / (LOG2 * math.sqrt(2.0 * sigma))
+        + 2.0 * (1.0 + math.sqrt(math.pi / (2.0 * sigma)) / LOG2)
+    ))
+    C1 = product(4.0, M_tilde, c2t, a_ds) / (math.e * delta * sigma)
     if C1 == 1.0:  # nudged off the pole of 1 / |1 - C1|
         C1 += 1e-12
     Q = math.inf if C1 == math.inf else \
-        (C1 / math.exp(sigma * delta * c2t)) * (_power(max(1.0, C1), N) / abs(1.0 - C1))
+        product(C1 / saturating(math.exp, sigma * delta * c2t),
+                saturating(pow, max(1.0, C1), N) / abs(1.0 - C1))
     return ErrorBoundConstants(sigma, c2t, delta, mu1, mu2, mu3, a_ds, C1, Q)
 
 
@@ -181,14 +176,14 @@ def error_bound(sigma_star_value: float, N: int, M_tilde: float, w: int, eta: in
     """A priori sup-error bound for a level-w plan with eta knots.
 
     The sub-exponential form applies when w > N / log 2; otherwise only the
-    algebraic bound holds.  Both are reported; a bound that overflows is
-    +inf, never the NaN of inf * 0 or inf / inf.
+    algebraic bound holds.  Both are reported and saturate as the constants
+    do; an infinite bound stays +inf before a factor that could be 0.
     """
     c = error_constants(sigma_star_value, N, M_tilde)
-    subexp = c.Q * eta**c.mu3
+    subexp = product(c.Q, saturating(pow, eta, c.mu3))
     if subexp < math.inf:
         subexp *= math.exp(-(N * c.sigma / 2 ** (1.0 / N)) * eta**c.mu2)
-    growth = c.C1 * _power(max(1.0, c.C1), N)
+    growth = product(c.C1, saturating(pow, max(1.0, c.C1), N))
     algebraic = math.inf if growth == math.inf else (growth / abs(1.0 - c.C1)) * eta ** (-c.mu1)
     regime = "subexponential" if w > N / LOG2 else "algebraic"
     return ErrorBound(regime, subexp, algebraic)

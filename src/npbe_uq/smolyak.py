@@ -132,7 +132,7 @@ def index_set(rule: str, w: int, N: int) -> list[tuple[int, ...]]:
              "TD": lambda left, i: left - (growth(i) - 1),
              "HC": lambda left, i: (left + 1) // growth(i) - 1}.get(rule)
     if spend is None:
-        raise DomainError(f"unknown rule {rule!r}")
+        raise DomainError(f"unknown rule {rule!r}, not one of {RULES}", violated="rule")
 
     def walk(prefix, left):
         if len(prefix) == N:

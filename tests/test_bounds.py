@@ -55,12 +55,12 @@ class TestHypotheses:
     def test_small_b_violation_named(self):
         with pytest.raises(HypothesisViolationError) as exc:
             base_input(b1=0.3)
-        assert exc.value.violated == "small-b"
+        assert exc.value.violated == "b1" and "||B||_1 < 1/4" in str(exc.value)
 
     def test_y_radius_violation_named(self):
         with pytest.raises(HypothesisViolationError) as exc:
             base_input(b1=0.2, y0_inf=1.0, y_inf=0.3)
-        assert exc.value.violated == "y-radius"
+        assert exc.value.violated == "y_inf" and "|y|_inf < 1/(4||B||_1)" in str(exc.value)
 
     def test_admissible_passes(self):
         assert base_input().b1 == 0.1

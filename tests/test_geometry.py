@@ -415,7 +415,7 @@ class TestAssumptions:
         assert prof.b_norm_1 > 0.25
         with pytest.raises(HypothesisViolationError) as info:
             bounds.BoundsInput(b1=prof.b_norm_1, binf=prof.b_norm_inf, y0_inf=0.0, y_inf=0.0)
-        assert info.value.violated == "small-b"
+        assert info.value.violated == "b1" and "||B||_1 < 1/4" in str(info.value)
 
     def test_no_norm_sampling(self, monkeypatch):
         domain = make_domain()

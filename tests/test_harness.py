@@ -637,6 +637,19 @@ class TestKnotSolver:
         assert 0.0 <= info.qoi_error <= 1e-12 * abs(info.qoi)
         assert info.iterations >= min_steps
 
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_kte_knots_match_tight_solve(self, n, tight_solve):
+        # the acceptance charges in units of kT/e take 3-5 Newton steps a knot;
+        # error <= estimate is not gated: at n = 17, y = (-0.7, 0.3) the error
+        # was 1.2e-15 relative against an estimate of 3.3e-16
+        charges = [[x, y, z, 7046.0 * q] for x, y, z, q in ACCEPTANCE_CHARGES]
+        solver = harness.KnotSolver(harness.RunConfig(charges_inline=charges, N=2,
+                                                      alpha=(3.0, 3.0), grid_n=n))
+        for y in ([0.0, 0.0], [1.0, -1.0], [-0.7, 0.3]):
+            _, info = solver.solve(y)
+            ref = self.tight_qoi(tight_solve, solver, y, rtol=1e-13)
+            assert abs(info.qoi - ref) <= 1e-12 * abs(ref)
+
     def test_qoi_estimate_of_an_exact_residual(self, monkeypatch):
         # r = 0: u solves the discrete problem, so the QoI is w.u and no V-cycle runs
         adjoint = harness.KnotSolver(small_config(kappa2=(0.0, 0.0, 0.5))).adjoint
@@ -1124,6 +1137,35 @@ class TestCli:
         assert rc == 1
         assert out == ""
         assert err.startswith(f"error: key {key!r} in block 'region': ")
+
+    @pytest.mark.parametrize("command,block,line", [
+        ("region", "region:\n  M: -1.0\n  a: 1.0\n  R: 1.0\n",
+         "key 'M' in block 'region': M must be positive, got -1.0"),
+        ("region", "region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  N: 0\n",
+         "key 'N' in block 'region': N must be >= 1, got 0"),
+        ("region", "region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  rule: XX\n",
+         "key 'rule' in block 'region': unknown rule 'XX', not one of ('SM', 'TD', 'HC')"),
+        ("bounds", "bounds:\n  b1: 0.3\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n",
+         "key 'b1' in block 'bounds': 'b1' = 0.3 violates ||B||_1 < 1/4"),
+    ], ids=["region-M", "region-N", "region-rule", "bounds-small-b"])
+    def test_ledger_error_is_the_library_message_at_its_key(self, tmp_path, capsys, command,
+                                                           block, line):
+        # the check that rejects the input words the message; main adds the key
+        rc = cli.main([command, "--config", self.write_config(tmp_path, block)])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (1, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("command", ["solve", "study", "bounds", "region"])
+    def test_unknown_block_rejected_by_every_subcommand(self, tmp_path, capsys, monkeypatch,
+                                                        command):
+        # bounds and region read only their own block, and ran past a misspelt one
+        monkeypatch.setattr(pde, "newton_solve_npbe", failing_newton)
+        extra = ("bounds:\n  b1: 0.1\n  binf: 0.1\n  y0_inf: 1.0\n  y_inf: 0.5\n"
+                 "region:\n  M: 1.0\n  a: 1.0\n  R: 1.0\n  levels: [1]\n"
+                 "regoin:\n  M: 1.0\n")
+        rc = cli.main([command, "--config", self.write_config(tmp_path, extra)])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (1, "", "error: unknown config block 'regoin'\n")
 
     @pytest.mark.parametrize("entries,key", [
         ({"box_max": [40, 40, 40]}, "radii"),

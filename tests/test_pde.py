@@ -615,6 +615,17 @@ class TestLinearSolve:
                      maxiter=2)
         assert exc.value.residual is not None
 
+    def test_iteration_cap_message_carries_relative_residual(self):
+        # a failed knot's line in the study output is the message alone
+        domain = unit_domain()
+        grid = pde.Grid3D(domain, 17)
+        op = pde.assemble_pulled_back_operator(domain, identity_map(),
+                                               no_charge_coeffs(), None, grid)
+        b = np.ones(15**3)
+        with pytest.raises(ConvergenceError, match=r"in 2 iterations: residual ") as exc:
+            pde._pcg(op.matrix, b, pde.VCycle(op.matrix, grid), tol=1e-14, maxiter=2)
+        assert str(exc.value).endswith(f"residual {exc.value.residual / pde._norm(b):.3e} ||b||")
+
     def counting_vcycle(self, matrix, grid, applied):
         vcycle = pde.VCycle(matrix, grid)
 
@@ -1186,6 +1197,24 @@ class TestNewton:
                               op=replace(op, matrix=Spy(op.matrix)), reaction=react,
                               adjoint=adjoint)
         assert events[0] == "cg" and "matvec" in events
+
+    @pytest.mark.parametrize("failure", ["step-cap", "stagnation"])
+    def test_failure_message_carries_relative_residual(self, monkeypatch, failure):
+        # a failed knot's line in the study output is the message alone
+        domain = big_domain()
+        grid = pde.Grid3D(domain, 9)
+        coeffs = self.strong_coeffs()
+        if failure == "step-cap":
+            monkeypatch.setattr(pde, "_MAX_NEWTON", 1)
+        else:  # a zero step never lowers the residual
+            monkeypatch.setattr(pde, "_pcg", lambda A, rhs, precond, tol:
+                                (np.zeros_like(rhs), pde.CGInfo(0, 0.0)))
+        with pytest.raises(ConvergenceError) as exc:
+            pde.newton_solve_npbe(domain, identity_map(), coeffs, None, grid)
+        b = pde.assemble_rhs(domain, identity_map(), coeffs, None, grid).flat
+        relative = exc.value.residual / pde._norm(b)
+        assert str(exc.value).endswith(f"residual {relative:.3e} ||b||")
+        assert relative > 0.0 if failure == "step-cap" else relative == 1.0
 
     def test_small_data_matches_linearization(self):
         domain = big_domain()

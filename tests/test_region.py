@@ -71,6 +71,23 @@ class TestClosedForms:
             region.region_estimate(1e300, 1.0, 1.0)
 
 
+class TestRejectedInputNamed:
+    # violated names the parameter the error rejects, or the parameters together
+    @pytest.mark.parametrize("call, violated, message", [
+        (lambda: region.theta(-1.0, 1.0, 1.0), "M", "M must be positive, got -1.0"),
+        (lambda: region.xi(1.0, 0.0, 1.0), "a", "a must be positive, got 0.0"),
+        (lambda: region.region_estimate(1.0, 1.0, math.nan), "R", "R must be positive, got nan"),
+        (lambda: region.region_estimate(1e300, 1.0, 1.0), ("M", "a", "R"), "is not finite at M"),
+        (lambda: region.error_constants(0.5, 0, 1.0), "N", "N must be >= 1, got 0"),
+        (lambda: region.error_constants(0.5, 2, -2.0), "M_tilde", "got -2.0"),
+        (lambda: region.error_constants(math.nan, 2, 1.0), None, "sigma_star must be"),
+    ], ids=["M", "a", "R", "M-a-R", "N", "M_tilde", "sigma_star"])
+    def test_violated(self, call, violated, message):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert exc.value.violated == violated and message in str(exc.value)
+
+
 class TestSigmaStar:
     def test_zero(self):
         assert region.sigma_star(0.0) == 0.0
@@ -205,6 +222,20 @@ class TestConstants:
         for w, eta in ((1, 5), (3, 10**6)):
             eb = region.error_bound(sigma_star, N, m_tilde, w, eta)
             assert eb.subexp_bound == eb.algebraic_bound == math.inf
+
+    @pytest.mark.parametrize("N", [1, 2, 16])
+    @pytest.mark.parametrize("m_tilde", [0.0, 1.0])
+    @pytest.mark.parametrize("sigma_star", [789.0, 800.0, 1500.0, 1e6])
+    def test_large_sigma_saturates(self, sigma_star, m_tilde, N):
+        # exp(a_delta_sigma) overflows from sigma* ~ 790, exp(sigma delta c2~)
+        # in Q from ~1600, and eta^mu3 at sigma* = 1e6: each raised
+        # OverflowError, and a zero M~ times an infinite factor would be NaN
+        c = region.error_constants(sigma_star, N, m_tilde)
+        assert c.a_delta_sigma == math.inf
+        assert c.C1 == c.Q == (0.0 if m_tilde == 0.0 else math.inf)
+        for w, eta in ((1, 3), (3, 29), (10, 10**6)):
+            eb = region.error_bound(sigma_star, N, m_tilde, w, eta)
+            assert eb.subexp_bound == eb.algebraic_bound == c.Q
 
     def test_c1_near_one_is_finite(self):
         c0 = region.error_constants(0.5, 2, 1.0)

@@ -181,6 +181,13 @@ class TestIndexSets:
         with pytest.raises(DomainError):
             smolyak.index_set("XX", 1, 1)
 
+    def test_unknown_rule_named(self):
+        # the message lists the rules, and violated names the rejected input
+        listed = r"unknown rule 'XX', not one of \('SM', 'TD', 'HC'\)$"
+        with pytest.raises(DomainError, match=listed) as exc:
+            smolyak.index_set("XX", 1, 1)
+        assert exc.value.violated == "rule"
+
     @pytest.mark.parametrize("rule", smolyak.RULES)
     def test_budget_walk_matches_probe_recursion(self, rule):
         for N in range(1, 7):
