@@ -331,6 +331,60 @@ def _restriction(m: int) -> sp.csr_matrix:
                          shape=(m**3, M**3))
 
 
+# coarse planes per slab of a Galerkin product (_galerkin): a thicker slab
+# holds more of A P at once (8 raised the n = 65 cutoff knots' peak RSS by
+# 3 MB), a thinner one recomputes more shared boundary planes
+_SLAB_PLANES = 6
+
+
+def _rows(A: sp.csr_matrix, r0: int, r1: int, fmt=sp.csr_matrix, cols=None, shift: int = 0):
+    """Rows r0..r1 - 1 of A as a matrix of format fmt (CSC: their transpose)
+    over views of A's data and indices, with cols columns counted from
+    column shift (the indices are then shifted copies).
+
+    The arrays are set on the matrix, since scipy's constructor copies a
+    view that is under half of its base.
+    """
+    p0, p1 = A.indptr[r0], A.indptr[r1]
+    cols = A.shape[1] if cols is None else cols
+    S = fmt((r1 - r0, cols) if fmt is sp.csr_matrix else (cols, r1 - r0), dtype=A.dtype)
+    S.data, S.indptr = A.data[p0:p1], A.indptr[r0:r1 + 1] - p0
+    S.indices = A.indices[p0:p1] - shift if shift else A.indices[p0:p1]
+    return S
+
+
+def _galerkin(A: sp.csr_matrix, R: sp.csr_matrix, m: int) -> sp.csr_matrix:
+    """The coarse operator R (A P), P = R^T, of an A whose stencil lies in
+    {-1, 0, 1}^3, built in slabs of _SLAB_PLANES coarse planes.
+
+    Coarse planes i0..i1 - 1 read fine planes 2 i0..2 i1, whose rows of A
+    reach fine planes 2 i0 - 1..2 i1 + 1, which P interpolates from coarse
+    planes i0 - 1..i1.  Each slab multiplies only those rows of R, A and P,
+    with P's rows taken from the transpose of R's, their columns counted
+    from the slab's first coarse node.  scipy forms each product row from
+    that row's inputs alone, in their stored order, so each row has the
+    values and column order of the whole-grid R @ (A @ P) without the
+    fine-by-coarse A P or a CSR P of the whole grid.  A Galerkin row has at
+    most 27 entries, so the rows go into one buffer of 27 per coarse node.
+    """
+    fine, coarse = (2 * m + 1) ** 2, m * m  # nodes per plane
+    data = np.empty(27 * m**3, dtype=A.dtype)
+    indices = np.empty(27 * m**3, dtype=A.indices.dtype)
+    indptr = np.zeros(m**3 + 1, dtype=A.indices.dtype)
+    for i0 in range(0, m, _SLAB_PLANES):
+        i1 = min(i0 + _SLAB_PLANES, m)
+        c0, c1 = max(i0 - 1, 0) * coarse, min(i1 + 1, m) * coarse
+        r0, r1 = 2 * i0 * fine, (2 * i1 + 1) * fine
+        AP = _rows(A, r0, r1) @ _rows(R, c0, c1, fmt=sp.csc_matrix).tocsr()
+        G = _rows(R, i0 * coarse, i1 * coarse, cols=r1 - r0, shift=r0) @ AP
+        start, end = indptr[i0 * coarse], indptr[i0 * coarse] + G.nnz
+        data[start:end] = G.data
+        np.add(G.indices, c0, out=indices[start:end])
+        indptr[i0 * coarse + 1:i1 * coarse + 1] = G.indptr[1:] + start
+    nnz = indptr[-1]
+    return sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=(m**3, m**3))
+
+
 class VCycle:
     """Symmetric Galerkin V-cycle: the preconditioner of every CG solve.
 
@@ -338,8 +392,9 @@ class VCycle:
     interior of m^3 nodes halves to m' = (m - 1) / 2 until one node is left.
     Each halving holds one transfer matrix: the restriction R = P^T of
     trilinear interpolation P, built as CSR from its 27 weights per row.  P
-    is applied as the CSC view R^T of R's arrays, and formed as CSR only for
-    the coarse operator R (A P), then freed.  Each level smooths with one
+    is applied as the CSC view R^T of R's arrays; the coarse operator
+    R (A P) is formed in slabs of coarse planes (_galerkin), each row as
+    the whole-grid product forms it.  Each level smooths with one
     damped-Jacobi sweep (omega = 0.8) before and one after its coarse
     correction, forming each residual in the output of its matvec; the
     one-node bottom level stores its exact inverse 1 / a in place of
@@ -357,7 +412,7 @@ class VCycle:
             R = _restriction(m)
             P = R.T
             self.levels.append((A, _OMEGA / A.diagonal(), P, R))
-            A = (R @ (A @ P.tocsr())).tocsr()
+            A = _galerkin(A, R, m)
         self.levels.append((A, 1.0 / A.diagonal(), None, None))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:

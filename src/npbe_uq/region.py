@@ -60,11 +60,18 @@ class RegionEstimate:
 
 
 def region_estimate(M: float, a: float, R: float) -> RegionEstimate:
-    """Theta, Xi and sigma*; DomainError naming M, a and R if Theta or Xi is not finite."""
+    """Theta, Xi and sigma*; DomainError naming M, a and R unless 0 < Theta, Xi < inf.
+
+    The closed form cancels to 0 or below from aM / R ~ 1e16, where the
+    exact Theta and Xi are positive, and its radical overflows once aM or R
+    passes ~1e154.
+    """
     t, x = theta(M, a, R), xi(M, a, R)
-    if not (math.isfinite(t) and math.isfinite(x)):  # the radical overflows for a huge aMR
-        raise DomainError(f"theta {t} or xi {x} is not finite at M = {M}, a = {a}, R = {R}",
-                          violated=("M", "a", "R"))
+    if not (0.0 < t < math.inf and 0.0 < x < math.inf):  # also rejects nan
+        overflow = not (math.isfinite(t) and math.isfinite(x))
+        raise DomainError(f"theta {t} or xi {x} is not {'finite' if overflow else 'positive'} "
+                          f"at M = {M}, a = {a}, R = {R}: the closed form "
+                          f"{'overflows' if overflow else 'cancels'}", violated=("M", "a", "R"))
     return RegionEstimate(t, x, sigma_star(t))
 
 
@@ -163,7 +170,9 @@ def error_constants(sigma_star_value: float, N: int, M_tilde: float) -> ErrorBou
         + 1.0 / (LOG2 * math.sqrt(2.0 * sigma))
         + 2.0 * (1.0 + math.sqrt(math.pi / (2.0 * sigma)) / LOG2)
     ))
-    C1 = product(4.0, M_tilde, c2t, a_ds) / (math.e * delta * sigma)
+    den = math.e * delta * sigma  # underflows to 0 from sigma* ~ 1e-216
+    C1 = product(4.0, M_tilde, c2t, a_ds)
+    C1 = C1 / den if den > 0.0 else product(C1, math.inf)
     if C1 == 1.0:  # nudged off the pole of 1 / |1 - C1|
         C1 += 1e-12
     Q = math.inf if C1 == math.inf else \

@@ -1127,6 +1127,17 @@ class TestCli:
         assert err.startswith("error: keys 'M', 'a', 'R' in block 'region': ")
         assert len(err.splitlines()) == 1 and "M_tilde" not in err
 
+    def test_region_cancelled_radius_named(self, tmp_path, capsys):
+        # at M = 1e20 the closed form gives Theta = -0.0 and Xi = 0.0: the error
+        # named sigma_star, which is no key of the block
+        path = self.write_with(tmp_path, "region", M=1e20, a=1, R=1)
+        rc = cli.main(["region", "--config", path])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: keys 'M', 'a', 'R' in block 'region': ")
+        assert len(err.splitlines()) == 1 and "cancels" in err
+
     @pytest.mark.parametrize("entries,key", [({"N": 0}, "N"), ({"levels": [-1]}, "levels"),
                                              ({"levels": []}, "levels")],
                              ids=["N-0", "level-neg", "levels-empty"])

@@ -914,10 +914,12 @@ class TestOneCopyPerKnot:
     coeffs = pde.PBECoefficients([3.0, 2.0, 1.0], [1.0, 0.5, 2.0],
                                  [pde.Charge([0.45, 0.5, 0.55], 40.0, 0.1)], 0.0)
 
+    # at n = 33 level 0 spans 3 slabs of pde._galerkin
     @pytest.mark.parametrize("n, y", [(9, (0.6, -0.4)), (9, (-1.0, 0.7)),
-                                      (17, (0.6, -0.4)), (17, (-1.0, 0.7)), (17, None)],
+                                      (17, (0.6, -0.4)), (17, (-1.0, 0.7)), (17, None),
+                                      (33, (0.6, -0.4)), (33, None)],
                              ids=["9-cutoff-a", "9-cutoff-b", "17-cutoff-a", "17-cutoff-b",
-                                  "17-identity"])
+                                  "17-identity", "33-cutoff", "33-identity"])
     def test_matrices_match_the_references_bit_for_bit(self, n, y):
         dmap = identity_map() if y is None else cutoff_map(unit_domain())
         y = None if y is None else np.array(y)
@@ -981,6 +983,25 @@ class TestOneCopyPerKnot:
         assert info.iterations >= 2  # later steps build their own Jacobians
         assert assembly <= 4.5 * csr
         assert newton <= 3.8 * csr
+
+    def test_vcycle_build_transient_is_bounded_by_the_operator(self):
+        # what _zero_jacobian holds beyond the Jacobian and V-cycle it returns:
+        # a whole-grid A P with a CSR P reaches 1.01x here, slabs of
+        # pde._SLAB_PLANES = 6 coarse planes 0.53x
+        domain, coeffs = unit_domain(), self.coeffs
+        dmap, y = cutoff_map(domain), np.array([0.6, -0.4])
+        grid = pde.Grid3D(domain, 65)
+        op = pde.assemble_pulled_back_operator(domain, dmap, coeffs, y, grid)
+        kd = pde.reaction_profile(domain, dmap, coeffs, y, grid).flat
+        tracemalloc.start()
+        try:
+            J, vcycle = pde._zero_jacobian(op, kd)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        A = op.matrix
+        csr = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+        assert peak - kept <= 0.8 * csr
 
 
 def every_mode_entries(dmap, r, y):

@@ -78,10 +78,11 @@ class TestRejectedInputNamed:
         (lambda: region.xi(1.0, 0.0, 1.0), "a", "a must be positive, got 0.0"),
         (lambda: region.region_estimate(1.0, 1.0, math.nan), "R", "R must be positive, got nan"),
         (lambda: region.region_estimate(1e300, 1.0, 1.0), ("M", "a", "R"), "is not finite at M"),
+        (lambda: region.region_estimate(1e20, 1.0, 1.0), ("M", "a", "R"), "closed form cancels"),
         (lambda: region.error_constants(0.5, 0, 1.0), "N", "N must be >= 1, got 0"),
         (lambda: region.error_constants(0.5, 2, -2.0), "M_tilde", "got -2.0"),
         (lambda: region.error_constants(math.nan, 2, 1.0), None, "sigma_star must be"),
-    ], ids=["M", "a", "R", "M-a-R", "N", "M_tilde", "sigma_star"])
+    ], ids=["M", "a", "R", "M-a-R", "M-a-R-cancelled", "N", "M_tilde", "sigma_star"])
     def test_violated(self, call, violated, message):
         with pytest.raises(DomainError) as exc:
             call()
@@ -232,6 +233,18 @@ class TestConstants:
         # OverflowError, and a zero M~ times an infinite factor would be NaN
         c = region.error_constants(sigma_star, N, m_tilde)
         assert c.a_delta_sigma == math.inf
+        assert c.C1 == c.Q == (0.0 if m_tilde == 0.0 else math.inf)
+        for w, eta in ((1, 3), (3, 29), (10, 10**6)):
+            eb = region.error_bound(sigma_star, N, m_tilde, w, eta)
+            assert eb.subexp_bound == eb.algebraic_bound == c.Q
+
+    @pytest.mark.parametrize("N", [1, 2, 16])
+    @pytest.mark.parametrize("m_tilde", [0.0, 1.0])
+    @pytest.mark.parametrize("sigma_star", [1e-215, 1e-220, 1e-300])
+    def test_tiny_sigma_saturates(self, sigma_star, m_tilde, N):
+        # delta sigma in the denominator of C1 underflows to 0 from sigma* ~
+        # 1e-216, which raised ZeroDivisionError; C1 is +inf as at 1e-215
+        c = region.error_constants(sigma_star, N, m_tilde)
         assert c.C1 == c.Q == (0.0 if m_tilde == 0.0 else math.inf)
         for w, eta in ((1, 3), (3, 29), (10, 10**6)):
             eb = region.error_bound(sigma_star, N, m_tilde, w, eta)
