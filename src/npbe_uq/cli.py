@@ -104,9 +104,7 @@ def cmd_region(args) -> int:
              "levels": [int, None], "rule": str}
     blk = harness.read_block(harness.load_raw(args.config), "region", kinds, ("M", "a", "R"))
     N, levels, rule = blk.get("N", 1), blk.get("levels", (1, 2, 3, 4, 5)), blk.get("rule", "SM")
-    if not levels or min(levels) < 0:
-        raise ConfigError(f"key 'levels' in block 'region': needs at least one level, each "
-                          f">= 0, got {list(levels)}")
+    smolyak.check_levels(rule, levels)
     est = region.region_estimate(blk["M"], blk["a"], blk["R"])
     # the solution-norm bound doubles as the polyellipse sup estimate
     m_tilde = blk.get("M_tilde", est.xi)
@@ -157,13 +155,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NpbeUqError as exc:
-        # the bounds and region blocks' keys are the names of the inputs they set
-        names = (exc.violated,) if isinstance(exc.violated, str) else exc.violated or ()
-        where = ""
-        if names and args.command in ("bounds", "region"):
-            where = (f"key{'s' if len(names) > 1 else ''} {', '.join(map(repr, names))} "
-                     f"in block {args.command!r}: ")
-        print(f"error: {where}{exc}", file=sys.stderr)
+        # the bounds and region blocks' keys are the names of the model inputs they set
+        if exc.violated and args.command in ("bounds", "region") and \
+                not isinstance(exc, ConfigError):
+            exc = harness.config_error(args.command, exc.violated, exc)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -60,17 +60,17 @@ class ReferenceDomain:
     radii: tuple[float, float]  # (r1, r2), r1 < r2
 
     def __post_init__(self):
-        object.__setattr__(self, "box_min", np.asarray(self.box_min, dtype=float))
-        object.__setattr__(self, "box_max", np.asarray(self.box_max, dtype=float))
-        object.__setattr__(self, "sphere_center", np.asarray(self.sphere_center, dtype=float))
+        for name in ("box_min", "box_max", "sphere_center"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise DomainError(f"{name} must be finite, got {value}", violated=name)
+            object.__setattr__(self, name, value)
         r1, r2 = self.radii
-        if not 0.0 < r1 < r2:
-            raise DomainError(f"sphere radii must satisfy 0 < r1 < r2, got {self.radii}")
         # spheres must sit strictly inside the box for proper nesting
-        if np.any(self.sphere_center - r2 <= self.box_min) or np.any(
-            self.sphere_center + r2 >= self.box_max
-        ):
-            raise DomainError(f"outer sphere of radius {r2:g} not compactly contained in box")
+        if not (0.0 < r1 < r2 and np.all(self.sphere_center - r2 > self.box_min)
+                and np.all(self.sphere_center + r2 < self.box_max)):
+            raise DomainError(f"sphere radii must satisfy 0 < r1 < r2 with the outer sphere "
+                              f"strictly inside the box, got {self.radii}", violated="radii")
 
     def levels(self, r):
         """Signed distances to the two sphere interfaces, vectorized; r may be a Lattice."""
@@ -153,7 +153,7 @@ class CutoffShift:
         self.axis = axis
         self.box_min = np.asarray(box_min, dtype=float)
         self.box_max = np.asarray(box_max, dtype=float)
-        if margin <= 0.0 or np.any(2.0 * margin >= self.box_max - self.box_min):
+        if not (margin > 0.0 and np.all(2.0 * margin < self.box_max - self.box_min)):
             raise DomainError("cutoff margin must be positive and below half the box width")
         self.margin = float(margin)
 
@@ -407,7 +407,7 @@ class AssumptionReport:
 def check_assumptions(domain: ReferenceDomain, dmap: DomainMap, eps, kappa2) -> AssumptionReport:
     """Check the coefficient signs and sample det J over corner and random y for c2.
 
-    Raises DomainError unless eps > 0 and kappa^2 >= 0 in every region, and
+    Raises DomainError unless check_coefficients accepts eps and kappa2, and
     MapOrientationError unless every sampled det J is > 0, so NaN fails too.
     det J is multilinear in y for this map family, so extrema sit near the
     corners of Gamma; a 5-point tensor grid per dimension plus 32 random
@@ -417,11 +417,7 @@ def check_assumptions(domain: ReferenceDomain, dmap: DomainMap, eps, kappa2) -> 
     coarser grid reports c2 = 1.  The small-B hypothesis ||B||_1 < 1/4 is
     checked where the bounds use it, when a bounds.BoundsInput is built.
     """
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0.0):
-        raise DomainError("epsilon must be positive in every region")
-    if np.any(np.asarray(kappa2, dtype=float) < 0.0):
-        raise DomainError("kappa^2 must be nonnegative in every region")
+    check_coefficients(eps, kappa2)
     pts = _box_grid(domain, 17)
     N = dmap.n_modes
     ys = np.vstack([list(itertools.product([-1.0, -0.5, 0.0, 0.5, 1.0], repeat=N)),
@@ -431,3 +427,12 @@ def check_assumptions(domain: ReferenceDomain, dmap: DomainMap, eps, kappa2) -> 
     if not c2 > 0.0:
         raise MapOrientationError(f"det J <= 0 or NaN sampled (min {c2:.3e}); map rejected")
     return AssumptionReport(c1=float(np.min(eps)), c2=c2)
+
+
+def check_coefficients(eps, kappa2) -> None:
+    """DomainError naming 'eps' or 'kappa2' unless each holds 3 values, one per region, with
+    eps > 0 and kappa^2 >= 0, so NaN fails too: the ellipticity the analyticity rests on."""
+    if not (np.shape(eps) == (3,) and np.all(np.asarray(eps, dtype=float) > 0.0)):
+        raise DomainError(f"eps must be 3 positive values, got {eps}", violated="eps")
+    if not (np.shape(kappa2) == (3,) and np.all(np.asarray(kappa2, dtype=float) >= 0.0)):
+        raise DomainError(f"kappa2 must be 3 nonnegative values, got {kappa2}", violated="kappa2")

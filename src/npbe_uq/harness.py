@@ -65,22 +65,29 @@ STUDY_KEYS = {
                "deterministic_csv": ("deterministic_csv", bool)},
 }
 CONFIG_BLOCKS = (*STUDY_KEYS, "bounds", "region")  # every block some subcommand reads
-_AT = {name: f"key {key!r} in block {block!r}"  # where the YAML config sets a field
-       for block, keys in STUDY_KEYS.items() for key, (name, _) in keys.items()}
+_BLOCK_OF = {key: block for block, keys in STUDY_KEYS.items() for key in keys}  # keys are unique
 _KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string", bool: "true or false"}
 
 
-def _read(value, kind, where: str):
-    """value read as kind (see STUDY_KEYS); ConfigError naming where if it is not of that kind."""
+def config_error(block: str, violated, message) -> ConfigError:
+    """ConfigError "key 'k' in block 'b': message", with violated the key k of block b, or
+    "keys 'k1', 'k2' in block 'b': message" for a tuple of keys rejected together."""
+    keys = (violated,) if isinstance(violated, str) else violated
+    return ConfigError(f"key{'s' if len(keys) > 1 else ''} {', '.join(map(repr, keys))} "
+                       f"in block {block!r}: {message}", violated=violated)
+
+
+def _read(value, kind, block: str, key: str):
+    """value read as kind (see STUDY_KEYS); config_error at key if it is not of that kind."""
     if isinstance(kind, list):
         if not isinstance(value, list) or kind[1] not in (None, len(value)):
             size = f" of {kind[1]}" if kind[1] else ""
-            raise ConfigError(f"{where}: {value!r} is not a list{size}")
-        return tuple(_read(v, kind[0], where) for v in value)
+            raise config_error(block, key, f"{value!r} is not a list{size}")
+        return tuple(_read(v, kind[0], block, key) for v in value)
     ok = isinstance(value, (int, float) if kind is float else kind)
     ok = ok and isinstance(value, bool) == (kind is bool)
     if not ok or kind is float and not abs(value) <= sys.float_info.max:  # finite, as a float
-        raise ConfigError(f"{where}: {value!r} is not {_KIND_NAMES[kind]}")
+        raise config_error(block, key, f"{value!r} is not {_KIND_NAMES[kind]}")
     return float(value) if kind is float else value
 
 
@@ -97,8 +104,7 @@ def read_block(raw: dict, block: str, kinds: dict, required=()) -> dict:
             raise ConfigError(f"block {block!r} needs key {key!r}")
         if key not in kinds:
             raise ConfigError(f"unknown key {key!r} in block {block!r}")
-    return {key: _read(value, kinds[key], f"key {key!r} in block {block!r}")
-            for key, value in entries.items()}
+    return {key: _read(value, kinds[key], block, key) for key, value in entries.items()}
 
 
 @dataclass
@@ -131,65 +137,45 @@ class RunConfig:
     def __post_init__(self):
         self.box_min = np.asarray(self.box_min, dtype=float)
         self.box_max = np.asarray(self.box_max, dtype=float)
-        try:
-            pde.check_grid_n(self.grid_n)
+        try:  # the model's own checks state its rules; only the rest are written here
+            pde.grid_spacing(self.box_min, self.box_max, self.grid_n)  # checks grid n first
+            self.domain  # 0 < r1 < r2, and the outer sphere fits in the box
+            geometry.check_coefficients(self.eps, self.kappa2)
+            if self.charge_width is not None:
+                pde.check_width(self.charge_width)
+            if self.N not in (1, 2, 3):
+                raise DomainError(f"shift model supports N in {{1, 2, 3}}, got {self.N!r}",
+                                  violated="N")
+            self.alpha = tuple(float(a) for a in ((2.0,) * self.N if self.alpha is None
+                                                  else self.alpha))
+            if not (len(self.alpha) == self.N and all(a > 0.0 for a in self.alpha)):
+                raise DomainError(f"alpha must list one positive amplitude per dimension "
+                                  f"(N = {self.N}), got {self.alpha}", violated="alpha")
+            smolyak.check_levels(self.rule, self.levels)
+            if len(set(self.levels)) < len(self.levels):
+                raise DomainError(f"each level may appear once, got {self.levels}",
+                                  violated="levels")
+            if any(self.reference_level <= w for w in self.levels):
+                raise DomainError(f"must exceed every study level {self.levels}, "
+                                  f"got {self.reference_level!r}", violated="reference_level")
+            for c in self.charges_inline:
+                if len(c) != 4:
+                    raise DomainError(f"each charge needs [x, y, z, q], got {c!r}",
+                                      violated="inline")
+            if self.charges_path and self.charges_inline:
+                raise DomainError("'inline' is set too; give the charges one way", violated="path")
+            for key, path in (("csv_path", self.csv_path), ("svg_path", self.svg_path)):
+                if path and (os.path.isdir(path)
+                             or not os.path.isdir(os.path.dirname(path) or ".")):
+                    raise DomainError(f"cannot write a file at {path!r}", violated=key)
         except DomainError as exc:
-            raise ConfigError(f"{_AT['grid_n']}: {exc}") from None
-        try:
-            pde.grid_spacing(self.box_min, self.box_max, self.grid_n)
-        except DomainError as exc:
-            raise ConfigError(f"{_AT['box_max']}: {exc}") from None
-        try:  # the domain checks 0 < r1 < r2 and that the outer sphere fits in the box
-            self.domain
-        except DomainError as exc:
-            raise ConfigError(f"{_AT['radii']}: {exc}") from None
-        if not min(self.eps) > 0.0:
-            raise ConfigError(f"{_AT['eps']}: eps must be 3 positive values, got {self.eps}")
-        if not min(self.kappa2) >= 0.0:
-            raise ConfigError(f"{_AT['kappa2']}: kappa2 must be 3 nonnegative values, "
-                              f"got {self.kappa2}")
-        if self.charge_width is not None and not self.charge_width > 0.0:
-            raise ConfigError(f"{_AT['charge_width']}: charge width must be positive, "
-                              f"got {self.charge_width}")
-        if self.N not in (1, 2, 3):
-            raise ConfigError(f"{_AT['N']}: shift model supports N in {{1, 2, 3}}, "
-                              f"got {self.N!r}")
-        if self.alpha is None:
-            self.alpha = (2.0,) * self.N
-        self.alpha = tuple(float(a) for a in self.alpha)
-        if len(self.alpha) != self.N:
-            raise ConfigError(f"{_AT['alpha']}: alpha must list one amplitude per dimension "
-                              f"(N = {self.N}), got {self.alpha}")
-        if any(a <= 0.0 for a in self.alpha):
-            raise ConfigError(f"{_AT['alpha']}: shift amplitudes must be positive, "
-                              f"got {self.alpha}")
-        if not self.levels:
-            raise ConfigError(f"{_AT['levels']}: needs at least one study level")
-        if min(self.levels) < 0:
-            raise ConfigError(f"{_AT['levels']}: levels must be >= 0, got {self.levels}")
-        if len(set(self.levels)) < len(self.levels):
-            raise ConfigError(f"{_AT['levels']}: each level may appear once, got {self.levels}")
-        if any(self.reference_level <= w for w in self.levels):
-            raise ConfigError(f"{_AT['reference_level']}: must exceed every study level "
-                              f"{self.levels}, got {self.reference_level!r}")
-        if self.rule not in smolyak.RULES:
-            raise ConfigError(f"{_AT['rule']}: unknown sparse-grid rule {self.rule!r}")
-        for c in self.charges_inline:
-            if len(c) != 4:
-                raise ConfigError(f"{_AT['charges_inline']}: each charge needs [x, y, z, q], "
-                                  f"got {c!r}")
-        if self.charges_path and self.charges_inline:
-            raise ConfigError(f"{_AT['charges_path']}: 'inline' is set too; give the charges "
-                              f"one way")
-        for name, path in (("csv_path", self.csv_path), ("svg_path", self.svg_path)):
-            if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
-                raise ConfigError(f"{_AT[name]}: cannot write a file at {path!r}")
+            raise config_error(_BLOCK_OF[exc.violated], exc.violated, exc) from None
 
     @property
     def domain(self) -> geometry.ReferenceDomain:
         """The box with both spheres centred in it."""
         return geometry.ReferenceDomain(self.box_min, self.box_max,
-                                        0.5 * (self.box_min + self.box_max), tuple(self.radii))
+                                        0.5 * self.box_min + 0.5 * self.box_max, tuple(self.radii))
 
     def grid(self) -> pde.Grid3D:
         return pde.Grid3D(self.domain, self.grid_n)
@@ -281,8 +267,8 @@ def ingest_charges(config: RunConfig) -> list:
             with open(config.charges_path) as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{_AT['charges_path']}: cannot read {config.charges_path!r}: "
-                              f"{exc}") from None
+            raise config_error("charges", "path",
+                               f"cannot read {config.charges_path!r}: {exc}") from None
         pairs = parse_pqr(text)
     else:
         pairs = [(np.array(c[:3], dtype=float), float(c[3])) for c in config.charges_inline]
@@ -314,7 +300,7 @@ def shifted_positions(positions: np.ndarray, alpha, ys, domain: geometry.Referen
     shift[:, :ys.shape[1]] = np.asarray(alpha) * ys
     out = shift[:, None, :] + positions
     if not np.all(domain.contains(out)):
-        raise ConfigError(f"{_AT['alpha']}: shifted charge leaves the box; reduce alpha")
+        raise config_error("stochastic", "alpha", "shifted charge leaves the box; reduce alpha")
     return out
 
 

@@ -71,16 +71,16 @@ def check_grid_n(n) -> None:
     """DomainError unless n is 2^k + 1 with k >= 2, a grid the V-cycle halves to one node."""
     if not (isinstance(n, int) and n >= 5 and not (n - 1) & (n - 2)):
         raise DomainError(f"grid n must be 2^k + 1 with k >= 2 (5, 9, 17, 33, 65, 129, ...), "
-                          f"got {n!r}")
+                          f"got {n!r}", violated="n")
 
 
 def grid_spacing(box_min, box_max, n: int) -> float:
-    """Spacing of the grid with n nodes on each box axis; it must be positive and equal."""
+    """Spacing of the grid with n nodes on each box axis, which must be positive and equal."""
     check_grid_n(n)
     spacings = (box_max - box_min) / (n - 1)
     if not (spacings[0] > 0.0 and np.allclose(spacings, spacings[0], rtol=1e-12)):
         raise DomainError(f"grid spacing must be positive and equal along all axes, got box "
-                          f"sides {(box_max - box_min).tolist()}")
+                          f"sides {(box_max - box_min).tolist()}", violated="box_max")
     return float(spacings[0])
 
 
@@ -134,8 +134,13 @@ class Charge:
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        if self.width <= 0.0:
-            raise DomainError("charge width must be positive")
+        check_width(self.width)
+
+
+def check_width(width) -> None:
+    """DomainError naming 'width' unless the charge width is positive, so NaN fails too."""
+    if not width > 0.0:
+        raise DomainError(f"charge width must be positive, got {width}", violated="width")
 
 
 @dataclass
@@ -152,10 +157,7 @@ class PBECoefficients:
             raise DomainError(f"'boundary' must be 0 (zero Dirichlet data), got {self.boundary!r}")
         self.eps = np.asarray(self.eps, dtype=float)
         self.kappa2 = np.asarray(self.kappa2, dtype=float)
-        if self.eps.shape != (3,) or np.any(self.eps <= 0.0):
-            raise DomainError("eps must be 3 positive values")
-        if self.kappa2.shape != (3,) or np.any(self.kappa2 < 0.0):
-            raise DomainError("kappa2 must be 3 nonnegative values")
+        geometry.check_coefficients(self.eps, self.kappa2)
 
 
 # ---------------------------------------------------------------------------

@@ -24,25 +24,26 @@ from .errors import DomainError
 # Implicit-function-theorem region
 # ---------------------------------------------------------------------------
 
-def _s_factor(M: float, a: float, R: float) -> float:
-    # common radical sqrt(aMR^2(aM+R)), factored to avoid cancellation
-    return R * math.sqrt(a * M * (a * M + R))
+def _p_and_s(M: float, a: float, R: float):
+    """(p, s) after checking M, a, R > 0: p = aM, formed once, as Theta and Xi read a and M only
+    through it, and the common radical s = sqrt(pR^2(p + R)), factored to avoid cancellation."""
+    _require_positive(M=M, a=a, R=R)
+    p = a * M
+    return p, R * math.sqrt(p * (p + R))
 
 
 def theta(M: float, a: float, R: float) -> float:
     """Radius of the guaranteed analyticity ball around each parameter point."""
-    _require_positive(M=M, a=a, R=R)
-    s = _s_factor(M, a, R)
-    num = (a * M * R - s) * (a * M * R + R * R - s)
-    den = 2 * a * a * M * M * R - R * s + a * M * (2 * R * R - 3 * s)
+    p, s = _p_and_s(M, a, R)
+    num = (p * R - s) * (p * R + R * R - s)
+    den = 2 * p * p * R - R * s + p * (2 * R * R - 3 * s)
     return num / den
 
 
 def xi(M: float, a: float, R: float) -> float:
     """Bound on the solution-perturbation norm inside the Theta-ball."""
-    _require_positive(M=M, a=a, R=R)
-    s = _s_factor(M, a, R)
-    return (a * M * R + R * R - s) / (a * M + R)
+    p, s = _p_and_s(M, a, R)
+    return (p * R + R * R - s) / (p + R)
 
 
 def sigma_star(theta_value: float) -> float:
@@ -87,8 +88,8 @@ def _require_positive(**kwargs):
 
 def polyellipse_boundary(sigma: float, samples: int = 64) -> np.ndarray:
     """Boundary of the Bernstein ellipse E_sigma: cosh(s)cos t + i sinh(s)sin t."""
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
+    if not sigma > 0.0:  # also rejects nan
+        raise DomainError(f"sigma must be positive, got {sigma}")
     t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     return math.cosh(sigma) * np.cos(t) + 1j * math.sinh(sigma) * np.sin(t)
 
@@ -160,24 +161,24 @@ def error_constants(sigma_star_value: float, N: int, M_tilde: float) -> ErrorBou
         raise DomainError(f"'M_tilde' must be finite and nonnegative, got {M_tilde}",
                           violated="M_tilde")
     sigma = sigma_star_value / 2.0
-    c2t = 1.0 + math.sqrt(math.pi / (2.0 * sigma)) / LOG2
+    # pi / sigma* is pi / 2 sigma, but never divides by 0; c2~ is +inf below sigma* ~ 1.7e-308
+    c2t = 1.0 + math.sqrt(math.pi / sigma_star_value) / LOG2
     delta = (math.e * LOG2 - 1.0) / c2t
     mu1 = sigma / (1.0 + math.log(2.0 * N))
     mu2 = LOG2 / (N * (1.0 + math.log(2.0 * N)))
-    mu3 = sigma * delta * c2t / (1.0 + 2.0 * math.log(2.0 * N))
-    a_ds = saturating(math.exp, delta * sigma * (
-        1.0 / (sigma * LOG2**2)
-        + 1.0 / (LOG2 * math.sqrt(2.0 * sigma))
-        + 2.0 * (1.0 + math.sqrt(math.pi / (2.0 * sigma)) / LOG2)
-    ))
-    den = math.e * delta * sigma  # underflows to 0 from sigma* ~ 1e-216
+    ds = delta * sigma  # underflows to 0 from sigma* ~ 1e-216, with the same bits as sigma delta
+    sdc = product(ds, c2t)  # sigma delta c2~, 0 where delta sigma is
+    mu3 = sdc / (1.0 + 2.0 * math.log(2.0 * N))
+    # at ds = 0 the exponent's limit is 0, and its bracket may be +inf or 1 / 0
+    a_ds = 1.0 if ds == 0.0 else saturating(math.exp, ds * (
+        1.0 / (sigma * LOG2**2) + 1.0 / (LOG2 * math.sqrt(2.0 * sigma)) + 2.0 * c2t))
+    den = math.e * delta * sigma
     C1 = product(4.0, M_tilde, c2t, a_ds)
     C1 = C1 / den if den > 0.0 else product(C1, math.inf)
     if C1 == 1.0:  # nudged off the pole of 1 / |1 - C1|
         C1 += 1e-12
     Q = math.inf if C1 == math.inf else \
-        product(C1 / saturating(math.exp, sigma * delta * c2t),
-                saturating(pow, max(1.0, C1), N) / abs(1.0 - C1))
+        product(C1 / saturating(math.exp, sdc), saturating(pow, max(1.0, C1), N) / abs(1.0 - C1))
     return ErrorBoundConstants(sigma, c2t, delta, mu1, mu2, mu3, a_ds, C1, Q)
 
 

@@ -120,19 +120,27 @@ def lagrange_eval_matrix(m: int, pts: np.ndarray) -> np.ndarray:
 # Index sets
 # ---------------------------------------------------------------------------
 
+def check_levels(rule: str, levels) -> None:
+    """DomainError naming 'rule' unless rule is one of RULES, or 'levels' unless levels
+    holds at least one level and each is >= 0."""
+    if rule not in RULES:
+        raise DomainError(f"unknown rule {rule!r}, not one of {RULES}", violated="rule")
+    if not (levels and min(levels) >= 0):
+        raise DomainError(f"needs at least one level, each >= 0, got {levels}", violated="levels")
+
+
 def index_set(rule: str, w: int, N: int) -> list[tuple[int, ...]]:
     """Admissible level multi-indices (components >= 1) for the given rule, sorted.
 
     A depth-first walk carries what is left of the rule's budget, so it tests each
     component once; HC keeps B - 1 of its product bound B, as a b <= B iff b <= B // a.
     """
-    if w < 0 or N < 1:
-        raise DomainError("need w >= 0 and N >= 1")
+    check_levels(rule, (w,))
+    if N < 1:
+        raise DomainError(f"N must be >= 1, got {N}", violated="N")
     spend = {"SM": lambda left, i: left - (i - 1),
              "TD": lambda left, i: left - (growth(i) - 1),
-             "HC": lambda left, i: (left + 1) // growth(i) - 1}.get(rule)
-    if spend is None:
-        raise DomainError(f"unknown rule {rule!r}, not one of {RULES}", violated="rule")
+             "HC": lambda left, i: (left + 1) // growth(i) - 1}[rule]
 
     def walk(prefix, left):
         if len(prefix) == N:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from npbe_uq import bounds, geometry
+from npbe_uq import bounds, geometry, pde, region
 from npbe_uq.errors import DomainError, HypothesisViolationError, MapOrientationError
 from conftest import map_forward
 
@@ -473,3 +473,29 @@ class TestAssumptions:
         domain = make_domain()
         with pytest.raises(DomainError, match="kappa"):
             geometry.check_assumptions(domain, geometry.DomainMap([]), [1, 1, 1], [0, -0.5, 0])
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call,violated", [
+    (lambda: pde.PBECoefficients([NAN, 70, 1], [0, 0, 0.5]), "eps"),
+    (lambda: pde.PBECoefficients([70, 70, 1], [0, 0, NAN]), "kappa2"),
+    (lambda: geometry.check_assumptions(make_domain(), geometry.DomainMap([]), [NAN, 70, 1],
+                                        [0, 0, 0.5]), "eps"),
+    (lambda: geometry.check_assumptions(make_domain(), geometry.DomainMap([]), [70, 70, 1],
+                                        [NAN, 0, 0.5]), "kappa2"),
+    (lambda: pde.Charge([35, 35, 35], 1.0, NAN), "width"),
+    (lambda: region.polyellipse_boundary(NAN), None),
+    (lambda: geometry.CutoffShift(0, [0, 0, 0], [70, 70, 70], NAN), None),
+    (lambda: geometry.ReferenceDomain([0, NAN, 0], [70, 70, 70], [35, 35, 35], (15.0, 25.0)),
+     "box_min"),
+    (lambda: geometry.ReferenceDomain([0, 0, 0], [70, 70, 70], [35, 35, NAN], (15.0, 25.0)),
+     "sphere_center"),
+], ids=["coefficients-eps", "coefficients-kappa2", "assumptions-eps", "assumptions-kappa2",
+        "charge-width", "polyellipse-sigma", "cutoff-margin", "box-corner", "sphere-centre"])
+def test_nan_is_out_of_range(call, violated):
+    # each range check is written so that NaN fails it, and names the input it rejects
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert exc.value.violated == violated

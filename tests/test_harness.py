@@ -1064,6 +1064,16 @@ class TestCli:
         assert err.startswith(f"error: key {key!r} in block {block!r}: ")
         assert err.endswith(f", got {got}\n")
 
+    @pytest.mark.parametrize(*test_study_value_out_of_range_named.pytestmark[0].args,
+                             **test_study_value_out_of_range_named.pytestmark[0].kwargs)
+    def test_config_error_names_a_key_of_its_block(self, tmp_path, block, key, value, got):
+        # the cases above, on the exception: violated is the key, and the message's block holds it
+        with pytest.raises(ConfigError) as exc:
+            harness.load_config(self.write_with(tmp_path, block, **{key: value}))
+        named = re.match(r"key '(\w+)' in block '(\w+)': ", str(exc.value))
+        assert named and named[2] == block
+        assert exc.value.violated == named[1] == key and key in harness.STUDY_KEYS[block]
+
     def test_solve_grid_n_not_dyadic_named(self, tmp_path, capsys):
         rc = cli.main(["solve", "--config", self.write_with(tmp_path, "grid", n=21)])
         out, err = capsys.readouterr()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -39,6 +40,11 @@ class TestClosedForms:
             th, x = theta_xi_highprec(M, a, R)
             assert abs(region.theta(M, a, R) - th) <= 1e-12 * max(1.0, abs(th))
             assert abs(region.xi(M, a, R) - x) <= 1e-12 * max(1.0, abs(x))
+
+    @pytest.mark.parametrize("M,a", [(1e200, 1e-200), (1e-200, 1e200)])
+    def test_theta_reads_a_and_M_only_through_their_product(self, M, a):
+        # a^2 M^2 formed apart underflowed (0.0664) or overflowed (-0.0) at aM = 1
+        assert region.theta(M, a, 1.0) == pytest.approx(region.theta(1.0, 1.0, 1.0), rel=1e-15)
 
     def test_theta_vanishes_for_large_M(self):
         assert region.theta(1e8, 1.0, 1.0) < 1e-3
@@ -240,11 +246,14 @@ class TestConstants:
 
     @pytest.mark.parametrize("N", [1, 2, 16])
     @pytest.mark.parametrize("m_tilde", [0.0, 1.0])
-    @pytest.mark.parametrize("sigma_star", [1e-215, 1e-220, 1e-300])
+    @pytest.mark.parametrize("sigma_star", [1e-215, 1e-220, 1e-300, 1e-310, 5e-324])
     def test_tiny_sigma_saturates(self, sigma_star, m_tilde, N):
         # delta sigma in the denominator of C1 underflows to 0 from sigma* ~
-        # 1e-216, which raised ZeroDivisionError; C1 is +inf as at 1e-215
+        # 1e-216, which raised ZeroDivisionError; C1 is +inf as at 1e-215.  At a
+        # subnormal sigma*, c2~ is +inf and delta 0 (NaN products), and at
+        # 5e-324 sigma rounds to 0 (ZeroDivisionError)
         c = region.error_constants(sigma_star, N, m_tilde)
+        assert not any(math.isnan(v) for v in dataclasses.astuple(c))
         assert c.C1 == c.Q == (0.0 if m_tilde == 0.0 else math.inf)
         for w, eta in ((1, 3), (3, 29), (10, 10**6)):
             eb = region.error_bound(sigma_star, N, m_tilde, w, eta)
