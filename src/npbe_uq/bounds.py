@@ -184,8 +184,11 @@ def verify_bounds_by_sampling(dmap, domain, inp: BoundsInput, trials: int = 1000
     estimates.
     Each trial draws r, y0 and y in turn; the matrices of all trials are then
     formed at once by geometry.jacobian, one y per point, and a NaN or
-    infinite entry raises DomainError before any inverse or SVD.
+    infinite entry raises DomainError before any inverse or SVD. So does
+    trials < 1, which would check nothing.
     """
+    if not trials >= 1:
+        raise DomainError(f"trials must be >= 1, got {trials}", violated="trials")
     report = VerificationReport(trials=trials)
     N = dmap.n_modes
     rng = np.random.default_rng(seed)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .bounds import product, saturating
 from .errors import DomainError
+from .smolyak import check_dimension
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +88,19 @@ def _require_positive(**kwargs):
 # ---------------------------------------------------------------------------
 
 def polyellipse_boundary(sigma: float, samples: int = 64) -> np.ndarray:
-    """Boundary of the Bernstein ellipse E_sigma: cosh(s)cos t + i sinh(s)sin t."""
+    """Boundary of the Bernstein ellipse E_sigma: cosh(s)cos t + i sinh(s)sin t.
+
+    DomainError unless sigma > 0 with cosh(sigma) finite (sigma <~ 710), and samples >= 1.
+    """
     if not sigma > 0.0:  # also rejects nan
         raise DomainError(f"sigma must be positive, got {sigma}")
+    cosh = saturating(math.cosh, sigma)
+    if cosh == math.inf:
+        raise DomainError(f"cosh(sigma) is not finite at sigma = {sigma}")
+    if not samples >= 1:
+        raise DomainError(f"samples must be >= 1, got {samples}", violated="samples")
     t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    return math.cosh(sigma) * np.cos(t) + 1j * math.sinh(sigma) * np.sin(t)
+    return cosh * np.cos(t) + 1j * math.sinh(sigma) * np.sin(t)
 
 
 def m_tilde(evaluator, sigma: float, N: int, samples: int = 64) -> float:
@@ -103,6 +112,7 @@ def m_tilde(evaluator, sigma: float, N: int, samples: int = 64) -> float:
     A value that is NaN or infinite raises DomainError.
     """
     ring = polyellipse_boundary(sigma, samples)
+    check_dimension(N)
     rest = np.array(list(itertools.product(ring, repeat=N - 1)), dtype=complex)
     best = 0.0
     for first in ring:
@@ -155,8 +165,7 @@ def error_constants(sigma_star_value: float, N: int, M_tilde: float) -> ErrorBou
     """
     if not 0.0 < sigma_star_value < math.inf:  # also rejects nan
         raise DomainError(f"sigma_star must be finite and positive, got {sigma_star_value}")
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}", violated="N")
+    check_dimension(N)
     if not 0.0 <= M_tilde < math.inf:  # a zero function has a zero error
         raise DomainError(f"'M_tilde' must be finite and nonnegative, got {M_tilde}",
                           violated="M_tilde")
@@ -190,6 +199,8 @@ def error_bound(sigma_star_value: float, N: int, M_tilde: float, w: int, eta: in
     do; an infinite bound stays +inf before a factor that could be 0.
     """
     c = error_constants(sigma_star_value, N, M_tilde)
+    if not eta >= 1:
+        raise DomainError(f"eta must be >= 1, got {eta}", violated="eta")
     subexp = product(c.Q, saturating(pow, eta, c.mu3))
     if subexp < math.inf:
         subexp *= math.exp(-(N * c.sigma / 2 ** (1.0 / N)) * eta**c.mu2)

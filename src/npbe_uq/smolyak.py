@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -129,6 +130,14 @@ def check_levels(rule: str, levels) -> None:
         raise DomainError(f"needs at least one level, each >= 0, got {levels}", violated="levels")
 
 
+def check_dimension(N) -> None:
+    """DomainError naming 'N' unless N is an integer >= 1 (a numpy integer is, a bool is not)."""
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise DomainError(f"N must be an integer, got {N!r}", violated="N")
+    if N < 1:
+        raise DomainError(f"N must be >= 1, got {N}", violated="N")
+
+
 def index_set(rule: str, w: int, N: int) -> list[tuple[int, ...]]:
     """Admissible level multi-indices (components >= 1) for the given rule, sorted.
 
@@ -136,8 +145,7 @@ def index_set(rule: str, w: int, N: int) -> list[tuple[int, ...]]:
     component once; HC keeps B - 1 of its product bound B, as a b <= B iff b <= B // a.
     """
     check_levels(rule, (w,))
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}", violated="N")
+    check_dimension(N)
     spend = {"SM": lambda left, i: left - (i - 1),
              "TD": lambda left, i: left - (growth(i) - 1),
              "HC": lambda left, i: (left + 1) // growth(i) - 1}[rule]

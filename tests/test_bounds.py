@@ -203,6 +203,14 @@ class TestSamplingVerification:
         with pytest.raises(DomainError, match="verify_bounds_by_sampling"):
             bounds.verify_bounds_by_sampling(dmap, big_domain(), base_input(), trials=20)
 
+    @pytest.mark.parametrize("trials", [-1, 0])
+    def test_no_trials_rejected(self, trials):
+        # -1 raised an untyped numpy error, and 0 gave a report that checked nothing
+        with pytest.raises(DomainError, match=f"trials must be >= 1, got {trials}") as exc:
+            bounds.verify_bounds_by_sampling(geometry.DomainMap([]), big_domain(), base_input(),
+                                             trials=trials)
+        assert exc.value.violated == "trials"
+
     def test_self_test_hook_detects(self, monkeypatch):
         # bounds shrunk tenfold must be violated
         domain = big_domain()

@@ -1038,6 +1038,7 @@ class TestCli:
 
     @pytest.mark.parametrize("block,key,value,got", [
         ("coefficients", "eps", [-1, 70, 1], "(-1.0, 70.0, 1.0)"),
+        ("coefficients", "eps", [0, 70, 1], "(0.0, 70.0, 1.0)"),
         ("coefficients", "kappa2", [0.0, 0.0, -0.5], "(0.0, 0.0, -0.5)"),
         ("geometry", "radii", [25.0, 15.0], "(25.0, 15.0)"),
         ("geometry", "radii", [0.0, 15.0], "(0.0, 15.0)"),
@@ -1046,8 +1047,8 @@ class TestCli:
         ("stochastic", "N", 4, "4"), ("stochastic", "alpha", [2.0, 3.0], "(2.0, 3.0)"),
         ("stochastic", "alpha", [-2.0], "(-2.0,)"), ("sparse_grid", "reference_level", 1, "1"),
         ("grid", "n", 21, "21"),
-    ], ids=["eps", "kappa2", "radii-order", "radii-zero", "width-neg", "width-zero", "level-neg",
-            "N", "alpha-length", "alpha-neg", "reference-level", "grid-n"])
+    ], ids=["eps", "eps-zero", "kappa2", "radii-order", "radii-zero", "width-neg", "width-zero",
+            "level-neg", "N", "alpha-length", "alpha-neg", "reference-level", "grid-n"])
     def test_study_value_out_of_range_named(self, tmp_path, capsys, monkeypatch, block, key,
                                             value, got):
         # the config layer rejects it before the solver would warn about it or
@@ -1080,6 +1081,18 @@ class TestCli:
         assert rc == 1
         assert out == ""
         assert err.startswith("error: key 'n' in block 'grid': ")
+
+    def test_module_entry_point_prints_one_error_line(self, tmp_path):
+        # python -m npbe_uq.cli: the exit status is main's, and a config error is one line
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        config = self.write_with(tmp_path, "grid", n=21)
+        run = subprocess.run([sys.executable, "-m", "npbe_uq.cli", "solve", "--config", config],
+                             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert (run.returncode, run.stdout) == (1, "")
+        line, = run.stderr.splitlines()
+        assert line.startswith("error: key 'n' in block 'grid': ")
+        assert "Traceback" not in run.stderr
 
     def test_study_two_charge_sources_named(self, tmp_path, capsys, monkeypatch):
         # inline charges and a PQR file: neither is dropped in silence

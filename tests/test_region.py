@@ -22,6 +22,11 @@ def theta_xi_highprec(M, a, R):
         return float(th), float(x)
 
 
+def first_coordinate(z):
+    """An evaluator for m_tilde: the first coordinate of each point."""
+    return z[:, 0]
+
+
 class TestClosedForms:
     def test_unit_anchor(self):
         th, x = theta_xi_highprec(1, 1, 1)
@@ -88,11 +93,43 @@ class TestRejectedInputNamed:
         (lambda: region.error_constants(0.5, 0, 1.0), "N", "N must be >= 1, got 0"),
         (lambda: region.error_constants(0.5, 2, -2.0), "M_tilde", "got -2.0"),
         (lambda: region.error_constants(math.nan, 2, 1.0), None, "sigma_star must be"),
-    ], ids=["M", "a", "R", "M-a-R", "M-a-R-cancelled", "N", "M_tilde", "sigma_star"])
+        # cosh(800) raised an untyped OverflowError, and sigma = inf gave a ring of NaN
+        (lambda: region.polyellipse_boundary(800.0, 8), None, "not finite at sigma = 800.0"),
+        (lambda: region.polyellipse_boundary(math.inf, 8), None, "not finite at sigma = inf"),
+        (lambda: region.m_tilde(first_coordinate, 800.0, 1, 8), None,
+         "not finite at sigma = 800.0"),
+        (lambda: region.m_tilde(first_coordinate, math.inf, 1, 8), None,
+         "not finite at sigma = inf"),
+        # a sup over no points was 0.0, and so was every error bound built on it
+        (lambda: region.m_tilde(first_coordinate, 0.1, 1, samples=0), "samples",
+         "samples must be >= 1, got 0"),
+        # 0 knots divided by zero, and -1 raised a TypeError from a complex power
+        (lambda: region.error_bound(0.1, 2, 1.0, 1, 0), "eta", "eta must be >= 1, got 0"),
+        (lambda: region.error_bound(0.1, 2, 1.0, 1, -1), "eta", "eta must be >= 1, got -1"),
+    ], ids=["M", "a", "R", "M-a-R", "M-a-R-cancelled", "N", "M_tilde", "sigma_star",
+            "sigma-800", "sigma-inf", "m_tilde-sigma-800", "m_tilde-sigma-inf", "samples",
+            "eta-0", "eta-negative"])
     def test_violated(self, call, violated, message):
         with pytest.raises(DomainError) as exc:
             call()
         assert exc.value.violated == violated and message in str(exc.value)
+
+
+@pytest.mark.parametrize("N", [0, 1.5, True], ids=["zero", "fractional", "bool"])
+@pytest.mark.parametrize("call", [
+    lambda N: smolyak.index_set("SM", 1, N),
+    lambda N: region.m_tilde(first_coordinate, 0.1, N, 8),
+    lambda N: region.error_constants(0.1, N, 1.0),
+], ids=["index_set", "m_tilde", "error_constants"])
+def test_dimension_is_an_integer_at_least_one(call, N):
+    # smolyak.check_dimension states the rule once for all three
+    with pytest.raises(DomainError) as exc:
+        call(N)
+    assert exc.value.violated == "N" and str(exc.value).endswith(f", got {N!r}")
+
+
+def test_numpy_integer_dimension_accepted():
+    assert smolyak.index_set("SM", 2, np.int64(2)) == smolyak.index_set("SM", 2, 2)
 
 
 class TestSigmaStar:
